@@ -126,11 +126,10 @@ pub fn run_eval(argv: &[String]) -> RunOutcome {
         // counts and cache states.
         let counters = sigrule_data::kernel::counters();
         rendered.push_str(&format!(
-            "null_ms={:.1} kernel={} batched_sweeps={} per_perm_sweeps={} (human-format footer; not in json/csv)\n",
+            "null_ms={:.1} kernel={} batched_sweeps={} (human-format footer; not in json/csv)\n",
             sweep.cache.null_time.as_secs_f64() * 1e3,
             counters.kernel,
             counters.batched_sweeps,
-            counters.per_perm_sweeps,
         ));
         // A second footer line only when a distributed null ran in this
         // process: how the shards landed and how often ranges were
@@ -163,7 +162,6 @@ pub fn run_eval(argv: &[String]) -> RunOutcome {
                     (sweep.cache.null_time.as_secs_f64() * 1e3).into(),
                 ),
                 ("batched_sweeps", counters.batched_sweeps.into()),
-                ("per_perm_sweeps", counters.per_perm_sweeps.into()),
                 ("shards_local", shards.shards_local.into()),
                 ("shards_remote", shards.shards_remote.into()),
                 ("shard_retries", shards.shard_retries.into()),

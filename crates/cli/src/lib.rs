@@ -39,7 +39,6 @@
 pub mod args;
 pub mod commands;
 pub mod eval;
-pub mod json;
 pub mod output;
 pub mod serve;
 

@@ -7,7 +7,7 @@
 
 use sigrule::pipeline::{CorrectionApproach, Pipeline};
 use sigrule::ErrorMetric;
-use sigrule_cli::json::Json;
+use sigrule_server::json::Json;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -280,6 +280,35 @@ fn serve_reports_errors_and_keeps_running() {
     // barrier); the message still proves errors do not kill the session.
     let e2 = by_id(&responses, "e2");
     assert_eq!(e2.get("ok").and_then(Json::as_bool), Some(false));
+    assert_ok(by_id(&responses, "ok"));
+    assert_ok(by_id(&responses, "bye"));
+}
+
+#[test]
+fn deeply_nested_line_is_rejected_and_the_session_survives() {
+    // One line of 500k `[`: an uncapped recursive parser overflows the
+    // stack on it, which aborts the whole process.
+    let path = fixture();
+    let script = format!(
+        "{}\n{}\n{}\n",
+        "[".repeat(500_000),
+        format_args!(
+            r#"{{"id":"ok","cmd":"load","path":"{}"}}"#,
+            path.to_str().unwrap()
+        ),
+        r#"{"id":"bye","cmd":"shutdown"}"#,
+    );
+    // `serve_session` also asserts the process exits 0.
+    let responses = serve_session(&script);
+    assert_eq!(responses.len(), 3, "one response per line");
+    let hostile = &responses[0];
+    assert_eq!(hostile.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        hostile.get("code").and_then(Json::as_str),
+        Some("invalid_request"),
+        "{}",
+        hostile.render()
+    );
     assert_ok(by_id(&responses, "ok"));
     assert_ok(by_id(&responses, "bye"));
 }

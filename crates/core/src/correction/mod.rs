@@ -222,8 +222,8 @@ impl Correction for PermutationApproach {
         cancel: &CancelToken,
     ) -> Result<Option<PermutationStats>, Cancelled> {
         self.correction()
-            .collect_stats_cancellable(ctx.mined, ctx.tables, cancel)
-            .map(Some)
+            .collect_stats_range(ctx.mined, ctx.tables, cancel, 0, self.n_permutations)
+            .map(|partial| Some(partial.into()))
     }
 
     fn apply(&self, ctx: &CorrectionContext<'_>) -> CorrectionResult {
@@ -234,7 +234,18 @@ impl Correction for PermutationApproach {
         };
         match ctx.null {
             Some(stats) => decide(stats),
-            None => decide(&correction.collect_stats_with_tables(ctx.mined, ctx.tables)),
+            None => decide(
+                &correction
+                    .collect_stats_range(
+                        ctx.mined,
+                        ctx.tables,
+                        &CancelToken::none(),
+                        0,
+                        self.n_permutations,
+                    )
+                    .expect("the never-firing token cannot cancel")
+                    .into(),
+            ),
         }
     }
 }

@@ -24,28 +24,31 @@
 //! # The parallel bitset engine
 //!
 //! On top of the paper's optimisations this implementation adds two machine-
-//! level ones, controlled by [`PermutationCorrection::mode`] and
-//! [`PermutationCorrection::backend`]:
+//! level ones; the second is selected by [`PermutationCorrection::backend`]:
 //!
 //! * **Rayon fan-out across permutations.**  Permutations are grouped into
 //!   fixed-size chunks (the chunking does *not* depend on the worker count)
-//!   and the chunks are mapped over a rayon worker pool.  Each permutation is
+//!   and the chunks are mapped over a rayon worker pool; run the engine
+//!   under [`rayon_pool`]`(n).install(..)` to pin it to `n` threads (one
+//!   thread runs every chunk inline on the caller).  Each permutation is
 //!   fully independent: its labels are a fresh copy of the original label
 //!   vector shuffled by an RNG seeded from `seed` and the permutation index
 //!   alone.  Workers reduce their chunk into a per-chunk minimum-p-value list
 //!   and insertion-point histogram; chunks are then merged in index order.
 //!   Minima are keyed by permutation index and histogram merging is integer
-//!   addition, so the collected [`PermutationStats`] are **bit-identical** to
-//!   the serial engine's at any thread count.
+//!   addition, so the collected [`PermutationStats`] are **bit-identical** at
+//!   any thread count.
 //!
-//! * **Popcount label counting.**  Each cover's stored id list is packed into
-//!   a [`Bitmap`](sigrule_data::Bitmap) once (covers never change across
-//!   permutations); each worker keeps per-class label bitmaps that it
-//!   re-fills from the shuffled labels, after which a rule support is a
-//!   word-wise `AND` + `count_ones` sweep instead of one label load per
-//!   stored id.  [`SupportBackend::Auto`] picks the bitmap kernel per node
-//!   whenever the stored list is denser than one id per 64 records and the
-//!   tid-list kernel below that, so sparse diffsets keep their §4.2.2
+//! * **Batched popcount label counting.**  Each cover's stored id list is
+//!   packed into a [`Bitmap`](sigrule_data::Bitmap) once (covers never
+//!   change across permutations).  Each chunk shuffles all of its label
+//!   vectors up front and fills transposed per-class lane blocks from them
+//!   once, after which a rule support is a word-wise `AND` + `count_ones`
+//!   sweep over every permutation of the chunk at once, loading each cover
+//!   word once per chunk instead of once per permutation.
+//!   [`SupportBackend::Auto`] picks the bitmap kernel per node whenever the
+//!   stored list is denser than one id per 64 records and the tid-list
+//!   gather kernel below that, so sparse diffsets keep their §4.2.2
 //!   advantage.  Both kernels count identical sets, so the statistics do not
 //!   depend on the backend.
 //!
@@ -88,42 +91,6 @@ pub enum BufferStrategy {
     StaticAndDynamic,
 }
 
-/// Whether a chunk's permutations are counted one at a time or in one
-/// batched lane-blocked pass.
-///
-/// The batched path fills a transposed
-/// [`ClassLaneBlocks`](sigrule_data::ClassLaneBlocks) once per chunk from
-/// all of the chunk's shuffled label vectors and then sweeps every rule
-/// cover against all permutations at once — loading each cover word once per
-/// chunk instead of once per permutation.  Both paths compute identical
-/// exact counts and are reduced by order-independent operations (per-lane
-/// minima and an additive histogram), so the statistics are bit-identical
-/// either way; the policy only moves the cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPolicy {
-    /// Batch whenever the support plan has bitmap-kernel nodes (they profit
-    /// directly from the one-pass cover sweep); pure tid-list plans keep the
-    /// per-permutation loop so the paper's TidLists ablation axis still
-    /// measures exactly the engine §4.2.2 describes.
-    #[default]
-    Auto,
-    /// Always count one permutation at a time (the pre-batching engine).
-    PerPermutation,
-    /// Always take the lane-blocked batched path.
-    Batched,
-}
-
-/// Whether the `N` permutations run on one thread or fan out over rayon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// Fan permutation chunks out over the rayon worker pool (the default).
-    #[default]
-    Parallel,
-    /// Run every permutation on the calling thread; the reference engine the
-    /// parallel statistics are bit-identical to.
-    Serial,
-}
-
 /// Configuration of the permutation-based correction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PermutationCorrection {
@@ -138,13 +105,9 @@ pub struct PermutationCorrection {
     /// Byte budget of the static buffer (only used by
     /// [`BufferStrategy::StaticAndDynamic`]).
     pub static_buffer_bytes: usize,
-    /// Serial or rayon-parallel execution.
-    pub mode: ExecutionMode,
     /// Support-counting kernel selection (tid-lists, bitmaps, or per-node
     /// auto-selection by density).
     pub backend: SupportBackend,
-    /// Batched (lane-blocked) vs per-permutation chunk counting.
-    pub batch: BatchPolicy,
 }
 
 impl Default for PermutationCorrection {
@@ -154,9 +117,7 @@ impl Default for PermutationCorrection {
             seed: 0x5eed_cafe,
             buffer: BufferStrategy::StaticAndDynamic,
             static_buffer_bytes: DEFAULT_STATIC_BUFFER_BYTES,
-            mode: ExecutionMode::default(),
             backend: SupportBackend::default(),
-            batch: BatchPolicy::default(),
         }
     }
 }
@@ -280,6 +241,21 @@ impl PermutationStats {
             pool_counts_leq,
             pool_size,
         })
+    }
+}
+
+/// A partial null taken as a whole: the partial of a `0..N` range run *is*
+/// the full null (which is how [`PermutationCorrection::collect_stats`] and
+/// every cancellable caller of
+/// [`collect_stats_range`](PermutationCorrection::collect_stats_range) get
+/// their [`PermutationStats`]).
+impl From<PartialPermutationStats> for PermutationStats {
+    fn from(partial: PartialPermutationStats) -> Self {
+        PermutationStats {
+            minima: partial.minima,
+            pool_counts_leq: partial.pool_counts_leq,
+            pool_size: partial.pool_size,
+        }
     }
 }
 
@@ -407,9 +383,11 @@ impl PartialPermutationStats {
 }
 
 /// Builds a rayon pool with the given worker count; running the engine under
-/// [`install`](rayon::ThreadPool::install) pins its parallelism.  Used by the
-/// equivalence tests to prove thread-count invariance, and by embedders that
-/// bound the engine's CPU share:
+/// [`install`](rayon::ThreadPool::install) pins its parallelism.  A one-thread
+/// pool runs every chunk inline on the calling thread — the serial engine.
+/// Used by the equivalence tests to prove thread-count invariance, by the
+/// single-threaded Figure 4/5 timings, and by embedders that bound the
+/// engine's CPU share:
 ///
 /// ```ignore
 /// let pool = rayon_pool(4)?;
@@ -497,21 +475,9 @@ impl PermutationCorrection {
         self
     }
 
-    /// Overrides serial vs. parallel execution.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Overrides the support-counting kernel selection.
     pub fn with_backend(mut self, backend: SupportBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Overrides the batched vs per-permutation chunk policy.
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -600,54 +566,29 @@ impl PermutationCorrection {
     }
 
     /// Runs all `N` permutations and collects the statistics both error
-    /// metrics need.  Exposed publicly so benchmarks can time the permutation
-    /// pass itself and so both metrics can share a single pass if desired.
+    /// metrics need: the full-range convenience over
+    /// [`collect_stats_range`](Self::collect_stats_range)`(.., 0, N)`, with
+    /// the static tables built internally and no cancellation.
     pub fn collect_stats(&self, mined: &MinedRuleSet) -> PermutationStats {
-        self.collect_stats_with_tables(mined, None)
-    }
-
-    /// [`collect_stats`](Self::collect_stats) with caller-provided static
-    /// p-value tables (see [`build_shared_tables`](Self::build_shared_tables)).
-    /// The tables are deterministic functions of the mined rule set, so
-    /// passing a prebuilt set changes only the build cost, never a statistic.
-    pub fn collect_stats_with_tables(
-        &self,
-        mined: &MinedRuleSet,
-        tables: Option<&SharedTableSet>,
-    ) -> PermutationStats {
-        self.collect_stats_cancellable(mined, tables, &CancelToken::none())
+        self.collect_stats_range(mined, None, &CancelToken::none(), 0, self.n_permutations)
             .expect("the never-firing token cannot cancel")
+            .into()
     }
 
-    /// [`collect_stats_with_tables`](Self::collect_stats_with_tables) with a
-    /// cooperative [`CancelToken`].  The token is checked before each
-    /// fixed-size permutation chunk (serial and parallel alike), so a fired
-    /// token aborts within one chunk's worth of work.  Cancellation only ever
-    /// drops chunk results on the floor — it cannot corrupt them — so a
-    /// subsequent uncancelled run over the same inputs is bit-identical to a
-    /// run that was never cancelled.
-    pub fn collect_stats_cancellable(
-        &self,
-        mined: &MinedRuleSet,
-        tables: Option<&SharedTableSet>,
-        cancel: &CancelToken,
-    ) -> Result<PermutationStats, Cancelled> {
-        // The full run is exactly the range run over 0..N: one engine, so a
-        // distributed merge can only ever reproduce what this path computes.
-        let partial = self.collect_stats_range(mined, tables, cancel, 0, self.n_permutations)?;
-        Ok(PermutationStats {
-            minima: partial.minima,
-            pool_counts_leq: partial.pool_counts_leq,
-            pool_size: partial.pool_size,
-        })
-    }
-
-    /// Runs only permutations `start..end` and returns their partial null.
-    /// The serial, rayon, and batched paths all derive permutation `i`'s RNG
-    /// from `(seed, i)` alone, so a range run is a *subsequence* of the full
-    /// run by construction, and disjoint ranges merged with
-    /// [`PermutationStats::merge`] are bit-identical to one
-    /// [`collect_stats`](Self::collect_stats) pass.
+    /// Runs only permutations `start..end` and returns their partial null:
+    /// the one engine entry point.  Every chunk derives permutation `i`'s
+    /// RNG from `(seed, i)` alone, so a range run is a *subsequence* of the
+    /// full run by construction, and disjoint ranges merged with
+    /// [`PermutationStats::merge`] are bit-identical to one `0..N` run.
+    ///
+    /// `tables` are caller-provided static p-value tables (see
+    /// [`build_shared_tables`](Self::build_shared_tables)); they are
+    /// deterministic functions of the mined rule set, so passing a prebuilt
+    /// set changes only the build cost, never a statistic.  `cancel` is
+    /// checked before each fixed-size permutation chunk, so a fired token
+    /// aborts within one chunk's worth of work; cancellation only ever drops
+    /// chunk results on the floor, so a later uncancelled run over the same
+    /// inputs is bit-identical to one that was never cancelled.
     ///
     /// Ranges must be chunk-aligned so the fixed chunking is preserved:
     /// `start` and `end` must be multiples of [`PERMS_PER_CHUNK`], except
@@ -694,47 +635,19 @@ impl PermutationCorrection {
 
         let plan = self.build_plan(mined, tables);
 
-        // Resolve the batch policy once per run: the batched path profits
-        // whenever some node counts with the bitmap kernel (its cover sweep
-        // then runs once per chunk instead of once per permutation).  Both
-        // paths produce bit-identical statistics.
-        let batched = match self.batch {
-            BatchPolicy::PerPermutation => false,
-            BatchPolicy::Batched => true,
-            BatchPolicy::Auto => plan.support_plan.prefers_batched(),
-        };
-        let run = |start: usize| {
-            if batched {
-                self.run_chunk_batched(&plan, start)
-            } else {
-                self.run_chunk(&plan, start)
-            }
-        };
-
         // Fixed-size chunks over the permutation indices; the chunk list (and
         // therefore the merge order below) is independent of the worker
-        // count.  Each chunk re-checks the token before running, so on the
-        // parallel path a fired token turns every not-yet-started chunk into a
-        // cheap early return rather than tearing threads down.
+        // count.  Each chunk re-checks the token before running, so a fired
+        // token turns every not-yet-started chunk into a cheap early return
+        // rather than tearing threads down.
         let chunk_starts: Vec<usize> = (start..end).step_by(PERMS_PER_CHUNK).collect();
-        let chunk_results: Vec<Result<ChunkStats, Cancelled>> = match self.mode {
-            ExecutionMode::Serial => {
-                let mut out = Vec::with_capacity(chunk_starts.len());
-                for start in chunk_starts {
-                    cancel.check()?;
-                    out.push(Ok(run(start)));
-                }
-                out
-            }
-            ExecutionMode::Parallel => chunk_starts
-                .into_par_iter()
-                .map(|start| {
-                    cancel.check()?;
-                    Ok(run(start))
-                })
-                .collect(),
-        };
-        let chunks = chunk_results
+        let chunks = chunk_starts
+            .into_par_iter()
+            .map(|start| {
+                cancel.check()?;
+                Ok(self.run_chunk_batched(&plan, start))
+            })
+            .collect::<Vec<Result<ChunkStats, Cancelled>>>()
             .into_iter()
             .collect::<Result<Vec<ChunkStats>, Cancelled>>()?;
 
@@ -784,8 +697,8 @@ impl PermutationCorrection {
     /// [`BufferStrategy::StaticAndDynamic`] run would build them internally.
     /// A resident engine calls this once per mined rule set, keeps the
     /// returned [`SharedTableSet`], and passes it to
-    /// [`collect_stats_with_tables`](Self::collect_stats_with_tables) on every
-    /// subsequent request.
+    /// [`collect_stats_range`](Self::collect_stats_range) on every subsequent
+    /// request.
     pub fn build_shared_tables(&self, mined: &MinedRuleSet) -> SharedTableSet {
         let rules = mined.rules();
         let n = mined.n_records();
@@ -856,90 +769,19 @@ impl PermutationCorrection {
     }
 
     /// Runs permutations `start .. start + PERMS_PER_CHUNK` (clamped to `N`)
-    /// and reduces them to a [`ChunkStats`].  All mutable state is chunk-
-    /// local; everything shared is behind `&`.
-    fn run_chunk(&self, plan: &ScoringPlan<'_>, start: usize) -> ChunkStats {
-        crate::fault::point("perm.chunk");
-        let mined = plan.mined;
-        let rules = mined.rules();
-        let n = mined.n_records();
-        let end = (start + PERMS_PER_CHUNK).min(self.n_permutations);
-
-        // Chunk-local scratch, allocated once and reused per permutation.
-        // The per-class label bitmaps exist only when some node actually
-        // counts with the bitmap kernel; an all-tid-list plan skips both the
-        // allocation and the per-permutation refill.
-        let mut labels: Vec<ClassId> = vec![0; n];
-        let mut class_bitmaps = plan
-            .support_plan
-            .needs_class_bitmaps()
-            .then(|| plan.support_plan.make_class_bitmaps(mined.n_classes()));
-        let mut supports: Vec<usize> = Vec::with_capacity(mined.forest().len());
-        let mut dynamics: Vec<DynamicBuffer> = match self.buffer {
-            BufferStrategy::None => Vec::new(),
-            _ => plan
-                .classes
-                .iter()
-                .map(|&c| DynamicBuffer::new(n, mined.class_counts()[c as usize]))
-                .collect(),
-        };
-
-        let mut minima = Vec::with_capacity(end - start);
-        let mut cnt = vec![0u64; rules.len() + 1];
-
-        for perm in start..end {
-            // Each permutation shuffles a fresh copy of the original labels
-            // under its own seed: permutation i's outcome depends on (seed, i)
-            // only, never on which permutations ran before or where.
-            labels.copy_from_slice(mined.labels());
-            let mut rng = StdRng::seed_from_u64(
-                self.seed ^ (perm as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            labels.shuffle(&mut rng);
-            if let Some(bitmaps) = class_bitmaps.as_mut() {
-                bitmaps.fill(&labels);
-            }
-
-            let mut perm_min = f64::INFINITY;
-            for (slot, &class) in plan.classes.iter().enumerate() {
-                mined.forest().rule_supports_planned(
-                    &plan.support_plan,
-                    &labels,
-                    class_bitmaps.as_ref().map(|b| b.class(class)),
-                    class,
-                    &mut supports,
-                );
-                for &ri in &plan.class_rules[slot] {
-                    let rule = &rules[ri];
-                    let supp_r = supports[mined.rule_node(ri)];
-                    let p =
-                        self.rule_p_value(plan, slot, class, rule.coverage, supp_r, &mut dynamics);
-                    if p < perm_min {
-                        perm_min = p;
-                    }
-                    cnt[plan.sorted_observed.partition_point(|&x| x < p)] += 1;
-                }
-            }
-            minima.push(perm_min);
-        }
-        kernel::note_per_perm_sweeps(((end - start) * plan.classes.len()) as u64);
-
-        ChunkStats { minima, cnt }
-    }
-
-    /// Runs permutations `start .. start + PERMS_PER_CHUNK` (clamped to `N`)
-    /// through the **batched** lane-blocked engine: all of the chunk's label
-    /// vectors are generated up front (each from its own `(seed, index)`
-    /// stream, exactly as the per-permutation path draws them), the per-class
-    /// lane blocks are filled once in one transposed pass, and every rule
-    /// cover is then swept against all permutations of the chunk at once.
+    /// and reduces them to a [`ChunkStats`] through the lane-blocked engine:
+    /// all of the chunk's label vectors are generated up front (each from
+    /// its own `(seed, index)` stream), the per-class lane blocks are filled
+    /// once in one transposed pass, and every rule cover is then swept
+    /// against all permutations of the chunk at once.  All mutable state is
+    /// chunk-local; everything shared is behind `&`.
     ///
-    /// Bit-identical to [`run_chunk`](Self::run_chunk): every support is the
-    /// same exact integer (both paths count the same sets), every p-value is
-    /// a deterministic function of `(coverage, support)`, and the chunk
-    /// reductions — per-lane minima and the additive insertion-point
-    /// histogram — do not depend on the order rules and permutations are
-    /// visited in, which is the only thing batching changes.
+    /// Every support is an exact integer and every p-value a deterministic
+    /// function of `(coverage, support)`, and the chunk reductions —
+    /// per-lane minima and the additive insertion-point histogram — do not
+    /// depend on the order rules and permutations are visited in, so the
+    /// chunk's statistics equal a literal one-permutation-at-a-time recount
+    /// (`tests/null_oracle.rs`).
     fn run_chunk_batched(&self, plan: &ScoringPlan<'_>, start: usize) -> ChunkStats {
         crate::fault::point("perm.chunk");
         let mined = plan.mined;
@@ -949,8 +791,9 @@ impl PermutationCorrection {
         let lanes = end - start;
 
         // All of the chunk's shuffled label vectors, lane-major.  Each lane
-        // shuffles a fresh copy of the original labels under the same
-        // per-permutation seed derivation as the per-permutation path.
+        // shuffles a fresh copy of the original labels under its own seed:
+        // permutation i's outcome depends on (seed, i) only, never on which
+        // permutations ran before or where.
         let mut labels_flat: Vec<ClassId> = Vec::with_capacity(lanes * n);
         for perm in start..end {
             let base = labels_flat.len();
@@ -1007,7 +850,7 @@ impl PermutationCorrection {
     }
 
     /// The permutation-time p-value of one rule given its permuted support:
-    /// the [`BufferStrategy`] three-way shared by both chunk paths.  A pure
+    /// the [`BufferStrategy`] three-way.  A pure
     /// function of `(coverage, support)` for fixed margins — the dynamic
     /// buffer is only a cache, so visit order never changes a value.
     #[inline]
@@ -1325,18 +1168,14 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_are_bit_identical() {
+        // A one-thread pool runs every chunk inline: the serial reference.
         let m = mined_with_rule(0.9, 3);
-        let serial = perm(40).with_mode(ExecutionMode::Serial).collect_stats(&m);
-        for threads in [1usize, 2, 3, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool builds");
-            let parallel = pool.install(|| {
-                perm(40)
-                    .with_mode(ExecutionMode::Parallel)
-                    .collect_stats(&m)
-            });
+        let serial = rayon_pool(1)
+            .expect("pool builds")
+            .install(|| perm(40).collect_stats(&m));
+        for threads in [2usize, 3, 8] {
+            let pool = rayon_pool(threads).expect("pool builds");
+            let parallel = pool.install(|| perm(40).collect_stats(&m));
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }
@@ -1358,38 +1197,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_policies_are_bit_identical() {
-        // The batched lane-blocked path must reproduce the per-permutation
-        // engine exactly — for every backend and buffer strategy, including
-        // a permutation count that leaves a short tail chunk.
-        let m = mined_with_rule(0.85, 16);
-        for backend in [
-            SupportBackend::TidLists,
-            SupportBackend::Bitmaps,
-            SupportBackend::Auto,
-        ] {
-            for buffer in [
-                BufferStrategy::None,
-                BufferStrategy::DynamicOnly,
-                BufferStrategy::StaticAndDynamic,
-            ] {
-                let base = perm(21).with_backend(backend).with_buffer(buffer);
-                let per = base
-                    .clone()
-                    .with_batch(BatchPolicy::PerPermutation)
-                    .collect_stats(&m);
-                let batched = base
-                    .clone()
-                    .with_batch(BatchPolicy::Batched)
-                    .collect_stats(&m);
-                let auto = base.with_batch(BatchPolicy::Auto).collect_stats(&m);
-                assert_eq!(per, batched, "backend {backend:?} buffer {buffer:?}");
-                assert_eq!(per, auto, "backend {backend:?} buffer {buffer:?}");
-            }
-        }
-    }
-
-    #[test]
     fn permutations_are_independent_of_ordering() {
         // Permutation i's contribution depends on (seed, i) only: running a
         // prefix of the permutations yields exactly the minima the full run
@@ -1406,13 +1213,17 @@ mod tests {
         let m = mined_with_rule(0.9, 14);
         let c = perm(30);
         let tables = c.build_shared_tables(&m);
+        let none = CancelToken::none();
+        let reuse = || -> PermutationStats {
+            c.collect_stats_range(&m, Some(&tables), &none, 0, 30)
+                .unwrap()
+                .into()
+        };
         let fresh = c.collect_stats(&m);
-        let reused = c.collect_stats_with_tables(&m, Some(&tables));
-        assert_eq!(fresh, reused);
+        assert_eq!(fresh, reuse());
         // Re-using the same set again is still identical (the tables are
         // read-only).
-        let again = c.collect_stats_with_tables(&m, Some(&tables));
-        assert_eq!(fresh, again);
+        assert_eq!(fresh, reuse());
     }
 
     #[test]
@@ -1511,22 +1322,20 @@ mod tests {
     fn range_runs_merge_bit_identically() {
         // Any chunk-aligned tiling of 0..N, merged in any order — with
         // duplicate deliveries thrown in — reproduces the single-pass null
-        // bit for bit, for both batch policies.
+        // bit for bit.
         let m = mined_with_rule(0.9, 31);
         let none = CancelToken::none();
-        for batch in [BatchPolicy::PerPermutation, BatchPolicy::Batched] {
-            let c = perm(21).with_batch(batch);
-            let full = c.collect_stats(&m);
-            let ranges = [(8usize, 16usize), (0, 8), (16, 21)];
-            let mut partials: Vec<PartialPermutationStats> = ranges
-                .iter()
-                .map(|&(s, e)| c.collect_stats_range(&m, None, &none, s, e).unwrap())
-                .collect();
-            // A straggler re-dispatch delivers one range twice.
-            partials.push(partials[0].clone());
-            let merged = PermutationStats::merge(&partials).unwrap();
-            assert_eq!(merged, full, "batch {batch:?}");
-        }
+        let c = perm(21);
+        let full = c.collect_stats(&m);
+        let ranges = [(8usize, 16usize), (0, 8), (16, 21)];
+        let mut partials: Vec<PartialPermutationStats> = ranges
+            .iter()
+            .map(|&(s, e)| c.collect_stats_range(&m, None, &none, s, e).unwrap())
+            .collect();
+        // A straggler re-dispatch delivers one range twice.
+        partials.push(partials[0].clone());
+        let merged = PermutationStats::merge(&partials).unwrap();
+        assert_eq!(merged, full);
     }
 
     #[test]

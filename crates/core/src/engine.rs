@@ -540,8 +540,6 @@ pub struct EngineStats {
     /// Process-wide (shared by all engines in the process), like the kernel
     /// kind it accompanies.
     pub batched_sweeps: u64,
-    /// Forest sweeps run one permutation at a time.  Process-wide.
-    pub per_perm_sweeps: u64,
     /// Distributed-null permutation ranges completed by the in-process
     /// executor.  Process-wide, like the kernel counters; zero unless a
     /// distributed null ran.
@@ -1085,7 +1083,6 @@ impl Engine {
             evicted_nulls: self.evicted_nulls.load(Relaxed),
             kernel: kernel_counters.kernel,
             batched_sweeps: kernel_counters.batched_sweeps,
-            per_perm_sweeps: kernel_counters.per_perm_sweeps,
             shards_local: shard.shards_local,
             shards_remote: shard.shards_remote,
             shard_retries: shard.shard_retries,

@@ -105,8 +105,8 @@ pub fn shard_remote_wait_ms() -> Counter {
     )
 }
 
-/// Forest sweeps through the support kernel, by mode (`batched` or
-/// `per_perm`).  Mirrored from `sigrule_data::kernel` at scrape time.
+/// Forest sweeps through the support kernel, by mode (only `batched`).
+/// Mirrored from `sigrule_data::kernel` at scrape time.
 pub fn kernel_sweeps_total(mode: &str) -> Counter {
     metrics::counter(
         "sigrule_kernel_sweeps_total",

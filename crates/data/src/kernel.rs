@@ -150,29 +150,23 @@ pub fn force(kind: Option<KernelKind>) {
 // ---------------------------------------------------------------------------
 
 static BATCHED_SWEEPS: AtomicU64 = AtomicU64::new(0);
-static PER_PERM_SWEEPS: AtomicU64 = AtomicU64::new(0);
 
 /// Records `n` batched (lane-block) forest sweeps.
 pub fn note_batched_sweeps(n: u64) {
     BATCHED_SWEEPS.fetch_add(n, Relaxed);
 }
 
-/// Records `n` per-permutation forest sweeps.
-pub fn note_per_perm_sweeps(n: u64) {
-    PER_PERM_SWEEPS.fetch_add(n, Relaxed);
-}
-
 /// Process-wide kernel dispatch observability: which kernel kind is active
-/// and how many forest sweeps ran batched vs. per permutation.  Counters are
-/// cumulative over the process (they exist for dashboards and the serve
-/// `stats` surface, not for per-engine accounting).
+/// and how many batched forest sweeps ran.  Counters are cumulative over the
+/// process (they exist for dashboards and the serve `stats` surface, not for
+/// per-engine accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Active kernel kind name (`"scalar"`, `"avx2"`, `"neon"`).
     pub kernel: &'static str,
     /// Forest sweeps that ran through the batched lane-block path.
     pub batched_sweeps: u64,
-    /// Forest sweeps that ran one permutation at a time.
+    /// Always 0 (every sweep is batched); perfbench's `perm.per_perm_sweeps` reads it.
     pub per_perm_sweeps: u64,
 }
 
@@ -181,7 +175,7 @@ pub fn counters() -> KernelCounters {
     KernelCounters {
         kernel: kind().name(),
         batched_sweeps: BATCHED_SWEEPS.load(Relaxed),
-        per_perm_sweeps: PER_PERM_SWEEPS.load(Relaxed),
+        per_perm_sweeps: 0,
     }
 }
 
@@ -941,10 +935,9 @@ mod tests {
     fn sweep_counters_accumulate() {
         let before = counters();
         note_batched_sweeps(3);
-        note_per_perm_sweeps(2);
         let after = counters();
         assert!(after.batched_sweeps >= before.batched_sweeps + 3);
-        assert!(after.per_perm_sweeps >= before.per_perm_sweeps + 2);
+        assert_eq!(after.per_perm_sweeps, 0);
         assert!(!after.kernel.is_empty());
     }
 }

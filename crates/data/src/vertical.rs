@@ -603,24 +603,6 @@ impl Cover {
         Bitmap::from_tids(self.stored_tids(), n_records)
     }
 
-    /// Rule support (`supp(X ⇒ c)`) computed from the cover's stored bitmap
-    /// and the class's label bitmap: word-wise `AND` + popcount instead of
-    /// per-record label indexing.  `stored_bits` must be
-    /// [`Cover::stored_bitmap`] of this cover; equivalent to
-    /// [`Cover::rule_support`] on the labels `class_bits` was built from.
-    #[inline]
-    pub fn rule_support_bitmap(
-        &self,
-        parent_rule_support: usize,
-        stored_bits: &Bitmap,
-        class_bits: &Bitmap,
-    ) -> usize {
-        match self {
-            Cover::Tids(_) => stored_bits.and_count(class_bits),
-            Cover::Diffset(_) => parent_rule_support - stored_bits.and_count(class_bits),
-        }
-    }
-
     /// Bytes used by the stored id list.
     pub fn size_bytes(&self) -> usize {
         match self {

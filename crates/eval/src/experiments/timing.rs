@@ -10,7 +10,7 @@ use crate::experiments::ExperimentContext;
 use crate::report::{fmt_float, Table};
 use sigrule::correction::holdout::holdout_from_parts;
 use sigrule::correction::permutation::{
-    BufferStrategy, ExecutionMode, PermutationCorrection, SupportBackend,
+    rayon_pool, BufferStrategy, PermutationCorrection, SupportBackend,
 };
 use sigrule::correction::{direct, ErrorMetric};
 use sigrule::{mine_rules, RuleMiningConfig};
@@ -62,11 +62,11 @@ pub fn optimization_levels() -> Vec<(&'static str, bool, BufferStrategy)> {
 /// optimisation level per minimum support.  The reported time includes
 /// frequent pattern mining, exactly as in the paper.
 ///
-/// The engine is pinned to the paper's configuration — serial execution,
-/// tid-list counting — so the table isolates the §4.2 optimisations; the
-/// parallel/bitmap axes this reproduction adds on top are measured
-/// separately (`examples/permutation_speedup.rs` and the
-/// `engine_axes` Criterion bench).
+/// The engine runs on one thread (a one-thread [`rayon_pool`]) with tid-list
+/// counting, so the table isolates the §4.2 optimisations; the parallel and
+/// bitmap axes this reproduction adds on top are measured separately
+/// (`examples/permutation_speedup.rs` and the `engine_axes` Criterion
+/// bench).
 pub fn figure4_for_dataset(
     ctx: &ExperimentContext,
     name: &str,
@@ -84,6 +84,7 @@ pub fn figure4_for_dataset(
         columns,
         rows: Vec::new(),
     };
+    let one_thread = rayon_pool(1).expect("a one-thread pool builds");
     for &min_sup in min_sups {
         let mut row = vec![min_sup.to_string()];
         for (_, use_diffsets, buffer) in &levels {
@@ -95,9 +96,8 @@ pub fn figure4_for_dataset(
             let correction = PermutationCorrection::new(ctx.n_permutations)
                 .with_seed(ctx.seed)
                 .with_buffer(*buffer)
-                .with_mode(ExecutionMode::Serial)
                 .with_backend(SupportBackend::TidLists);
-            let _ = correction.control_fwer(&mined, ctx.alpha);
+            let _ = one_thread.install(|| correction.control_fwer(&mined, ctx.alpha));
             row.push(fmt_float(start.elapsed().as_secs_f64()));
         }
         table.rows.push(row);
@@ -109,8 +109,8 @@ pub fn figure4_for_dataset(
 /// approaches (permutation with all of the paper's optimisations, holdout,
 /// direct adjustment) per minimum support.
 ///
-/// Like [`figure4_for_dataset`], the permutation column is pinned to the
-/// paper's serial tid-list engine: holdout and direct adjustment are serial
+/// Like [`figure4_for_dataset`], the permutation column runs the tid-list
+/// engine on one thread: holdout and direct adjustment are serial
 /// single-pass methods, so letting the permutation column fan out over the
 /// machine's cores would distort the three-way comparison the figure makes.
 pub fn figure5_for_dataset(
@@ -126,17 +126,17 @@ pub fn figure5_for_dataset(
         ),
         vec!["min_sup", "permutation", "holdout", "direct adjustment"],
     );
+    let one_thread = rayon_pool(1).expect("a one-thread pool builds");
     let half = dataset.n_records() / 2;
     let (exploratory, evaluation) = dataset.split_at(half);
     for &min_sup in min_sups {
         // Permutation (with every optimisation of the paper).
         let start = Instant::now();
         let mined = mine_rules(dataset, &RuleMiningConfig::new(min_sup));
-        let _ = PermutationCorrection::new(ctx.n_permutations)
+        let correction = PermutationCorrection::new(ctx.n_permutations)
             .with_seed(ctx.seed)
-            .with_mode(ExecutionMode::Serial)
-            .with_backend(SupportBackend::TidLists)
-            .control_fwer(&mined, ctx.alpha);
+            .with_backend(SupportBackend::TidLists);
+        let _ = one_thread.install(|| correction.control_fwer(&mined, ctx.alpha));
         let t_perm = start.elapsed().as_secs_f64();
 
         // Holdout.

@@ -12,20 +12,20 @@
 //!   parent's rule support and the node's cover in a single pass over the
 //!   forest in depth-first (parent-before-child) order.
 //!
-//! Two counting kernels implement that pass.  The original tid-list kernel
-//! ([`PatternForest::rule_supports`]) loads one label per stored id.  The
-//! bitset kernel packs each cover into a [`Bitmap`] **once** (covers never
-//! change across permutations) and counts `AND` + popcount against a
-//! per-class label bitmap rebuilt per permutation.  A [`SupportPlan`] decides
-//! per node which kernel to use ([`SupportBackend::Auto`] picks the bitmap
-//! whenever the stored list is denser than one id per 64 records, the point
-//! where the word sweep touches less memory than the id walk) and caches the
-//! packed bitmaps, so the per-permutation pass
-//! ([`PatternForest::rule_supports_planned`]) allocates nothing.
+//! [`PatternForest::rule_supports`] is the plain single-permutation pass: it
+//! loads one label per stored id.  The permutation engine instead counts a
+//! whole chunk of permutations at once
+//! ([`PatternForest::rule_supports_planned_block`]) against transposed
+//! per-class label lane blocks, with two kernels.  The bitset kernel packs
+//! each cover into a [`Bitmap`] **once** (covers never change across
+//! permutations) and counts `AND` + popcount against every lane; the
+//! tid-list kernel gathers each stored id's bit across the lanes.  A
+//! [`SupportPlan`] decides per node which kernel to use
+//! ([`SupportBackend::Auto`] picks the bitmap whenever the stored list is
+//! denser than one id per 64 records, the point where the word sweep touches
+//! less memory than the id walk) and caches the packed bitmaps.
 
-use sigrule_data::{
-    Bitmap, ClassBitmaps, ClassId, ClassLaneBlocks, Cover, LaneBlock, Pattern, TidSet,
-};
+use sigrule_data::{Bitmap, ClassId, ClassLaneBlocks, Cover, LaneBlock, Pattern, TidSet};
 
 /// One frequent pattern in the forest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,71 +129,10 @@ impl PatternForest {
         out
     }
 
-    /// Computes `supp(X ⇒ c)` for every node like
-    /// [`rule_supports`](PatternForest::rule_supports), but through a
-    /// [`SupportPlan`]: nodes the plan packed into bitmaps are counted with
-    /// the word-wise `AND` + popcount kernel against `class_bits`, the rest
-    /// walk their stored tid-list over `labels`.  Appends into `out` (cleared
-    /// first) so the permutation hot loop reuses one allocation.
-    ///
-    /// `class_bits` must be the bitmap of exactly the records whose label in
-    /// `labels` equals `class`; both kernels then count the same sets, so the
-    /// result is identical to [`rule_supports`](PatternForest::rule_supports)
-    /// whatever the plan selected.  A plan with no bitmap nodes (see
-    /// [`SupportPlan::needs_class_bitmaps`]) accepts `None` and skips the
-    /// label-bitmap machinery entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan contains bitmap-kernel nodes but `class_bits` is
-    /// `None`.
-    pub fn rule_supports_planned(
-        &self,
-        plan: &SupportPlan,
-        labels: &[ClassId],
-        class_bits: Option<&Bitmap>,
-        class: ClassId,
-        out: &mut Vec<usize>,
-    ) {
-        assert_eq!(
-            labels.len(),
-            self.n_records,
-            "label vector length must match the mined dataset"
-        );
-        assert_eq!(
-            plan.bitmaps.len(),
-            self.nodes.len(),
-            "support plan was built for a different forest"
-        );
-        let class_total = match class_bits {
-            Some(bits) => bits.count_ones(),
-            None => labels.iter().filter(|&&c| c == class).count(),
-        };
-        out.clear();
-        out.reserve(self.nodes.len());
-        for (node, stored_bits) in self.nodes.iter().zip(plan.bitmaps.iter()) {
-            let parent_rule_support = match node.parent {
-                Some(p) => out[p],
-                None => class_total,
-            };
-            let support = match stored_bits {
-                Some(bits) => {
-                    let class_bits =
-                        class_bits.expect("a plan with bitmap nodes needs the class bitmap");
-                    node.cover
-                        .rule_support_bitmap(parent_rule_support, bits, class_bits)
-                }
-                None => node.cover.rule_support(parent_rule_support, labels, class),
-            };
-            out.push(support);
-        }
-    }
-
     /// Computes `supp(X ⇒ c)` for every node and every permutation *lane* of
     /// a transposed class block in one batched pass: the lane-blocked
     /// counterpart of calling
-    /// [`rule_supports_planned`](PatternForest::rule_supports_planned) once
-    /// per permutation.
+    /// [`rule_supports`](PatternForest::rule_supports) once per permutation.
     ///
     /// `class_block` holds one label bitmap per permutation lane for a single
     /// class (see [`ClassLaneBlocks`]).  Bitmap-kernel nodes sweep their
@@ -206,8 +145,8 @@ impl PatternForest {
     ///
     /// Every count is an exact integer computed from the same sets as the
     /// per-permutation pass, so each lane of the output is bit-identical to
-    /// [`rule_supports_planned`](PatternForest::rule_supports_planned) on
-    /// that permutation's labels.
+    /// [`rule_supports`](PatternForest::rule_supports) on that permutation's
+    /// labels, whatever kernel the plan selected.
     ///
     /// # Panics
     ///
@@ -374,33 +313,9 @@ impl SupportPlan {
         self.bitmaps.iter().filter(|b| b.is_some()).count()
     }
 
-    /// True when at least one node needs the per-class label bitmaps; a
-    /// counting pass over a plan without any may pass `None` for the class
-    /// bitmap and skip building them altogether.
-    pub fn needs_class_bitmaps(&self) -> bool {
-        self.bitmaps.iter().any(Option::is_some)
-    }
-
     /// Bytes held by the packed cover bitmaps.
     pub fn bitmap_bytes(&self) -> usize {
         self.bitmaps.iter().flatten().map(Bitmap::size_bytes).sum()
-    }
-
-    /// Allocates the per-class label bitmaps a counting pass over this plan
-    /// uses; the permutation engine keeps one per worker and re-fills it per
-    /// permutation.
-    pub fn make_class_bitmaps(&self, n_classes: usize) -> ClassBitmaps {
-        ClassBitmaps::new(n_classes, self.n_records)
-    }
-
-    /// True when the batched (lane-blocked) permutation path is worth
-    /// taking for this plan: any bitmap-kernel node profits directly from
-    /// the one-pass cover sweep, and the transposed fill then amortises
-    /// over the whole chunk.  Pure tid-list plans (the paper's §4.2.2
-    /// ablation axis) stay on the per-permutation path so the TidLists
-    /// backend keeps measuring exactly the engine the paper describes.
-    pub fn prefers_batched(&self) -> bool {
-        self.needs_class_bitmaps()
     }
 
     /// Allocates the per-class lane blocks the batched counting pass uses
@@ -478,50 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_counting_matches_unplanned_for_every_backend() {
-        let (forest, labels) = toy_forest();
-        let bitmaps = ClassBitmaps::from_labels(&labels, 2);
-        for backend in [
-            SupportBackend::TidLists,
-            SupportBackend::Bitmaps,
-            SupportBackend::Auto,
-        ] {
-            let plan = forest.support_plan(backend);
-            match backend {
-                SupportBackend::TidLists => {
-                    assert_eq!(plan.n_bitmap_nodes(), 0);
-                    assert!(!plan.needs_class_bitmaps());
-                    assert_eq!(plan.bitmap_bytes(), 0);
-                }
-                SupportBackend::Bitmaps => {
-                    assert_eq!(plan.n_bitmap_nodes(), forest.len());
-                    assert!(plan.needs_class_bitmaps());
-                    assert!(plan.bitmap_bytes() > 0);
-                }
-                SupportBackend::Auto => {}
-            }
-            for class in 0..2u32 {
-                let expected = forest.rule_supports(&labels, class);
-                let mut out = Vec::new();
-                forest.rule_supports_planned(
-                    &plan,
-                    &labels,
-                    Some(bitmaps.class(class)),
-                    class,
-                    &mut out,
-                );
-                assert_eq!(out, expected, "backend {backend:?} class {class}");
-                // A plan without bitmap nodes also counts without any class
-                // bitmap at all.
-                if !plan.needs_class_bitmaps() {
-                    forest.rule_supports_planned(&plan, &labels, None, class, &mut out);
-                    assert_eq!(out, expected, "backend {backend:?} class {class} (None)");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batched_block_counting_matches_per_perm_for_every_backend() {
         let (forest, labels) = toy_forest();
         // Three "permutations": the original labels plus two rotations.
@@ -539,28 +410,30 @@ mod tests {
             SupportBackend::Auto,
         ] {
             let plan = forest.support_plan(backend);
-            assert_eq!(plan.prefers_batched(), plan.needs_class_bitmaps());
+            match backend {
+                SupportBackend::TidLists => {
+                    assert_eq!(plan.n_bitmap_nodes(), 0);
+                    assert_eq!(plan.bitmap_bytes(), 0);
+                }
+                SupportBackend::Bitmaps => {
+                    assert_eq!(plan.n_bitmap_nodes(), forest.len());
+                    assert!(plan.bitmap_bytes() > 0);
+                }
+                SupportBackend::Auto => {}
+            }
             let mut blocks = plan.make_class_lane_blocks(2, lanes);
             blocks.fill(&flat);
             let mut block_out = Vec::new();
-            let mut perm_out = Vec::new();
             for class in 0..2u32 {
                 forest.rule_supports_planned_block(&plan, blocks.class(class), &mut block_out);
                 assert_eq!(block_out.len(), forest.len() * lanes);
                 for lane in 0..lanes {
-                    let lane_labels = &flat[lane * n..(lane + 1) * n];
-                    let bitmaps = ClassBitmaps::from_labels(lane_labels, 2);
-                    forest.rule_supports_planned(
-                        &plan,
-                        lane_labels,
-                        Some(bitmaps.class(class)),
-                        class,
-                        &mut perm_out,
-                    );
-                    for node in 0..forest.len() {
+                    // The plain one-permutation pass over this lane's labels.
+                    let expected = forest.rule_supports(&flat[lane * n..(lane + 1) * n], class);
+                    for (node, &want) in expected.iter().enumerate() {
                         assert_eq!(
                             block_out[node * lanes + lane] as usize,
-                            perm_out[node],
+                            want,
                             "backend {backend:?} class {class} lane {lane} node {node}"
                         );
                     }

@@ -574,7 +574,9 @@ pub fn fill_engine_null(
             // Nothing to scatter: an empty null or an empty rule set is
             // cheaper to compute than to ship.
             if spec.n_permutations == 0 || mined.rules().is_empty() {
-                return correction.collect_stats_cancellable(mined, Some(tables), cancel);
+                return correction
+                    .collect_stats_range(mined, Some(tables), cancel, 0, spec.n_permutations)
+                    .map(PermutationStats::from);
             }
             let mut remotes: Vec<RemoteExecutor> = Vec::new();
             for addr in &plan.workers {

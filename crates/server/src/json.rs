@@ -50,7 +50,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -141,6 +141,12 @@ fn render_number(x: f64) -> String {
     }
 }
 
+/// The deepest array/object nesting a document may have.  The parser
+/// recurses once per level, so without a cap a single line of `[`s overflows
+/// the stack, which aborts the process instead of failing the request;
+/// protocol requests nest two or three levels.
+const MAX_DEPTH: usize = 128;
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -168,7 +174,9 @@ fn expect_literal(
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value at `pos`; `depth` counts the arrays and objects that
+/// enclose it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(error(*pos, "unexpected end of input")),
@@ -176,8 +184,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         Some(b't') => expect_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => expect_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::String),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(error(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
         Some(c) => Err(error(
             *pos,
@@ -258,7 +270,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -268,7 +280,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -281,7 +293,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut fields = Vec::new();
@@ -301,7 +313,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Err(error(*pos, "expected ':' after key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -430,6 +442,19 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&objects).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far past the cap, and unterminated: still an error, not an abort.
+        assert!(Json::parse(&"[".repeat(500_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(500_000)).is_err());
     }
 
     #[test]

@@ -676,7 +676,6 @@ fn engine_stats_fields(resp: &mut ObjectBuilder, engine: &Engine) {
         .number("evicted_nulls", stats.evicted_nulls as f64)
         .string("kernel", stats.kernel)
         .number("batched_sweeps", stats.batched_sweeps as f64)
-        .number("per_perm_sweeps", stats.per_perm_sweeps as f64)
         .number("shards_local", stats.shards_local as f64)
         .number("shards_remote", stats.shards_remote as f64)
         .number("shard_retries", stats.shard_retries as f64)
@@ -768,7 +767,6 @@ fn sync_metrics(state: &ServerState) {
     }
     let kernel = sigrule_data::kernel::counters();
     m::kernel_sweeps_total("batched").force(kernel.batched_sweeps);
-    m::kernel_sweeps_total("per_perm").force(kernel.per_perm_sweeps);
     let shard = sigrule::correction::permutation::shard_counters::counters();
     m::shards_total("local").force(shard.shards_local);
     m::shards_total("remote").force(shard.shards_remote);

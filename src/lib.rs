@@ -34,8 +34,7 @@ pub use sigrule_synth as synth;
 pub mod prelude {
     pub use sigrule::correction::holdout::{holdout_from_parts, random_holdout};
     pub use sigrule::correction::permutation::{
-        BatchPolicy, BufferStrategy, ExecutionMode, PermutationCorrection, PermutationStats,
-        SupportBackend,
+        rayon_pool, BufferStrategy, PermutationCorrection, PermutationStats, SupportBackend,
     };
     pub use sigrule::correction::{
         direct, no_correction, Correction, CorrectionContext, CorrectionResult, DirectAdjustment,

@@ -187,16 +187,20 @@ fn engine_stats_are_kernel_invariant() {
         .generate(7);
     let mined = mine_rules(&dataset, &RuleMiningConfig::new(40));
     let correction = PermutationCorrection::new(24).with_seed(123);
+    // Every backend, so both the lane-block popcount and the tid-list gather
+    // kernels run under each forced kind.
     let runs = per_kernel(|| {
-        let mut all = Vec::new();
-        for batch in [
-            BatchPolicy::PerPermutation,
-            BatchPolicy::Batched,
-            BatchPolicy::Auto,
-        ] {
-            all.push(correction.clone().with_batch(batch).collect_stats(&mined));
-        }
-        all
+        [
+            SupportBackend::TidLists,
+            SupportBackend::Bitmaps,
+            SupportBackend::Auto,
+        ]
+        .map(|backend| {
+            correction
+                .clone()
+                .with_backend(backend)
+                .collect_stats(&mined)
+        })
     });
     let (_, reference) = &runs[0];
     for (kind, stats) in &runs {

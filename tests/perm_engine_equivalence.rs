@@ -1,10 +1,10 @@
 //! Property tests for the parallel bitset permutation engine: whatever the
-//! execution mode (serial vs. rayon fan-out), worker count, support-counting
-//! backend (tid-lists vs. bitmaps vs. density auto-selection), batch policy
-//! (per-permutation vs. lane-blocked chunks) or buffer
-//! strategy, `collect_stats` must produce **identical** `PermutationStats`
-//! for the same seed.  This is the contract that makes the engine's
-//! parallelism and vectorisation invisible to the statistics of the paper.
+//! worker count (a one-thread pool is the serial engine), support-counting
+//! backend (tid-lists vs. bitmaps vs. density auto-selection), range
+//! partition or buffer strategy, `collect_stats` must produce **identical**
+//! `PermutationStats` for the same seed.  This is the contract that makes
+//! the engine's parallelism and vectorisation invisible to the statistics of
+//! the paper; `tests/null_oracle.rs` checks the statistics themselves.
 
 use proptest::prelude::*;
 use sigrule_repro::prelude::*;
@@ -43,6 +43,13 @@ fn engine(n_perms: usize, seed: u64) -> PermutationCorrection {
     PermutationCorrection::new(n_perms).with_seed(seed)
 }
 
+/// Runs `correction` on a one-thread pool: every chunk inline on the caller.
+fn serial(correction: &PermutationCorrection, mined: &MinedRuleSet) -> PermutationStats {
+    rayon_pool(1)
+        .expect("pool builds")
+        .install(|| correction.collect_stats(mined))
+}
+
 /// A random chunk-aligned partition of `0..n_perms`, returned in a shuffled
 /// merge order.  Driven by a tiny xorshift so the partition is a pure
 /// function of the proptest-supplied seed (which must be nonzero).
@@ -72,59 +79,42 @@ fn random_partition(n_perms: usize, mut state: u64) -> Vec<(usize, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Serial and rayon-parallel execution agree bit for bit at every worker
-    /// count, including more workers than chunks.
+    /// A one-thread pool and the rayon fan-out agree bit for bit at every
+    /// worker count, including more workers than chunks.
     #[test]
     fn serial_vs_parallel_any_thread_count((mined, n_perms, seed) in engine_case()) {
-        let reference = engine(n_perms, seed)
-            .with_mode(ExecutionMode::Serial)
-            .collect_stats(&mined);
-        for threads in [1usize, 2, 4, 16] {
-            let pool = sigrule_repro::core::correction::permutation::rayon_pool(threads)
-                .expect("pool builds");
-            let parallel = pool.install(|| {
-                engine(n_perms, seed)
-                    .with_mode(ExecutionMode::Parallel)
-                    .collect_stats(&mined)
-            });
+        let reference = serial(&engine(n_perms, seed), &mined);
+        for threads in [2usize, 4, 16] {
+            let pool = rayon_pool(threads).expect("pool builds");
+            let parallel = pool.install(|| engine(n_perms, seed).collect_stats(&mined));
             prop_assert_eq!(&reference, &parallel, "threads={}", threads);
         }
     }
 
     /// The three support-counting backends count identical sets, so the
-    /// statistics match exactly — serial and parallel alike.
+    /// statistics match exactly — on one thread and on the default pool.
     #[test]
     fn backends_agree_bitwise((mined, n_perms, seed) in engine_case()) {
-        let reference = engine(n_perms, seed)
-            .with_mode(ExecutionMode::Serial)
-            .with_backend(SupportBackend::TidLists)
-            .collect_stats(&mined);
+        let reference = serial(
+            &engine(n_perms, seed).with_backend(SupportBackend::TidLists),
+            &mined,
+        );
         for backend in [SupportBackend::Bitmaps, SupportBackend::Auto] {
-            for mode in [ExecutionMode::Serial, ExecutionMode::Parallel] {
-                let stats = engine(n_perms, seed)
-                    .with_mode(mode)
-                    .with_backend(backend)
-                    .collect_stats(&mined);
-                prop_assert_eq!(&reference, &stats, "backend={:?} mode={:?}", backend, mode);
-            }
+            let correction = engine(n_perms, seed).with_backend(backend);
+            prop_assert_eq!(&reference, &serial(&correction, &mined), "backend={:?}", backend);
+            prop_assert_eq!(&reference, &correction.collect_stats(&mined), "backend={:?}", backend);
         }
     }
 
     /// Buffer strategies change only *how* p-values are obtained, never their
-    /// values: pooled counts match exactly and minima to float tolerance,
-    /// under both execution modes.
+    /// values: pooled counts match exactly and minima to float tolerance, on
+    /// one thread and on the default pool.
     #[test]
     fn buffer_strategies_agree((mined, n_perms, seed) in engine_case()) {
-        let reference = engine(n_perms, seed)
-            .with_mode(ExecutionMode::Serial)
-            .with_buffer(BufferStrategy::None)
-            .collect_stats(&mined);
+        let reference = serial(&engine(n_perms, seed).with_buffer(BufferStrategy::None), &mined);
         for buffer in [BufferStrategy::DynamicOnly, BufferStrategy::StaticAndDynamic] {
-            for mode in [ExecutionMode::Serial, ExecutionMode::Parallel] {
-                let stats = engine(n_perms, seed)
-                    .with_mode(mode)
-                    .with_buffer(buffer)
-                    .collect_stats(&mined);
+            let correction = engine(n_perms, seed).with_buffer(buffer);
+            for stats in [serial(&correction, &mined), correction.collect_stats(&mined)] {
                 prop_assert_eq!(&reference.pool_counts_leq, &stats.pool_counts_leq);
                 prop_assert_eq!(reference.minima.len(), stats.minima.len());
                 for (a, b) in reference.minima.iter().zip(stats.minima.iter()) {
@@ -134,29 +124,9 @@ proptest! {
         }
     }
 
-    /// The batched lane-blocked chunk path is bit-identical to the
-    /// per-permutation loop — under both execution modes and with the
-    /// density auto-selected backend (the production configuration).
-    #[test]
-    fn batch_policies_agree_bitwise((mined, n_perms, seed) in engine_case()) {
-        let reference = engine(n_perms, seed)
-            .with_mode(ExecutionMode::Serial)
-            .with_batch(BatchPolicy::PerPermutation)
-            .collect_stats(&mined);
-        for batch in [BatchPolicy::Batched, BatchPolicy::Auto] {
-            for mode in [ExecutionMode::Serial, ExecutionMode::Parallel] {
-                let stats = engine(n_perms, seed)
-                    .with_mode(mode)
-                    .with_batch(batch)
-                    .collect_stats(&mined);
-                prop_assert_eq!(&reference, &stats, "batch={:?} mode={:?}", batch, mode);
-            }
-        }
-    }
-
     /// Any chunk-aligned partition of 0..N, with the partial statistics
-    /// merged in any order, is bit-identical to one serial `collect_stats`
-    /// pass — under both batch policies (and, via the CI kernel matrix, both
+    /// merged in any order, is bit-identical to one single-threaded
+    /// `collect_stats` pass (and, via the CI kernel matrix, under both
     /// SIGRULE_KERNEL settings).  This is the contract the distributed
     /// null-collection coordinator rests on: scattering ranges across
     /// processes can never change a statistic.
@@ -168,25 +138,20 @@ proptest! {
 
         let ranges = random_partition(n_perms, part_seed | 1);
         let cancel = CancelToken::none();
-        for batch in [BatchPolicy::PerPermutation, BatchPolicy::Batched] {
-            let serial = engine(n_perms, seed)
-                .with_mode(ExecutionMode::Serial)
-                .with_batch(batch)
-                .collect_stats(&mined);
-            // Range runs keep the default parallel mode, so the partition
-            // equivalence also crosses the serial/parallel boundary.
-            let correction = engine(n_perms, seed).with_batch(batch);
-            let partials: Vec<PartialPermutationStats> = ranges
-                .iter()
-                .map(|&(start, end)| {
-                    correction
-                        .collect_stats_range(&mined, None, &cancel, start, end)
-                        .expect("token never fires")
-                })
-                .collect();
-            let merged = PermutationStats::merge(&partials).expect("partition tiles 0..N");
-            prop_assert_eq!(&serial, &merged, "batch={:?} ranges={:?}", batch, &ranges);
-        }
+        let correction = engine(n_perms, seed);
+        let reference = serial(&correction, &mined);
+        // Range runs use the default pool, so the partition equivalence also
+        // crosses the one-thread/many-thread boundary.
+        let partials: Vec<PartialPermutationStats> = ranges
+            .iter()
+            .map(|&(start, end)| {
+                correction
+                    .collect_stats_range(&mined, None, &cancel, start, end)
+                    .expect("token never fires")
+            })
+            .collect();
+        let merged = PermutationStats::merge(&partials).expect("partition tiles 0..N");
+        prop_assert_eq!(&reference, &merged, "ranges={:?}", &ranges);
     }
 
     /// Permutation i depends on (seed, i) alone: prefixes of the permutation
