@@ -11,6 +11,8 @@
 //!   (the same contract `scripts/check_metrics.sh` validates in CI).
 //! * **Slow-query log** — `--slow-query-ms 0` makes every query emit one
 //!   structured slow-query record with the per-phase breakdown on stderr.
+//! * **Counting without obs** — under `SIGRULE_METRICS=off` the `stats`
+//!   counters still tick and the scrape is empty.
 
 use sigrule_server::json::Json;
 use sigrule_server::transport::ListenAddr;
@@ -230,9 +232,9 @@ fn trace_id_propagates_to_a_remote_shard_worker() {
     assert_ok(&resp);
     // The supplied trace id is echoed in the response.
     assert_eq!(resp.get("trace_id").and_then(Json::as_str), Some(trace));
-    // The scatter actually used the worker (shard counters tick on the
-    // coordinating process).
-    let stats = client.request(r#"{"cmd":"stats"}"#).unwrap();
+    // The scatter actually used the worker (the process-wide shard
+    // counters tick on the coordinating process).
+    let stats = client.request(r#"{"cmd":"registry_stats"}"#).unwrap();
     assert_ok(&stats);
     assert!(
         stats
@@ -324,6 +326,48 @@ fn served_metrics_scrape_and_slow_query_log() {
     for field in ["cmd", "total_ms", "threshold_ms"] {
         assert!(record.get(field).is_some(), "missing {field}: {}", slow[0]);
     }
+}
+
+/// Counting does not depend on obs: with the registry switched off, the
+/// engine still counts every event (`stats` reads the engine's own
+/// atomics), while the scrape answers with no families at all.
+#[test]
+fn stats_count_with_metrics_off() {
+    let path = fixture();
+    let path_str = path.to_str().unwrap();
+    let served = ServedProcess::spawn(&[], &[("SIGRULE_METRICS", "off")]);
+
+    let mut client = served.connect();
+    let resp = client
+        .request(&format!(r#"{{"cmd":"load","path":"{path_str}"}}"#))
+        .unwrap();
+    assert_ok(&resp);
+    let resp = client
+        .request(
+            r#"{"cmd":"correct","min_sup":8,"correction":"permutation","permutations":60,"seed":17}"#,
+        )
+        .unwrap();
+    assert_ok(&resp);
+
+    let stats = client.request(r#"{"cmd":"stats"}"#).unwrap();
+    assert_ok(&stats);
+    for (field, want) in [("queries", 1), ("mine_misses", 1), ("null_misses", 1)] {
+        assert_eq!(
+            stats.get(field).and_then(Json::as_u64),
+            Some(want),
+            "{field}: {}",
+            stats.render()
+        );
+    }
+
+    let scrape = client.request(r#"{"cmd":"metrics"}"#).unwrap();
+    assert_ok(&scrape);
+    let body = scrape.get("body").and_then(Json::as_str).unwrap();
+    assert!(
+        !body.contains("# HELP"),
+        "metrics off must expose no family:\n{body}"
+    );
+    served.shutdown_and_read_stderr();
 }
 
 /// `sigrule client` forwards request lines as-is, so a trace id supplied on

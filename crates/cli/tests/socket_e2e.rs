@@ -8,7 +8,9 @@
 //!   registry resident bytes stay under the budget;
 //! * `shutdown` drains in-flight async workers on *other* connections
 //!   before the process exits (the drain regression test);
-//! * the `sigrule client` subcommand pipes a whole session.
+//! * the `sigrule client` subcommand pipes a whole session;
+//! * a request line over the 1 MiB cap is answered with `invalid_request`
+//!   and skipped, without closing the connection.
 //!
 //! Every client read carries a hard timeout, so a hung accept loop or a
 //! lost response fails the test in seconds instead of stalling CI (the CI
@@ -394,6 +396,58 @@ fn dropped_client_mid_cold_query_does_not_stall_other_connections() {
     // timeout wrapping this binary).
     let bye = survivor.request(r#"{"cmd":"shutdown"}"#).unwrap();
     assert_ok(&bye);
+    served.assert_clean_exit();
+}
+
+/// The per-line byte cap of the socket transport (1 MiB): a client that
+/// never sends a newline gets one structured `invalid_request` as soon as it
+/// crosses the cap, the rest of its line is skipped, and the same
+/// connection keeps serving — while other connections are never affected.
+#[test]
+fn oversized_line_is_rejected_before_its_newline_and_the_connection_survives() {
+    const CAP: usize = 1 << 20;
+    let served = ServedProcess::spawn("tcp:127.0.0.1:0", &[]);
+    let ListenAddr::Tcp(addr) = &served.addr else {
+        panic!("tcp listener expected");
+    };
+    let mut hostile = std::net::TcpStream::connect(addr.as_str()).expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    hostile
+        .write_all(&vec![b'x'; CAP + 1])
+        .expect("send cap+1 bytes");
+    let mut reader = BufReader::new(hostile.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("the error arrives before any newline is sent");
+    let resp = Json::parse(line.trim()).expect("error line is JSON");
+    assert_eq!(
+        resp.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{line}"
+    );
+    assert_eq!(
+        resp.get("code").and_then(Json::as_str),
+        Some("invalid_request"),
+        "{line}"
+    );
+
+    // Another connection is served meanwhile.
+    let mut other = served.connect();
+    assert_ok(&other.request(r#"{"cmd":"registry_stats"}"#).unwrap());
+
+    // More of the oversized line is skipped; the next line is served.
+    hostile.write_all(&[b'y'; 4096]).unwrap();
+    hostile.write_all(b"\n{\"cmd\":\"stats\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).expect("stats answer");
+    let resp = Json::parse(line.trim()).expect("stats answer is JSON");
+    assert_ok(&resp);
+    assert_eq!(resp.get("cmd").and_then(Json::as_str), Some("stats"));
+
+    assert_ok(&other.request(r#"{"cmd":"shutdown"}"#).unwrap());
     served.assert_clean_exit();
 }
 

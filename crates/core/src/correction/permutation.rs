@@ -1017,39 +1017,41 @@ impl NullExecutor for LocalExecutor<'_> {
     }
 }
 
-/// Process-wide distributed-shard counters, mirroring the support-kernel
-/// counters in `sigrule_data::kernel`: cheap relaxed atomics bumped by
-/// coordinators as shards complete, snapshotted into `EngineStats` and the
-/// eval human footer.  All zero unless a distributed null ran in this
-/// process.
+/// Process-wide distributed-shard counters, the companions of the
+/// support-kernel counters in `sigrule_data::kernel`: relaxed atomics bumped
+/// by coordinators as shards complete, read by `registry_stats` and the eval
+/// human footer, and rendered as-is by the metrics registry
+/// ([`crate::obs_metrics::expose_process_counters`]).  All zero unless a
+/// distributed null ran in this process.
 pub mod shard_counters {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::{Arc, LazyLock};
 
-    static SHARDS_LOCAL: AtomicU64 = AtomicU64::new(0);
-    static SHARDS_REMOTE: AtomicU64 = AtomicU64::new(0);
-    static SHARD_RETRIES: AtomicU64 = AtomicU64::new(0);
-    static REMOTE_MS: AtomicU64 = AtomicU64::new(0);
+    /// Ranges completed by the in-process executor.
+    pub static SHARDS_LOCAL: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
+    /// Ranges completed by remote `sigrule serve` workers.
+    pub static SHARDS_REMOTE: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
+    /// Ranges dispatched more than once (stragglers + failures).
+    pub static SHARD_RETRIES: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
+    /// Milliseconds spent waiting on remote shard responses.
+    pub static REMOTE_MS: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
 
     /// Records `n` permutation ranges completed by the in-process executor.
     pub fn note_local_shards(n: u64) {
-        SHARDS_LOCAL.fetch_add(n, Ordering::Relaxed);
-        crate::obs_metrics::shards_total("local").add(n);
+        SHARDS_LOCAL.fetch_add(n, Relaxed);
     }
 
     /// Records `n` permutation ranges completed by remote workers, plus the
     /// wall-clock milliseconds spent waiting on their responses.
     pub fn note_remote_shards(n: u64, ms: u64) {
-        SHARDS_REMOTE.fetch_add(n, Ordering::Relaxed);
-        REMOTE_MS.fetch_add(ms, Ordering::Relaxed);
-        crate::obs_metrics::shards_total("remote").add(n);
-        crate::obs_metrics::shard_remote_wait_ms().add(ms);
+        SHARDS_REMOTE.fetch_add(n, Relaxed);
+        REMOTE_MS.fetch_add(ms, Relaxed);
     }
 
     /// Records `n` range re-dispatches (straggler steals and dead-worker
     /// recoveries alike).
     pub fn note_retries(n: u64) {
-        SHARD_RETRIES.fetch_add(n, Ordering::Relaxed);
-        crate::obs_metrics::shard_retries_total().add(n);
+        SHARD_RETRIES.fetch_add(n, Relaxed);
     }
 
     /// A point-in-time snapshot of the shard counters.
@@ -1075,10 +1077,10 @@ pub mod shard_counters {
     /// Snapshots the process-wide counters.
     pub fn counters() -> ShardCounters {
         ShardCounters {
-            shards_local: SHARDS_LOCAL.load(Ordering::Relaxed),
-            shards_remote: SHARDS_REMOTE.load(Ordering::Relaxed),
-            shard_retries: SHARD_RETRIES.load(Ordering::Relaxed),
-            remote_ms: REMOTE_MS.load(Ordering::Relaxed),
+            shards_local: SHARDS_LOCAL.load(Relaxed),
+            shards_remote: SHARDS_REMOTE.load(Relaxed),
+            shard_retries: SHARD_RETRIES.load(Relaxed),
+            remote_ms: REMOTE_MS.load(Relaxed),
         }
     }
 }

@@ -532,27 +532,6 @@ pub struct EngineStats {
     pub evicted_rule_sets: u64,
     /// Null distributions evicted so far (byte-budget eviction).
     pub evicted_nulls: u64,
-    /// Active support-counting kernel kind (`"scalar"`, `"avx2"`, `"neon"`)
-    /// — resolved once per process from `SIGRULE_KERNEL` + feature
-    /// detection; see [`sigrule_data::kernel`].
-    pub kernel: &'static str,
-    /// Forest sweeps run through the batched lane-blocked permutation path.
-    /// Process-wide (shared by all engines in the process), like the kernel
-    /// kind it accompanies.
-    pub batched_sweeps: u64,
-    /// Distributed-null permutation ranges completed by the in-process
-    /// executor.  Process-wide, like the kernel counters; zero unless a
-    /// distributed null ran.
-    pub shards_local: u64,
-    /// Distributed-null permutation ranges completed by remote workers.
-    /// Process-wide.
-    pub shards_remote: u64,
-    /// Permutation ranges dispatched more than once (straggler steals and
-    /// dead-worker re-dispatches).  Process-wide.
-    pub shard_retries: u64,
-    /// Total milliseconds spent waiting on remote shard responses.
-    /// Process-wide.
-    pub remote_ms: u64,
 }
 
 impl EngineStats {
@@ -585,6 +564,22 @@ pub struct CacheEntry {
     pub last_used: u64,
 }
 
+/// The engine's event counters.  Each is the one store of its count: bumped
+/// at one site, read by [`Engine::stats`], and rendered as-is by the metrics
+/// registry once [`Engine::set_label`] exposes it.  Counting never depends on
+/// the registry, so `SIGRULE_METRICS=off` leaves every `stats` answer intact.
+#[derive(Debug, Default)]
+struct Counters {
+    queries: Arc<AtomicU64>,
+    mine_hits: Arc<AtomicU64>,
+    mine_misses: Arc<AtomicU64>,
+    null_hits: Arc<AtomicU64>,
+    null_misses: Arc<AtomicU64>,
+    cancelled_queries: Arc<AtomicU64>,
+    evicted_rule_sets: Arc<AtomicU64>,
+    evicted_nulls: Arc<AtomicU64>,
+}
+
 /// A dataset-resident query engine: owns one loaded dataset (shared, with a
 /// lazily built vertical index) and answers repeated [`Query`]s, caching
 /// mined rule sets and permutation null distributions.  See the
@@ -604,14 +599,7 @@ pub struct Engine {
     label: String,
     mined: Mutex<HashMap<MiningKey, Arc<FillCell<MineEntry>>>>,
     nulls: Mutex<HashMap<NullKey, Arc<FillCell<NullEntry>>>>,
-    queries: AtomicU64,
-    mine_hits: AtomicU64,
-    mine_misses: AtomicU64,
-    null_hits: AtomicU64,
-    null_misses: AtomicU64,
-    cancelled_queries: AtomicU64,
-    evicted_rule_sets: AtomicU64,
-    evicted_nulls: AtomicU64,
+    counters: Counters,
     /// Monotonic LRU clock; every cache touch stamps the entry with the next
     /// tick.  Shareable across engines (see [`Engine::set_clock`]) so a
     /// registry can run one least-recently-used order over many engines.
@@ -634,14 +622,7 @@ impl Engine {
             label: "local".to_string(),
             mined: Mutex::new(HashMap::new()),
             nulls: Mutex::new(HashMap::new()),
-            queries: AtomicU64::new(0),
-            mine_hits: AtomicU64::new(0),
-            mine_misses: AtomicU64::new(0),
-            null_hits: AtomicU64::new(0),
-            null_misses: AtomicU64::new(0),
-            cancelled_queries: AtomicU64::new(0),
-            evicted_rule_sets: AtomicU64::new(0),
-            evicted_nulls: AtomicU64::new(0),
+            counters: Counters::default(),
             clock: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -655,9 +636,24 @@ impl Engine {
     }
 
     /// Sets the `dataset` label carried by this engine's metrics and log
-    /// events.  Purely observational: answers and cache keys are untouched.
+    /// events, and exposes the engine's counters (plus empty phase
+    /// histograms) under it, replacing whatever engine held the label
+    /// before.  Purely observational: answers and cache keys are untouched.
     pub fn set_label(&mut self, label: impl Into<String>) {
+        use crate::obs_metrics as m;
         self.label = label.into();
+        let (dataset, c) = (self.label.as_str(), &self.counters);
+        m::queries_total(dataset, &c.queries);
+        m::queries_cancelled_total(dataset, &c.cancelled_queries);
+        m::cache_hits_total(dataset, "mine", &c.mine_hits);
+        m::cache_misses_total(dataset, "mine", &c.mine_misses);
+        m::cache_hits_total(dataset, "null", &c.null_hits);
+        m::cache_misses_total(dataset, "null", &c.null_misses);
+        m::cache_evictions_total(dataset, "rule_set", &c.evicted_rule_sets);
+        m::cache_evictions_total(dataset, "null", &c.evicted_nulls);
+        for phase in ["mine", "null", "correct"] {
+            let _ = m::query_phase_seconds(dataset, phase);
+        }
     }
 
     /// The `dataset` label carried by this engine's metrics and log events.
@@ -748,10 +744,10 @@ impl Engine {
         })?;
         entry.last_used.store(self.tick(), Relaxed);
         if cached {
-            self.mine_hits.fetch_add(1, Relaxed);
+            self.counters.mine_hits.fetch_add(1, Relaxed);
             Ok((entry, Duration::ZERO, true))
         } else {
-            self.mine_misses.fetch_add(1, Relaxed);
+            self.counters.mine_misses.fetch_add(1, Relaxed);
             Ok((entry, start.elapsed(), false))
         }
     }
@@ -845,9 +841,9 @@ impl Engine {
             })
         })?;
         if cached {
-            self.null_hits.fetch_add(1, Relaxed);
+            self.counters.null_hits.fetch_add(1, Relaxed);
         } else {
-            self.null_misses.fetch_add(1, Relaxed);
+            self.counters.null_misses.fetch_add(1, Relaxed);
         }
         null_entry.last_used.store(self.tick(), Relaxed);
         Ok((null_entry.stats.clone(), cached))
@@ -864,35 +860,22 @@ impl Engine {
     /// and answers bit-identically.
     pub fn query(&self, query: &Query) -> Result<QueryOutcome, PipelineError> {
         query.validate()?;
-        self.queries.fetch_add(1, Relaxed);
+        self.counters.queries.fetch_add(1, Relaxed);
         let outcome = self.query_inner(query);
         if matches!(outcome, Err(PipelineError::Cancelled(_))) {
-            self.cancelled_queries.fetch_add(1, Relaxed);
+            self.counters.cancelled_queries.fetch_add(1, Relaxed);
         }
         self.observe_query(&outcome);
         outcome
     }
 
-    /// Records metrics and span events for a finished query.  Observation
+    /// Records phase latencies and span events for a finished query (the
+    /// counters were bumped where their events happened).  Observation
     /// only, after the answer exists — it can never change one.
     fn observe_query(&self, outcome: &Result<QueryOutcome, PipelineError>) {
         let dataset = self.label.as_str();
-        crate::obs_metrics::queries_total(dataset).inc();
         match outcome {
             Ok(outcome) => {
-                let (cache, hit) = ("mine", outcome.mined_cached);
-                if hit {
-                    crate::obs_metrics::cache_hits_total(dataset, cache).inc();
-                } else {
-                    crate::obs_metrics::cache_misses_total(dataset, cache).inc();
-                }
-                if let Some(null_hit) = outcome.null_cached {
-                    if null_hit {
-                        crate::obs_metrics::cache_hits_total(dataset, "null").inc();
-                    } else {
-                        crate::obs_metrics::cache_misses_total(dataset, "null").inc();
-                    }
-                }
                 for (phase, elapsed) in [
                     ("mine", outcome.timings.mine),
                     ("null", outcome.timings.null),
@@ -909,7 +892,6 @@ impl Engine {
                 }
             }
             Err(PipelineError::Cancelled(cancelled)) => {
-                crate::obs_metrics::queries_cancelled_total(dataset).inc();
                 sigrule_obs::log::debug(
                     "sigrule::engine",
                     "query cancelled",
@@ -1007,17 +989,17 @@ impl Engine {
                             })
                         })?;
                     if cached {
-                        self.null_hits.fetch_add(1, Relaxed);
+                        self.counters.null_hits.fetch_add(1, Relaxed);
                         null_cached = Some(true);
                     } else {
                         null_time = start.elapsed();
-                        self.null_misses.fetch_add(1, Relaxed);
+                        self.counters.null_misses.fetch_add(1, Relaxed);
                         null_cached = Some(false);
                     }
                     null_entry.last_used.store(self.tick(), Relaxed);
                     Some(null_entry.stats.clone())
                 } else {
-                    self.null_hits.fetch_add(1, Relaxed);
+                    self.counters.null_hits.fetch_add(1, Relaxed);
                     null_cached = Some(true);
                     let null_entry = cell.get().expect("null cell is full above");
                     null_entry.last_used.store(self.tick(), Relaxed);
@@ -1065,28 +1047,20 @@ impl Engine {
             .filter_map(|cell| cell.get())
             .map(|e| e.stats.resident_bytes())
             .sum();
-        let kernel_counters = sigrule_data::kernel::counters();
-        let shard = crate::correction::permutation::shard_counters::counters();
         EngineStats {
-            queries: self.queries.load(Relaxed),
-            mine_hits: self.mine_hits.load(Relaxed),
-            mine_misses: self.mine_misses.load(Relaxed),
-            null_hits: self.null_hits.load(Relaxed),
-            null_misses: self.null_misses.load(Relaxed),
-            cancelled_queries: self.cancelled_queries.load(Relaxed),
+            queries: self.counters.queries.load(Relaxed),
+            mine_hits: self.counters.mine_hits.load(Relaxed),
+            mine_misses: self.counters.mine_misses.load(Relaxed),
+            null_hits: self.counters.null_hits.load(Relaxed),
+            null_misses: self.counters.null_misses.load(Relaxed),
+            cancelled_queries: self.counters.cancelled_queries.load(Relaxed),
             cached_rule_sets: mined.len(),
             cached_nulls: nulls.len(),
             table_bytes,
             rule_set_bytes,
             null_bytes,
-            evicted_rule_sets: self.evicted_rule_sets.load(Relaxed),
-            evicted_nulls: self.evicted_nulls.load(Relaxed),
-            kernel: kernel_counters.kernel,
-            batched_sweeps: kernel_counters.batched_sweeps,
-            shards_local: shard.shards_local,
-            shards_remote: shard.shards_remote,
-            shard_retries: shard.shard_retries,
-            remote_ms: shard.remote_ms,
+            evicted_rule_sets: self.counters.evicted_rule_sets.load(Relaxed),
+            evicted_nulls: self.counters.evicted_nulls.load(Relaxed),
         }
     }
 
@@ -1158,7 +1132,7 @@ impl Engine {
             let (key, stamp) = lru_mine.expect("checked above");
             let cell = mined.remove(&key).expect("key taken under the lock");
             let entry = cell.get().expect("filtered to filled cells");
-            self.evicted_rule_sets.fetch_add(1, Relaxed);
+            self.counters.evicted_rule_sets.fetch_add(1, Relaxed);
             CacheEntry {
                 kind: CacheEntryKind::RuleSet,
                 bytes: entry.bytes(),
@@ -1168,7 +1142,7 @@ impl Engine {
             let (key, stamp) = lru_null.expect("checked above");
             let cell = nulls.remove(&key).expect("key taken under the lock");
             let entry = cell.get().expect("filtered to filled cells");
-            self.evicted_nulls.fetch_add(1, Relaxed);
+            self.counters.evicted_nulls.fetch_add(1, Relaxed);
             CacheEntry {
                 kind: CacheEntryKind::Null,
                 bytes: entry.stats.resident_bytes(),
@@ -1179,7 +1153,6 @@ impl Engine {
             CacheEntryKind::RuleSet => "rule_set",
             CacheEntryKind::Null => "null",
         };
-        crate::obs_metrics::cache_evictions_total(&self.label, kind).inc();
         sigrule_obs::log::debug(
             "sigrule::engine",
             "cache entry evicted",

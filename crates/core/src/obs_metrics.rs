@@ -1,61 +1,72 @@
 //! The core crate's metric catalog: every family name, type, and help
-//! string in one place, as thin constructors over the process-wide
+//! string in one place, as thin functions over the process-wide
 //! [`sigrule_obs::metrics`] registry.
 //!
-//! Call sites ask for a handle by semantic name (`queries_total("mushroom")`)
+//! Call sites name a family semantically (`queries_total("mushroom", ..)`)
 //! instead of repeating string literals, so the Prometheus exposition, the
 //! docs catalog (docs/OBSERVABILITY.md), and the CI validator
-//! (`scripts/check_metrics.sh`) stay in lockstep with the code.  Handles
-//! are relaxed-atomic and may be fetched per event everywhere except the
-//! permutation hot loop, which touches no registry at all — the kernel and
-//! shard counters it feeds are mirrored in at recording boundaries
-//! ([`crate::correction::permutation::shard_counters`]) or at scrape time.
+//! (`scripts/check_metrics.sh`) stay in lockstep with the code.
+//!
+//! Counters are owned by what they count — an engine's atomics, the
+//! kernel's sweep count, the coordinator's shard counts — and each counter
+//! entry here *exposes* the owner's atomic as its series
+//! ([`metrics::expose_counter`]), so the scrape renders the one store the
+//! `stats` surfaces read, and nothing is ever copied into the registry.
+//! Histograms and gauges are registry handles.  The permutation hot loop
+//! touches no registry at all.
 
 use sigrule_obs::metrics::{self, Counter, Gauge, Histogram};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 /// Engine queries answered, by dataset.
-pub fn queries_total(dataset: &str) -> Counter {
-    metrics::counter(
+pub fn queries_total(dataset: &str, cell: &Arc<AtomicU64>) {
+    metrics::expose_counter(
         "sigrule_queries_total",
         "Engine queries answered.",
         &[("dataset", dataset)],
-    )
+        cell,
+    );
 }
 
 /// Queries aborted by their cancellation token, by dataset.
-pub fn queries_cancelled_total(dataset: &str) -> Counter {
-    metrics::counter(
+pub fn queries_cancelled_total(dataset: &str, cell: &Arc<AtomicU64>) {
+    metrics::expose_counter(
         "sigrule_queries_cancelled_total",
         "Engine queries aborted by a cancellation token (deadline or explicit cancel).",
         &[("dataset", dataset)],
-    )
+        cell,
+    );
 }
 
 /// Cache hits by dataset and cache (`mine` or `null`).
-pub fn cache_hits_total(dataset: &str, cache: &str) -> Counter {
-    metrics::counter(
+pub fn cache_hits_total(dataset: &str, cache: &str, cell: &Arc<AtomicU64>) {
+    metrics::expose_counter(
         "sigrule_cache_hits_total",
         "Engine cache hits, by cache (mine = rule sets, null = permutation nulls).",
         &[("dataset", dataset), ("cache", cache)],
-    )
+        cell,
+    );
 }
 
 /// Cache misses by dataset and cache (`mine` or `null`).
-pub fn cache_misses_total(dataset: &str, cache: &str) -> Counter {
-    metrics::counter(
+pub fn cache_misses_total(dataset: &str, cache: &str, cell: &Arc<AtomicU64>) {
+    metrics::expose_counter(
         "sigrule_cache_misses_total",
         "Engine cache misses (the artifact was computed), by cache.",
         &[("dataset", dataset), ("cache", cache)],
-    )
+        cell,
+    );
 }
 
 /// Cache evictions by dataset and entry kind (`rule_set` or `null`).
-pub fn cache_evictions_total(dataset: &str, kind: &str) -> Counter {
-    metrics::counter(
+pub fn cache_evictions_total(dataset: &str, kind: &str, cell: &Arc<AtomicU64>) {
+    metrics::expose_counter(
         "sigrule_cache_evictions_total",
         "Engine cache entries evicted by the byte-budget LRU policy, by kind.",
         &[("dataset", dataset), ("kind", kind)],
-    )
+        cell,
+    );
 }
 
 /// Per-phase query latency histogram (`phase` is `mine`, `null`, or
@@ -77,45 +88,45 @@ pub fn cache_resident_bytes(dataset: &str) -> Gauge {
     )
 }
 
-/// Distributed permutation ranges completed, by executor (`local` or
-/// `remote`).  Mirrors [`crate::correction::permutation::shard_counters`].
-pub fn shards_total(executor: &str) -> Counter {
-    metrics::counter(
-        "sigrule_shards_total",
-        "Distributed-null permutation ranges completed, by executor.",
-        &[("executor", executor)],
-    )
-}
-
-/// Permutation ranges dispatched more than once (steals + re-dispatches).
-pub fn shard_retries_total() -> Counter {
-    metrics::counter(
+/// Exposes the process-wide counters — the kernel's batched sweeps and
+/// the distributed-null shard counts — as themselves.  Idempotent (the same
+/// statics every time); a serving process calls it once at startup so a
+/// scrape shows these families before any query runs.
+pub fn expose_process_counters() {
+    use crate::correction::permutation::shard_counters as shard;
+    metrics::expose_counter(
+        "sigrule_kernel_sweeps_total",
+        "Forest sweeps through the support-counting kernel, by mode.",
+        &[("mode", "batched")],
+        &sigrule_data::kernel::BATCHED_SWEEPS,
+    );
+    for (executor, cell) in [
+        ("local", &shard::SHARDS_LOCAL),
+        ("remote", &shard::SHARDS_REMOTE),
+    ] {
+        metrics::expose_counter(
+            "sigrule_shards_total",
+            "Distributed-null permutation ranges completed, by executor.",
+            &[("executor", executor)],
+            cell,
+        );
+    }
+    metrics::expose_counter(
         "sigrule_shard_retries_total",
         "Permutation ranges dispatched more than once (straggler steals and dead-worker re-dispatches).",
         &[],
-    )
-}
-
-/// Milliseconds spent waiting on remote shard responses.
-pub fn shard_remote_wait_ms() -> Counter {
-    metrics::counter(
+        &shard::SHARD_RETRIES,
+    );
+    metrics::expose_counter(
         "sigrule_shard_remote_wait_ms_total",
         "Total milliseconds spent waiting on remote shard responses.",
         &[],
-    )
+        &shard::REMOTE_MS,
+    );
 }
 
-/// Forest sweeps through the support kernel, by mode (only `batched`).
-/// Mirrored from `sigrule_data::kernel` at scrape time.
-pub fn kernel_sweeps_total(mode: &str) -> Counter {
-    metrics::counter(
-        "sigrule_kernel_sweeps_total",
-        "Forest sweeps through the support-counting kernel, by mode.",
-        &[("mode", mode)],
-    )
-}
-
-/// Injected fault firings, by site (chaos builds only).
+/// Injected fault firings, by site (chaos builds only).  The one counter
+/// kept as a registry handle: its registry series is its only store.
 pub fn faults_injected_total(site: &str) -> Counter {
     metrics::counter(
         "sigrule_faults_injected_total",

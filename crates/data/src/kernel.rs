@@ -37,6 +37,7 @@
 //! (see [`LaneBlock`](crate::vertical::LaneBlock)).
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
+use std::sync::{Arc, LazyLock};
 
 /// A kernel implementation family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,10 +147,13 @@ pub fn force(kind: Option<KernelKind>) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep counters (process-wide observability, surfaced via EngineStats).
+// Sweep counters (process-wide observability, surfaced via registry_stats).
 // ---------------------------------------------------------------------------
 
-static BATCHED_SWEEPS: AtomicU64 = AtomicU64::new(0);
+/// Batched (lane-block) forest sweeps run in this process: the one store
+/// of the count.  Shared as an `Arc` so the metrics registry can render
+/// this atomic itself (`sigrule::obs_metrics` exposes it) instead of a copy.
+pub static BATCHED_SWEEPS: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
 
 /// Records `n` batched (lane-block) forest sweeps.
 pub fn note_batched_sweeps(n: u64) {

@@ -6,7 +6,10 @@
 //! lock once, after which updates are lock-free and allocation-free — safe
 //! to call from the permutation hot path.  Series are keyed by metric name
 //! plus a sorted label set, so two call sites asking for the same
-//! `(name, labels)` share one underlying atomic.
+//! `(name, labels)` share one underlying atomic.  A component that owns
+//! its counters (an engine's cache hits, the kernel's sweep count) hands
+//! its atomic to [`expose_counter`] instead, and the registry renders that
+//! atomic directly — one store per count, whatever reads it.
 //!
 //! Setting `SIGRULE_METRICS=off` (or `0`, `false`, `no`) turns every
 //! handle into a no-op and empties the exposition; answers are identical
@@ -51,31 +54,11 @@ impl Kind {
 pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
-    /// Adds one.
+    /// Adds one (relaxed; lock-free).
     pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n` (relaxed; lock-free).
-    pub fn add(&self, n: u64) {
         if let Some(cell) = &self.0 {
-            cell.fetch_add(n, Ordering::Relaxed);
+            cell.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Overwrites the value — only for mirroring an *external* monotone
-    /// counter (kernel sweep counters, shard counters) into the registry
-    /// at scrape time.  Never mix [`Counter::add`] and `force` on one
-    /// series.
-    pub fn force(&self, v: u64) {
-        if let Some(cell) = &self.0 {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 when metrics are disabled).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
 
@@ -89,13 +72,6 @@ impl Gauge {
         if let Some(cell) = &self.0 {
             cell.store(v.to_bits(), Ordering::Relaxed);
         }
-    }
-
-    /// Current value (0.0 when metrics are disabled).
-    pub fn get(&self) -> f64 {
-        self.0
-            .as_ref()
-            .map_or(0.0, |c| f64::from_bits(c.load(Ordering::Relaxed)))
     }
 }
 
@@ -140,15 +116,9 @@ impl Histogram {
         core.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
         core.count.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Total observation count (0 when metrics are disabled).
-    pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |c| c.count.load(Ordering::Relaxed))
-    }
 }
 
+#[derive(Clone)]
 enum Series {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
@@ -213,9 +183,10 @@ fn label_key(labels: &[(&str, &str)]) -> String {
     out
 }
 
-fn register(name: &str, help: &str, labels: &[(&str, &str)], kind: Kind) {
-    // The caller re-locks to fetch its series; split out so all three
-    // handle constructors share one validation path.
+/// Runs `f` on the `name` family under the registry lock, registering the
+/// family on first use; every constructor goes through it, so a name can
+/// never change kind.
+fn with_family<R>(name: &str, help: &str, kind: Kind, f: impl FnOnce(&mut Family) -> R) -> R {
     let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
     let family = reg
         .families
@@ -231,50 +202,69 @@ fn register(name: &str, help: &str, labels: &[(&str, &str)], kind: Kind) {
         family.kind.as_str(),
         kind.as_str()
     );
-    let key = label_key(labels);
-    family.series.entry(key).or_insert_with(|| match kind {
-        Kind::Counter => Series::Counter(Arc::new(AtomicU64::new(0))),
-        Kind::Gauge => Series::Gauge(Arc::new(AtomicU64::new(0))),
-        Kind::Histogram => Series::Histogram(Arc::new(HistogramCore::new())),
-    });
+    f(family)
+}
+
+/// Finds (or registers) the `(name, labels)` series of `kind` and returns
+/// a share of it; `None` when metrics are disabled.
+fn series(name: &str, help: &str, labels: &[(&str, &str)], kind: Kind) -> Option<Series> {
+    if !enabled() {
+        return None;
+    }
+    with_family(name, help, kind, |family| {
+        let fresh = || match kind {
+            Kind::Counter => Series::Counter(Arc::default()),
+            Kind::Gauge => Series::Gauge(Arc::default()),
+            Kind::Histogram => Series::Histogram(Arc::new(HistogramCore::new())),
+        };
+        Some(
+            family
+                .series
+                .entry(label_key(labels))
+                .or_insert_with(fresh)
+                .clone(),
+        )
+    })
 }
 
 /// Registers (or finds) a counter series and returns a lock-free handle.
 pub fn counter(name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
+    match series(name, help, labels, Kind::Counter) {
+        Some(Series::Counter(cell)) => Counter(Some(cell)),
+        _ => Counter(None),
+    }
+}
+
+/// Exposes a caller-owned atomic as the counter series for `(name, labels)`.
+/// The registry renders `cell` itself, so the owner's atomic stays the one
+/// store of the count and the registry never holds a copy.  Exposing a key
+/// again replaces its series (a reloaded dataset's new engine takes over
+/// the label).  A no-op when metrics are disabled: the owner keeps
+/// counting either way.
+pub fn expose_counter(name: &str, help: &str, labels: &[(&str, &str)], cell: &Arc<AtomicU64>) {
     if !enabled() {
-        return Counter(None);
+        return;
     }
-    register(name, help, labels, Kind::Counter);
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    match &reg.families[name].series[&label_key(labels)] {
-        Series::Counter(cell) => Counter(Some(Arc::clone(cell))),
-        _ => unreachable!("kind validated at registration"),
-    }
+    with_family(name, help, Kind::Counter, |family| {
+        family
+            .series
+            .insert(label_key(labels), Series::Counter(Arc::clone(cell)));
+    });
 }
 
 /// Registers (or finds) a gauge series and returns a lock-free handle.
 pub fn gauge(name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-    if !enabled() {
-        return Gauge(None);
-    }
-    register(name, help, labels, Kind::Gauge);
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    match &reg.families[name].series[&label_key(labels)] {
-        Series::Gauge(cell) => Gauge(Some(Arc::clone(cell))),
-        _ => unreachable!("kind validated at registration"),
+    match series(name, help, labels, Kind::Gauge) {
+        Some(Series::Gauge(cell)) => Gauge(Some(cell)),
+        _ => Gauge(None),
     }
 }
 
 /// Registers (or finds) a histogram series and returns a lock-free handle.
 pub fn histogram(name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-    if !enabled() {
-        return Histogram(None);
-    }
-    register(name, help, labels, Kind::Histogram);
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    match &reg.families[name].series[&label_key(labels)] {
-        Series::Histogram(core) => Histogram(Some(Arc::clone(core))),
-        _ => unreachable!("kind validated at registration"),
+    match series(name, help, labels, Kind::Histogram) {
+        Some(Series::Histogram(core)) => Histogram(Some(core)),
+        _ => Histogram(None),
     }
 }
 
@@ -461,9 +451,26 @@ mod tests {
         let a = counter("t_shared_total", "Shared.", &[("k", "v")]);
         let b = counter("t_shared_total", "Shared.", &[("k", "v")]);
         a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3);
-        assert_eq!(b.get(), 3);
+        b.inc();
+        b.inc();
+        assert!(render_prometheus().contains("t_shared_total{k=\"v\"} 3"));
+    }
+
+    #[test]
+    fn exposed_atomic_is_the_series_and_reexposing_replaces_it() {
+        let first = Arc::new(AtomicU64::new(0));
+        expose_counter("t_exposed_total", "Exposed.", &[("dataset", "d")], &first);
+        first.fetch_add(4, Ordering::Relaxed);
+        assert!(render_prometheus().contains("t_exposed_total{dataset=\"d\"} 4"));
+        let second = Arc::new(AtomicU64::new(1));
+        expose_counter("t_exposed_total", "Exposed.", &[("dataset", "d")], &second);
+        assert!(render_prometheus().contains("t_exposed_total{dataset=\"d\"} 1"));
+        counter("t_exposed_total", "Exposed.", &[("dataset", "d")]).inc();
+        assert_eq!(
+            second.load(Ordering::Relaxed),
+            2,
+            "handles share the exposed atomic"
+        );
     }
 
     #[test]
@@ -471,7 +478,8 @@ mod tests {
         let a = counter("t_order_total", "Order.", &[("a", "1"), ("b", "2")]);
         let b = counter("t_order_total", "Order.", &[("b", "2"), ("a", "1")]);
         a.inc();
-        assert_eq!(b.get(), 1);
+        b.inc();
+        assert!(render_prometheus().contains("t_order_total{a=\"1\",b=\"2\"} 2"));
     }
 
     #[test]

@@ -103,6 +103,7 @@ impl ServerState {
 
     /// A state with no dataset loaded and the given options.
     pub fn with_options(options: ServerOptions) -> Self {
+        sigrule::obs_metrics::expose_process_counters();
         ServerState {
             registry: EngineRegistry::with_budget(options.cache_budget_bytes),
             started: Instant::now(),
@@ -673,13 +674,7 @@ fn engine_stats_fields(resp: &mut ObjectBuilder, engine: &Engine) {
         .number("null_bytes", stats.null_bytes as f64)
         .number("resident_bytes", stats.resident_bytes() as f64)
         .number("evicted_rule_sets", stats.evicted_rule_sets as f64)
-        .number("evicted_nulls", stats.evicted_nulls as f64)
-        .string("kernel", stats.kernel)
-        .number("batched_sweeps", stats.batched_sweeps as f64)
-        .number("shards_local", stats.shards_local as f64)
-        .number("shards_remote", stats.shards_remote as f64)
-        .number("shard_retries", stats.shard_retries as f64)
-        .number("remote_ms", stats.remote_ms as f64);
+        .number("evicted_nulls", stats.evicted_nulls as f64);
 }
 
 fn handle_stats(state: &ServerState, req: &Json) -> Result<ObjectBuilder, ServerError> {
@@ -727,56 +722,30 @@ fn handle_registry_stats(state: &ServerState, req: &Json) -> Result<ObjectBuilde
         Some(budget) => resp.number("budget_bytes", budget as f64),
         None => resp.raw("budget_bytes", "null"),
     };
-    resp.number("evictions", registry.evictions() as f64)
+    resp.number("evictions", (evicted_rule_sets + evicted_nulls) as f64)
         .number("evicted_rule_sets", evicted_rule_sets as f64)
         .number("evicted_nulls", evicted_nulls as f64);
-    // The PR 9 process-wide shard counters, at the registry level where a
-    // fleet operator looks for them (they are not per-dataset quantities).
+    // The process-wide kernel and shard counters live at the registry level,
+    // where a fleet operator looks for them: they are not per-dataset.
+    let kernel = sigrule_data::kernel::counters();
     let shard = sigrule::correction::permutation::shard_counters::counters();
-    resp.number("shards_local", shard.shards_local as f64)
+    resp.string("kernel", kernel.kernel)
+        .number("batched_sweeps", kernel.batched_sweeps as f64)
+        .number("shards_local", shard.shards_local as f64)
         .number("shards_remote", shard.shards_remote as f64)
         .number("shard_retries", shard.shard_retries as f64)
         .number("remote_ms", shard.remote_ms as f64);
     Ok(resp)
 }
 
-/// Mirrors the scattered per-engine and process-wide counters into the
-/// unified metrics registry, making their snapshot values authoritative at
-/// scrape time.  Forcing (rather than re-adding) keeps the exposition equal
-/// to `EngineStats` whichever code path bumped the underlying counter, and
-/// registering every family for every loaded dataset guarantees a scrape
-/// sees the full catalog even before the first query.
-fn sync_metrics(state: &ServerState) {
-    use sigrule::obs_metrics as m;
-    for snap in state.registry.snapshot() {
-        let name = snap.name.as_str();
-        let stats = &snap.stats;
-        m::queries_total(name).force(stats.queries);
-        m::queries_cancelled_total(name).force(stats.cancelled_queries);
-        m::cache_hits_total(name, "mine").force(stats.mine_hits);
-        m::cache_misses_total(name, "mine").force(stats.mine_misses);
-        m::cache_hits_total(name, "null").force(stats.null_hits);
-        m::cache_misses_total(name, "null").force(stats.null_misses);
-        m::cache_evictions_total(name, "rule_set").force(stats.evicted_rule_sets);
-        m::cache_evictions_total(name, "null").force(stats.evicted_nulls);
-        m::cache_resident_bytes(name).set(stats.resident_bytes() as f64);
-        for phase in ["mine", "null", "correct"] {
-            // Registration only: the histograms fill as queries run.
-            let _ = m::query_phase_seconds(name, phase);
-        }
-    }
-    let kernel = sigrule_data::kernel::counters();
-    m::kernel_sweeps_total("batched").force(kernel.batched_sweeps);
-    let shard = sigrule::correction::permutation::shard_counters::counters();
-    m::shards_total("local").force(shard.shards_local);
-    m::shards_total("remote").force(shard.shards_remote);
-    m::shard_retries_total().force(shard.shard_retries);
-    m::shard_remote_wait_ms().force(shard.remote_ms);
-}
-
 fn handle_metrics(state: &ServerState, req: &Json) -> Result<ObjectBuilder, ServerError> {
     reject_unknown_fields(req, &["format"])?;
-    sync_metrics(state);
+    // Every counter is rendered from its one atomic; only the resident-bytes
+    // gauge is computed, by walking the caches, so it is refreshed here.
+    for snap in state.registry.snapshot() {
+        sigrule::obs_metrics::cache_resident_bytes(&snap.name)
+            .set(snap.stats.resident_bytes() as f64);
+    }
     let format = get_str(req, "format")?.unwrap_or_else(|| "prometheus".to_string());
     let mut resp = ObjectBuilder::new();
     match format.as_str() {
@@ -1366,15 +1335,20 @@ pub(crate) mod tests {
     }
 
     /// `registry_stats` surfaces the per-engine eviction split and the
-    /// process-wide shard counters (the PR 9 satellite fold-in).
+    /// process-wide kernel and shard counters.
     #[test]
     fn registry_stats_carries_eviction_and_shard_counters() {
         let state = ServerState::new();
         let (resp, _) = handle_line(&state, r#"{"cmd":"registry_stats"}"#);
         let stats = ok(&resp);
+        assert!(
+            stats.get("kernel").and_then(Json::as_str).is_some(),
+            "missing kernel: {resp}"
+        );
         for field in [
             "evicted_rule_sets",
             "evicted_nulls",
+            "batched_sweeps",
             "shards_local",
             "shards_remote",
             "shard_retries",
@@ -1385,6 +1359,80 @@ pub(crate) mod tests {
                 "missing {field}: {resp}"
             );
         }
+    }
+
+    /// Process-wide counters are reported once, at the registry level, and
+    /// the scrape renders the very atomic `registry_stats` reads: a
+    /// per-dataset `stats` answer carries no kernel or shard field, however
+    /// busy another dataset's engine was.
+    #[test]
+    fn process_wide_counters_leave_per_dataset_stats() {
+        let state = ServerState::new();
+        let path = fixture_path();
+        for name in ["pw_a", "pw_b"] {
+            let (resp, _) = handle_line(
+                &state,
+                &format!(r#"{{"cmd":"load","path":"{path}","name":"{name}"}}"#),
+            );
+            ok(&resp);
+        }
+        let (resp, _) = handle_line(
+            &state,
+            r#"{"cmd":"correct","dataset":"pw_a","min_sup":10,"correction":"permutation","permutations":40,"seed":3}"#,
+        );
+        ok(&resp);
+
+        let (resp, _) = handle_line(&state, r#"{"cmd":"stats","dataset":"pw_b"}"#);
+        let stats = ok(&resp);
+        assert_eq!(stats.get("queries").and_then(Json::as_u64), Some(0));
+        for field in [
+            "kernel",
+            "batched_sweeps",
+            "shards_local",
+            "shards_remote",
+            "shard_retries",
+            "remote_ms",
+        ] {
+            assert!(stats.get(field).is_none(), "per-dataset {field}: {resp}");
+        }
+
+        // Other tests sweep the same process-wide atomic concurrently, so
+        // compare inside a window where two scrapes agree (the counter is
+        // monotone: a quiet window pins its value).
+        let scraped = |state: &ServerState| -> u64 {
+            let (resp, _) = handle_line(state, r#"{"cmd":"metrics"}"#);
+            let body = ok(&resp)
+                .get("body")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string();
+            let line = body
+                .lines()
+                .find(|l| l.starts_with("sigrule_kernel_sweeps_total{mode=\"batched\"} "))
+                .unwrap_or_else(|| panic!("no batched sweep series:\n{body}"));
+            line.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut compared = false;
+        while !compared && Instant::now() < deadline {
+            let before = scraped(&state);
+            let (resp, _) = handle_line(&state, r#"{"cmd":"registry_stats"}"#);
+            let reported = ok(&resp)
+                .get("batched_sweeps")
+                .and_then(Json::as_u64)
+                .unwrap();
+            let after = scraped(&state);
+            assert!(before > 0, "the permutation correct swept the kernel");
+            assert!(before <= reported && reported <= after);
+            if before == after {
+                assert_eq!(
+                    reported, before,
+                    "registry_stats and the scrape read one store"
+                );
+                compared = true;
+            }
+        }
+        assert!(compared, "no quiet window in which to compare");
     }
 
     /// The slow-query threshold gates the structured record; at 0 ms every

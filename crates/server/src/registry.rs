@@ -33,7 +33,7 @@
 use sigrule::engine::EngineStats;
 use sigrule::Engine;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
 /// Named, concurrently shared engines plus the eviction policy over their
@@ -50,8 +50,6 @@ pub struct EngineRegistry {
     clock: Arc<AtomicU64>,
     /// Byte budget over the engines' resident caches; `None` = unbounded.
     budget_bytes: Option<usize>,
-    /// Cache entries evicted so far (rule sets + nulls, all engines).
-    evictions: AtomicU64,
 }
 
 /// A point-in-time view of one registered engine, for `registry_stats`.
@@ -86,7 +84,6 @@ impl EngineRegistry {
             engines: Mutex::new(HashMap::new()),
             clock: Arc::new(AtomicU64::new(0)),
             budget_bytes,
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -176,9 +173,14 @@ impl EngineRegistry {
             .sum()
     }
 
-    /// Cache entries evicted so far (all engines).
+    /// Cache entries evicted so far by the registered engines: the sum of
+    /// their `evicted_rule_sets` and `evicted_nulls` counts (an engine
+    /// replaced by a reload takes its evictions with it).
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Relaxed)
+        self.snapshot()
+            .iter()
+            .map(|s| s.stats.evicted_rule_sets + s.stats.evicted_nulls)
+            .sum()
     }
 
     /// Evicts globally least-recently-used cache entries until the resident
@@ -214,7 +216,6 @@ impl EngineRegistry {
             }
             evicted += 1;
         }
-        self.evictions.fetch_add(evicted as u64, Relaxed);
         if evicted > 0 {
             sigrule_obs::log::debug(
                 "sigrule::registry",
@@ -296,9 +297,10 @@ mod tests {
         let registry = EngineRegistry::with_budget(Some(budget));
         let a = registry.insert("a", Engine::new(synth(4)));
         let b = registry.insert("b", Engine::new(synth(5)));
+        let mut enforced = 0;
         for round in 0..3 {
             let got_a = a.query(&perm_query(30)).unwrap();
-            registry.enforce_budget();
+            enforced += registry.enforce_budget();
             assert!(
                 registry.resident_bytes() <= budget,
                 "round {round}: {} > {budget}",
@@ -306,18 +308,14 @@ mod tests {
             );
             assert_eq!(got_a.result, ref_a.result, "round {round}");
             let got_b = b.query(&perm_query(30)).unwrap();
-            registry.enforce_budget();
+            enforced += registry.enforce_budget();
             assert!(registry.resident_bytes() <= budget);
             assert_eq!(got_b.result, ref_b.result, "round {round}");
         }
         assert!(registry.evictions() > 0);
-        // The per-engine eviction counters surface through the snapshot.
-        let evicted: u64 = registry
-            .snapshot()
-            .iter()
-            .map(|s| s.stats.evicted_rule_sets + s.stats.evicted_nulls)
-            .sum();
-        assert_eq!(evicted, registry.evictions());
+        // The engines' eviction counters account for every entry the
+        // budget enforcement reported evicting.
+        assert_eq!(enforced as u64, registry.evictions());
     }
 
     #[test]

@@ -297,6 +297,18 @@ impl ConnDriver {
         }
     }
 
+    /// Answers a request line longer than [`MAX_LINE_BYTES`]; the line
+    /// itself is never parsed, so the error carries no `"id"`.
+    fn reject_oversized_line(&self) {
+        let error = ServerError::new(
+            ErrorCode::InvalidRequest,
+            format!("request line exceeds {MAX_LINE_BYTES} bytes; skipped through its newline"),
+        );
+        if !write_line(&self.out, &error_line(None, &error)) {
+            self.cancel.cancel();
+        }
+    }
+
     fn join_workers(&mut self) {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -451,48 +463,33 @@ fn handle_socket_connection<S: SocketStream>(server: Arc<SharedServer>, stream: 
     let mut conn = ConnDriver::new(server.clone(), Box::new(write_half));
     let mut reader = stream;
     // Hand-rolled line framing: `BufRead::read_line` discards bytes already
-    // consumed when a read times out mid-line, so accumulate raw bytes and
-    // split on '\n' ourselves — a timeout then just means "check the
-    // shutdown flag and keep reading".
-    let mut acc: Vec<u8> = Vec::new();
+    // consumed when a read times out mid-line, so frame raw reads ourselves —
+    // a timeout then just means "check the shutdown flag and keep reading".
+    let mut framer = LineFramer::default();
     let mut chunk = [0u8; 8192];
-    // Splits complete lines out of `acc` and drives them; borrows nothing
-    // between calls so the read loop stays simple.
-    fn drain_lines(acc: &mut Vec<u8>, conn: &mut ConnDriver) -> LineOutcome {
-        while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = acc.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line);
-            if conn.process_line(line.trim_end_matches(['\n', '\r'])) == LineOutcome::Shutdown {
-                return LineOutcome::Shutdown;
-            }
-        }
-        LineOutcome::Continue
-    }
     loop {
-        if drain_lines(&mut acc, &mut conn) == LineOutcome::Shutdown {
-            return;
-        }
         if server.shutdown.load(SeqCst) {
             // Another connection began the drain.  One final sweep: requests
             // already on the wire get an explicit shutting-down error (from
             // `process_line`) instead of a silent close, so no client hangs
             // on a dropped line.
             if let Ok(n) = reader.read(&mut chunk) {
-                acc.extend_from_slice(&chunk[..n]);
+                let _ = framer.feed(&chunk[..n], &mut conn);
             }
-            let _ = drain_lines(&mut acc, &mut conn);
             return;
         }
         match reader.read(&mut chunk) {
             Ok(0) => {
-                // EOF; a trailing unterminated line still gets an answer.
-                if !acc.is_empty() {
-                    let line = String::from_utf8_lossy(&acc).into_owned();
-                    let _ = conn.process_line(line.trim_end_matches('\r'));
-                }
+                // EOF; a trailing unterminated line still gets an answer
+                // (an empty one is skipped like any blank line).
+                let _ = framer.feed(b"\n", &mut conn);
                 return;
             }
-            Ok(n) => acc.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                if framer.feed(&chunk[..n], &mut conn) == LineOutcome::Shutdown {
+                    return;
+                }
+            }
             Err(e)
                 if matches!(
                     e.kind(),
@@ -509,6 +506,55 @@ fn handle_socket_connection<S: SocketStream>(server: Arc<SharedServer>, stream: 
                 // client pattern ([`crate::client::ClientStream::shutdown_write`]).
                 conn.cancel.cancel();
                 return;
+            }
+        }
+    }
+}
+
+/// The longest request line a socket connection buffers, in bytes.
+/// Requests are a few hundred bytes (a `perm_shard` line is the largest);
+/// a longer line is answered with one `invalid_request` error and skipped
+/// through its newline, so no client can grow the server's memory without
+/// bound.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Splits raw socket reads into request lines under [`MAX_LINE_BYTES`].
+/// Each read is scanned once, so framing is linear in the bytes received.
+#[derive(Default)]
+struct LineFramer {
+    /// The current line's bytes so far (no newline).
+    line: Vec<u8>,
+    /// The current line overflowed the cap and was answered; its remaining
+    /// bytes are dropped up to the next newline.
+    discarding: bool,
+}
+
+impl LineFramer {
+    /// Drives every line completed by `bytes` and buffers the rest.
+    fn feed(&mut self, mut bytes: &[u8], conn: &mut ConnDriver) -> LineOutcome {
+        loop {
+            let newline = bytes.iter().position(|&b| b == b'\n');
+            let part = &bytes[..newline.unwrap_or(bytes.len())];
+            if !self.discarding {
+                if self.line.len() + part.len() > MAX_LINE_BYTES {
+                    self.line = Vec::new();
+                    self.discarding = true;
+                    conn.reject_oversized_line();
+                } else {
+                    self.line.extend_from_slice(part);
+                }
+            }
+            let Some(pos) = newline else {
+                return LineOutcome::Continue;
+            };
+            bytes = &bytes[pos + 1..];
+            if std::mem::take(&mut self.discarding) {
+                continue;
+            }
+            let line = std::mem::take(&mut self.line);
+            let line = String::from_utf8_lossy(&line);
+            if conn.process_line(line.trim_end_matches('\r')) == LineOutcome::Shutdown {
+                return LineOutcome::Shutdown;
             }
         }
     }

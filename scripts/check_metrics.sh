@@ -8,7 +8,8 @@
 # port, --slow-query-ms 0 so every query logs a slow-query record), runs
 # one cold permutation `correct`, scrapes `{"cmd":"metrics"}`, validates
 # the Prometheus exposition, asserts the structured slow-query record
-# appeared on stderr, and drains the server.  With an address: validates
+# appeared on stderr, cross-checks the scrape against the `stats` and
+# `registry_stats` counters, and drains the server.  With an address: validates
 # a scrape of that already-running server instead (no session driven).
 #
 # Exposition checks: every required family has exactly one HELP line and
@@ -113,6 +114,30 @@ FAMILIES=$(grep -c '^# HELP ' "$WORKDIR/exposition.txt")
 echo "exposition OK: $FAMILIES families"
 
 if [ -n "$SRV_PID" ]; then
+  # The scrape renders the same atomics the stats surfaces read, so on the
+  # quiet self-spawned server each pair below must agree exactly.
+  "$BIN" client --connect "$ADDR" >"$WORKDIR/stats.out" <<EOF
+{"id":"s","cmd":"stats","dataset":"ci"}
+{"id":"r","cmd":"registry_stats"}
+EOF
+  field() { # field ID NAME: a numeric field of the response with that id
+    grep "\"id\":\"$1\"" "$WORKDIR/stats.out" | sed -nE "s/.*\"$2\":([0-9]+).*/\1/p"
+  }
+  sample() { # sample SERIES: the value of one exposition sample
+    grep -F "$1 " "$WORKDIR/exposition.txt" | awk '{ print $2 }'
+  }
+  same() { # same WHAT SCRAPED REPORTED
+    [ -n "$2" ] && [ "$2" = "$3" ] \
+      || { echo "error: $1: scrape says '$2', stats says '$3'"; exit 1; }
+  }
+  same queries "$(sample 'sigrule_queries_total{dataset="ci"}')" "$(field s queries)"
+  same null_misses "$(sample 'sigrule_cache_misses_total{cache="null",dataset="ci"}')" \
+    "$(field s null_misses)"
+  SWEEPS="$(field r batched_sweeps)"
+  same batched_sweeps "$(sample 'sigrule_kernel_sweeps_total{mode="batched"}')" "$SWEEPS"
+  [ "$SWEEPS" -gt 0 ] || { echo "error: no batched sweeps counted"; exit 1; }
+  echo "scrape matches stats OK (queries, null_misses, batched_sweeps=$SWEEPS)"
+
   # --slow-query-ms 0 means the cold correct must have logged one
   # structured slow-query record (warn passes the default filter).
   grep -q '"target":"sigrule::serve::slow","msg":"slow query"' "$WORKDIR/srv.err" \
