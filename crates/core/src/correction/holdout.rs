@@ -9,24 +9,187 @@
 //! * FWER: Bonferroni with `m = #candidates` ("HD_BC" / "RH_BC"),
 //! * FDR: Benjamini–Hochberg over the candidates ("HD_BH" / "RH_BH").
 //!
+//! The procedure runs in two steps, the way the permutation approach
+//! collects a null once and decides from it at any α:
+//!
+//! 1. [`HoldoutEvaluation::evaluate`] mines the exploratory part and
+//!    re-scores **every** exploratory rule on the evaluation part, keeping
+//!    its exploratory p-value beside its evaluation coverage, support and
+//!    two-sided Fisher p-value.  This is the expensive, α-independent
+//!    artefact a resident [`Engine`](crate::engine::Engine) caches per
+//!    (mining configuration, seed).  Supports are counted on the evaluation
+//!    part's vertical view: a pattern's cover is the intersection of its
+//!    items' tid lists, and its support the cover's records of the rule's
+//!    class.
+//! 2. [`HoldoutEvaluation::decide`] screens the rules at `α` (in mined
+//!    order) and applies Bonferroni or Benjamini–Hochberg over the
+//!    candidates.  It is cheap and exact for any α and either metric.
+//!
 //! Two partitioning schemes are provided, matching the paper's experiments:
 //! [`holdout_from_parts`] takes a pre-existing split (the paper's
 //! "holdout", which pairs two independently generated sub-datasets), and
 //! [`random_holdout`] splits a single dataset at random ("random holdout").
+//! Each is one evaluation followed by one decision.
 
+use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::correction::{CorrectionResult, ErrorMetric};
-use crate::miner::mine_rules;
+use crate::miner::{mine_rules, mine_rules_cancellable};
 use crate::rule::ClassRule;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sigrule_data::Dataset;
+use sigrule_data::{Dataset, Pattern, TidSet, VerticalDataset};
 use sigrule_stats::{
     benjamini_hochberg_threshold, bonferroni_threshold, FisherTest, RuleCounts, Tail,
 };
 
-/// Runs the holdout procedure on an existing exploratory/evaluation split.
+/// Every rule mined on an exploratory part, re-scored on the evaluation
+/// part: the α-independent half of the holdout procedure.  Rules keep their
+/// mined order; [`decide`](HoldoutEvaluation::decide) turns the evaluation
+/// into a [`CorrectionResult`] at any α and either metric.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HoldoutEvaluation {
+    /// Each rule's p-value on the exploratory part (parallel to `rules`).
+    exploratory_p: Vec<f64>,
+    /// Each rule with its coverage, support and p-value on the evaluation
+    /// part.
+    rules: Vec<ClassRule>,
+}
+
+impl HoldoutEvaluation {
+    /// Mines `exploratory` with `mining` and re-scores every mined rule on
+    /// `evaluation`.  `cancel` is checked between the mining phases and
+    /// before the re-scoring; a fired token aborts with [`Cancelled`].
+    ///
+    /// `mining` is the configuration used on the **exploratory** dataset;
+    /// the paper sets its `min_sup` to half of the value used on the whole
+    /// dataset.
+    pub fn evaluate(
+        exploratory: &Dataset,
+        evaluation: &Dataset,
+        mining: &RuleMiningConfig,
+        cancel: &CancelToken,
+    ) -> Result<HoldoutEvaluation, Cancelled> {
+        cancel.check()?;
+        let vertical = VerticalDataset::from_dataset(exploratory);
+        let mined = mine_rules_cancellable(exploratory, &vertical, mining, cancel)?;
+        cancel.check()?;
+
+        let evaluation_view = VerticalDataset::from_dataset(evaluation);
+        let n_eval = evaluation.n_records();
+        let eval_class_counts = evaluation.class_counts();
+        let fisher = FisherTest::new(n_eval);
+        let rules = mined
+            .rules()
+            .iter()
+            .map(|rule| {
+                let cover = evaluation_cover(&evaluation_view, &rule.pattern);
+                let coverage = cover.len();
+                let support = cover.count_class(evaluation_view.labels(), rule.class);
+                let n_c = eval_class_counts.count(rule.class);
+                let p_value = if n_eval == 0 {
+                    1.0
+                } else {
+                    let counts = RuleCounts::new(n_eval, n_c, coverage, support)
+                        .expect("counts measured on the evaluation dataset are consistent");
+                    fisher.p_value(&counts, Tail::TwoSided)
+                };
+                ClassRule {
+                    pattern: rule.pattern.clone(),
+                    class: rule.class,
+                    coverage,
+                    support,
+                    p_value,
+                }
+            })
+            .collect();
+        Ok(HoldoutEvaluation {
+            exploratory_p: mined.rules().iter().map(|r| r.p_value).collect(),
+            rules,
+        })
+    }
+
+    /// Decides significance at `alpha`: the rules whose exploratory p-value
+    /// is at most `alpha` become the candidates (in mined order), and the
+    /// correction accounts for the candidates only.  `label_prefix`
+    /// distinguishes the paper's two partitioning schemes in reports
+    /// (`"HD"` for the paired construction, `"RH"` for random splits).
+    pub fn decide(&self, metric: ErrorMetric, alpha: f64, label_prefix: &str) -> CorrectionResult {
+        let evaluated: Vec<ClassRule> = self
+            .rules
+            .iter()
+            .zip(&self.exploratory_p)
+            .filter(|(_, &p)| p <= alpha)
+            .map(|(rule, _)| rule.clone())
+            .collect();
+
+        let n_candidates = evaluated.len();
+        let (method, significant, cutoff) = match metric {
+            ErrorMetric::Fwer => {
+                let cutoff = bonferroni_threshold(alpha, n_candidates.max(1));
+                let significant: Vec<bool> =
+                    evaluated.iter().map(|r| r.p_value <= cutoff).collect();
+                (format!("{label_prefix}_BC"), significant, Some(cutoff))
+            }
+            ErrorMetric::Fdr => {
+                if evaluated.is_empty() {
+                    (format!("{label_prefix}_BH"), Vec::new(), None)
+                } else {
+                    let p_values: Vec<f64> = evaluated.iter().map(|r| r.p_value).collect();
+                    let threshold = benjamini_hochberg_threshold(&p_values, alpha, None)
+                        .expect("validated p-values");
+                    let significant: Vec<bool> = p_values.iter().map(|&p| p <= threshold).collect();
+                    (format!("{label_prefix}_BH"), significant, None)
+                }
+            }
+        };
+
+        CorrectionResult {
+            method,
+            metric,
+            alpha,
+            significant,
+            rules: evaluated,
+            p_value_cutoff: cutoff,
+            n_tests: n_candidates,
+        }
+    }
+
+    /// Approximate resident bytes (rules with their pattern items, plus the
+    /// exploratory p-values), for the engine's byte-budget eviction.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.rules.len() * (size_of::<ClassRule>() + size_of::<f64>())
+            + self
+                .rules
+                .iter()
+                .map(|r| std::mem::size_of_val(r.pattern.items()))
+                .sum::<usize>()
+    }
+}
+
+/// The evaluation records `pattern` covers: the intersection of its items'
+/// tid lists.  An item outside the evaluation part's item space (parts
+/// loaded separately) covers no record.
+fn evaluation_cover(vertical: &VerticalDataset, pattern: &Pattern) -> TidSet {
+    let absent = TidSet::empty();
+    let mut item_tids = pattern.items().iter().map(|&item| {
+        if (item as usize) < vertical.n_items() {
+            vertical.item_tids(item)
+        } else {
+            &absent
+        }
+    });
+    let first = item_tids
+        .next()
+        .expect("a mined pattern has at least one item");
+    item_tids.fold(first.clone(), |cover, tids| cover.intersect(tids))
+}
+
+/// Runs the holdout procedure on an existing exploratory/evaluation split:
+/// one [`HoldoutEvaluation::evaluate`] followed by one
+/// [`HoldoutEvaluation::decide`].
 ///
 /// `mining` is the configuration used on the **exploratory** dataset; the
 /// paper sets its `min_sup` to half of the value used on the whole dataset.
@@ -40,72 +203,27 @@ pub fn holdout_from_parts(
     alpha: f64,
     label_prefix: &str,
 ) -> CorrectionResult {
-    // Step 1: discover candidate rules on the exploratory dataset.
-    let mined = mine_rules(exploratory, mining);
-    let candidates: Vec<ClassRule> = mined
-        .rules()
-        .iter()
-        .filter(|r| r.p_value <= alpha)
-        .cloned()
-        .collect();
+    HoldoutEvaluation::evaluate(exploratory, evaluation, mining, &CancelToken::none())
+        .expect("the never-firing token cannot cancel")
+        .decide(metric, alpha, label_prefix)
+}
 
-    // Step 2: re-score every candidate on the evaluation dataset.
-    let n_eval = evaluation.n_records();
-    let eval_class_counts = evaluation.class_counts();
-    let fisher = FisherTest::new(n_eval);
-    let evaluated: Vec<ClassRule> = candidates
-        .iter()
-        .map(|candidate| {
-            let coverage = evaluation.support(&candidate.pattern);
-            let support = evaluation.rule_support(&candidate.pattern, candidate.class);
-            let n_c = eval_class_counts.count(candidate.class);
-            let p_value = if n_eval == 0 {
-                1.0
-            } else {
-                let counts = RuleCounts::new(n_eval, n_c, coverage, support)
-                    .expect("counts measured on the evaluation dataset are consistent");
-                fisher.p_value(&counts, Tail::TwoSided)
-            };
-            ClassRule {
-                pattern: candidate.pattern.clone(),
-                class: candidate.class,
-                coverage,
-                support,
-                p_value,
-            }
-        })
-        .collect();
-
-    // Step 3: correct over the candidate set only.
-    let n_candidates = evaluated.len();
-    let (method, significant, cutoff) = match metric {
-        ErrorMetric::Fwer => {
-            let cutoff = bonferroni_threshold(alpha, n_candidates.max(1));
-            let significant: Vec<bool> = evaluated.iter().map(|r| r.p_value <= cutoff).collect();
-            (format!("{label_prefix}_BC"), significant, Some(cutoff))
-        }
-        ErrorMetric::Fdr => {
-            if evaluated.is_empty() {
-                (format!("{label_prefix}_BH"), Vec::new(), None)
-            } else {
-                let p_values: Vec<f64> = evaluated.iter().map(|r| r.p_value).collect();
-                let threshold = benjamini_hochberg_threshold(&p_values, alpha, None)
-                    .expect("validated p-values");
-                let significant: Vec<bool> = p_values.iter().map(|&p| p <= threshold).collect();
-                (format!("{label_prefix}_BH"), significant, None)
-            }
-        }
-    };
-
-    CorrectionResult {
-        method,
-        metric,
-        alpha,
-        significant,
-        rules: evaluated,
-        p_value_cutoff: cutoff,
-        n_tests: n_candidates,
+/// Splits `whole` into two random halves: the first (exploratory) half
+/// holds `⌊n/2⌋` records chosen by a `seed`ed shuffle, the second the rest.
+/// Record order is preserved within each half.
+pub(crate) fn random_split(whole: &Dataset, seed: u64) -> (Dataset, Dataset) {
+    let n = whole.n_records();
+    let mut indices: Vec<usize> = (0..n).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    indices.shuffle(&mut rng);
+    let half = n / 2;
+    let mut mask = vec![false; n];
+    for &i in indices.iter().take(half) {
+        mask[i] = true;
     }
+    whole
+        .split_by_mask(&mask)
+        .expect("mask has exactly one entry per record")
 }
 
 /// Splits `whole` into two random halves and runs the holdout procedure
@@ -118,18 +236,7 @@ pub fn random_holdout(
     metric: ErrorMetric,
     alpha: f64,
 ) -> CorrectionResult {
-    let n = whole.n_records();
-    let mut indices: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    indices.shuffle(&mut rng);
-    let half = n / 2;
-    let mut mask = vec![false; n];
-    for &i in indices.iter().take(half) {
-        mask[i] = true;
-    }
-    let (exploratory, evaluation) = whole
-        .split_by_mask(&mask)
-        .expect("mask has exactly one entry per record");
+    let (exploratory, evaluation) = random_split(whole, seed);
     holdout_from_parts(&exploratory, &evaluation, mining, metric, alpha, "RH")
 }
 
@@ -161,6 +268,45 @@ mod tests {
         SyntheticGenerator::new(params)
             .unwrap()
             .generate_paired(seed)
+    }
+
+    #[test]
+    fn items_outside_the_evaluation_item_space_cover_no_record() {
+        use sigrule_data::loader::{load_baskets_str, BasketOptions};
+        // Two separately loaded parts: the evaluation file never mentions
+        // `c` or `d`, so its item space is smaller than the exploratory one.
+        let mut explore_text = String::new();
+        let mut eval_text = String::new();
+        for i in 0..40 {
+            let class = if i % 4 == 0 { "no" } else { "yes" };
+            explore_text.push_str(&format!("a b c d label:{class}\n"));
+            eval_text.push_str(&format!("a b label:{class}\n"));
+        }
+        let options = BasketOptions::default();
+        let exploratory = load_baskets_str(&explore_text, &options).unwrap().dataset;
+        let evaluation = load_baskets_str(&eval_text, &options).unwrap().dataset;
+        assert!(exploratory.n_items() > evaluation.n_items());
+
+        let r = holdout_from_parts(
+            &exploratory,
+            &evaluation,
+            &RuleMiningConfig::new(5),
+            ErrorMetric::Fwer,
+            1.0,
+            "HD",
+        );
+        assert!(r.rules.iter().any(|rule| rule
+            .pattern
+            .items()
+            .iter()
+            .any(|&i| i as usize >= evaluation.n_items())));
+        for rule in &r.rules {
+            assert_eq!(rule.coverage, evaluation.support(&rule.pattern));
+            assert_eq!(
+                rule.support,
+                evaluation.rule_support(&rule.pattern, rule.class)
+            );
+        }
     }
 
     #[test]

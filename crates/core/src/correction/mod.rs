@@ -26,6 +26,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::miner::MinedRuleSet;
 use crate::rule::ClassRule;
+use holdout::HoldoutEvaluation;
 use permutation::{PermutationCorrection, PermutationStats};
 use serde::{Deserialize, Serialize};
 use sigrule_data::Dataset;
@@ -105,8 +106,9 @@ impl CorrectionResult {
 ///
 /// The cached fields are strictly optional accelerations: an implementation
 /// must produce **bit-identical** results whether they are present or not
-/// (the permutation null and the static p-value tables are deterministic
-/// functions of the other fields, so this holds by construction).
+/// (the permutation null, the static p-value tables and the holdout
+/// evaluation are deterministic functions of the other fields, so this holds
+/// by construction).
 #[derive(Debug, Clone, Copy)]
 pub struct CorrectionContext<'a> {
     /// The dataset the rules were mined from (needed by data-splitting
@@ -125,6 +127,10 @@ pub struct CorrectionContext<'a> {
     /// Prebuilt static p-value tables for this mined rule set, when the
     /// caller cached them; only consulted when the null must be collected.
     pub tables: Option<&'a SharedTableSet>,
+    /// An already-evaluated random holdout split for this (mining
+    /// configuration, seed), when the caller cached one; `None` makes the
+    /// holdout approach split, mine and re-score on the fly.
+    pub holdout: Option<&'a HoldoutEvaluation>,
 }
 
 impl<'a> CorrectionContext<'a> {
@@ -143,6 +149,7 @@ impl<'a> CorrectionContext<'a> {
             alpha,
             null: None,
             tables: None,
+            holdout: None,
         }
     }
 }
@@ -271,17 +278,32 @@ impl RandomHoldout {
             },
         }
     }
+
+    /// Splits `dataset`, mines the exploratory half and re-scores every
+    /// exploratory rule on the evaluation half: the α- and
+    /// metric-independent artefact a resident engine caches.
+    pub fn evaluate(
+        &self,
+        dataset: &Dataset,
+        cancel: &CancelToken,
+    ) -> Result<HoldoutEvaluation, Cancelled> {
+        let (exploratory, evaluation) = holdout::random_split(dataset, self.seed);
+        HoldoutEvaluation::evaluate(&exploratory, &evaluation, &self.exploratory, cancel)
+    }
 }
 
 impl Correction for RandomHoldout {
     fn apply(&self, ctx: &CorrectionContext<'_>) -> CorrectionResult {
-        holdout::random_holdout(
-            ctx.dataset,
-            self.seed,
-            &self.exploratory,
-            ctx.metric,
-            ctx.alpha,
-        )
+        match ctx.holdout {
+            Some(evaluation) => evaluation.decide(ctx.metric, ctx.alpha, "RH"),
+            None => holdout::random_holdout(
+                ctx.dataset,
+                self.seed,
+                &self.exploratory,
+                ctx.metric,
+                ctx.alpha,
+            ),
+        }
     }
 }
 
@@ -396,6 +418,16 @@ mod tests {
             .unwrap()
             .is_none());
         assert!(hd.collect_null(&ctx, &none).unwrap().is_none());
+        // A cached holdout evaluation decides exactly what a fresh split does.
+        let evaluation = hd.evaluate(&d, &none).unwrap();
+        for metric in [ErrorMetric::Fwer, ErrorMetric::Fdr] {
+            let fresh = CorrectionContext { metric, ..ctx };
+            let cached = CorrectionContext {
+                holdout: Some(&evaluation),
+                ..fresh
+            };
+            assert_eq!(hd.apply(&cached), hd.apply(&fresh));
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   mined rule set and shared across runs ([`SharedTableSet`]);
 //! * permutation null distributions ([`PermutationStats`]) — cached per
 //!   (mining configuration, permutation count, seed), so a warm query at a
-//!   new α never re-permutes.
+//!   new α never re-permutes;
+//! * evaluated random-holdout splits ([`HoldoutEvaluation`]) — cached per
+//!   seed inside the mined rule set's entry, so the FWER and FDR holdout
+//!   rows, and any later α, split and mine the exploratory half once.
 //!
 //! The stages are explicit: [`Loader`] is the **load** stage (file/text →
 //! dataset + warnings), [`Engine`] is the **index + cache** stage, and
@@ -45,6 +48,7 @@
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
+use crate::correction::holdout::HoldoutEvaluation;
 use crate::correction::permutation::PermutationStats;
 use crate::correction::{
     Correction, CorrectionContext, CorrectionResult, DirectAdjustment, ErrorMetric,
@@ -187,13 +191,17 @@ impl From<&RuleMiningConfig> for MiningKey {
 /// depends on — α and the error metric are applied after the fact).
 type NullKey = (MiningKey, usize, u64);
 
-/// One resident mined rule set plus its lazily built static p-value tables.
+/// One resident mined rule set plus its lazily built static p-value tables
+/// and evaluated holdout splits.
 #[derive(Debug)]
 struct MineEntry {
     mined: Arc<MinedRuleSet>,
     /// Built on the first permutation query against this rule set, then
     /// reused by every later one.
     tables: OnceLock<SharedTableSet>,
+    /// One evaluated random-holdout split per seed, filled by the first
+    /// holdout query with that seed.  Evicted with the rule set.
+    holdouts: Mutex<HashMap<u64, Arc<FillCell<HoldoutEntry>>>>,
     /// Approximate bytes of `mined`, computed once at fill time: the rule
     /// set is immutable, and recomputing would walk every forest node on
     /// every stats/eviction pass.
@@ -216,11 +224,30 @@ impl MineEntry {
         }
     }
 
-    /// Approximate resident bytes: the rule set plus its static p-value
-    /// tables (when built).
-    fn bytes(&self) -> usize {
-        self.mined_bytes + self.tables_bytes()
+    /// Approximate resident bytes of the filled holdout evaluations.
+    fn holdout_bytes(&self) -> usize {
+        self.holdouts
+            .lock()
+            .expect("holdout cache lock")
+            .values()
+            .filter_map(|cell| cell.get())
+            .map(|h| h.bytes)
+            .sum()
     }
+
+    /// Approximate resident bytes: the rule set plus its static p-value
+    /// tables and holdout evaluations (when built).
+    fn bytes(&self) -> usize {
+        self.mined_bytes + self.tables_bytes() + self.holdout_bytes()
+    }
+}
+
+/// One resident evaluated holdout split, with its byte size computed once
+/// at fill time (the evaluation is immutable).
+#[derive(Debug)]
+struct HoldoutEntry {
+    evaluation: HoldoutEvaluation,
+    bytes: usize,
 }
 
 /// One resident permutation null distribution.
@@ -514,6 +541,10 @@ pub struct EngineStats {
     pub null_hits: u64,
     /// Permutation-null cache misses (nulls collected).
     pub null_misses: u64,
+    /// Holdout-evaluation cache hits.
+    pub holdout_hits: u64,
+    /// Holdout-evaluation cache misses (splits mined and re-scored).
+    pub holdout_misses: u64,
     /// Queries aborted by their cancellation token (deadline or explicit
     /// cancel) before finishing.
     pub cancelled_queries: u64,
@@ -528,6 +559,8 @@ pub struct EngineStats {
     pub rule_set_bytes: usize,
     /// Approximate bytes held by the resident permutation nulls.
     pub null_bytes: usize,
+    /// Approximate bytes held by the resident holdout evaluations.
+    pub holdout_bytes: usize,
     /// Rule sets evicted so far (byte-budget eviction).
     pub evicted_rule_sets: u64,
     /// Null distributions evicted so far (byte-budget eviction).
@@ -536,16 +569,18 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Total approximate resident cache bytes (rule sets + p-value tables +
-    /// permutation nulls) — the quantity a byte budget bounds.
+    /// permutation nulls + holdout evaluations) — the quantity a byte budget
+    /// bounds.
     pub fn resident_bytes(&self) -> usize {
-        self.rule_set_bytes + self.table_bytes + self.null_bytes
+        self.rule_set_bytes + self.table_bytes + self.null_bytes + self.holdout_bytes
     }
 }
 
 /// The kind of an evictable engine cache entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheEntryKind {
-    /// A mined rule set (plus its static p-value tables).
+    /// A mined rule set (plus its static p-value tables and holdout
+    /// evaluations).
     RuleSet,
     /// A permutation null distribution.
     Null,
@@ -575,6 +610,8 @@ struct Counters {
     mine_misses: Arc<AtomicU64>,
     null_hits: Arc<AtomicU64>,
     null_misses: Arc<AtomicU64>,
+    holdout_hits: Arc<AtomicU64>,
+    holdout_misses: Arc<AtomicU64>,
     cancelled_queries: Arc<AtomicU64>,
     evicted_rule_sets: Arc<AtomicU64>,
     evicted_nulls: Arc<AtomicU64>,
@@ -582,8 +619,8 @@ struct Counters {
 
 /// A dataset-resident query engine: owns one loaded dataset (shared, with a
 /// lazily built vertical index) and answers repeated [`Query`]s, caching
-/// mined rule sets and permutation null distributions.  See the
-/// [module docs](self) for the cache structure.
+/// mined rule sets, permutation null distributions and holdout evaluations.
+/// See the [module docs](self) for the cache structure.
 ///
 /// All methods take `&self`; the engine is `Sync` and is designed to be put
 /// behind an [`Arc`] and queried from many threads at once (`sigrule serve`
@@ -649,6 +686,8 @@ impl Engine {
         m::cache_misses_total(dataset, "mine", &c.mine_misses);
         m::cache_hits_total(dataset, "null", &c.null_hits);
         m::cache_misses_total(dataset, "null", &c.null_misses);
+        m::cache_hits_total(dataset, "holdout", &c.holdout_hits);
+        m::cache_misses_total(dataset, "holdout", &c.holdout_misses);
         m::cache_evictions_total(dataset, "rule_set", &c.evicted_rule_sets);
         m::cache_evictions_total(dataset, "null", &c.evicted_nulls);
         for phase in ["mine", "null", "correct"] {
@@ -737,6 +776,7 @@ impl Engine {
             Ok(MineEntry {
                 mined,
                 tables: OnceLock::new(),
+                holdouts: Mutex::default(),
                 mined_bytes,
                 table_bytes: OnceLock::new(),
                 last_used: AtomicU64::new(0),
@@ -1010,8 +1050,15 @@ impl Engine {
         ctx.null = null_stats.as_deref();
 
         // Decision stage: cheap, never cached (it depends on α and metric).
+        // A holdout query first looks its evaluated split up, filling it on
+        // a miss; the fill counts towards the decision time.
         cancel.check()?;
         let start = Instant::now();
+        let holdout = match query.approach {
+            CorrectionApproach::Holdout => Some(self.holdout_entry(&entry, query)?),
+            _ => None,
+        };
+        ctx.holdout = holdout.as_ref().map(|h| &h.evaluation);
         let result = correction.apply(&ctx);
         let correct_time = start.elapsed();
 
@@ -1028,6 +1075,37 @@ impl Engine {
         })
     }
 
+    /// Fetches (or evaluates and caches) the random-holdout split of
+    /// `query.seed` inside the rule set's entry.  The fill cell blocks
+    /// concurrent identical queries on one evaluation and reverts to empty
+    /// when the query is cancelled mid-fill.
+    fn holdout_entry(
+        &self,
+        entry: &MineEntry,
+        query: &Query,
+    ) -> Result<Arc<HoldoutEntry>, Cancelled> {
+        let cell = entry
+            .holdouts
+            .lock()
+            .expect("holdout cache lock")
+            .entry(query.seed)
+            .or_default()
+            .clone();
+        let (holdout, cached) = cell.get_or_fill(|| {
+            let evaluation = RandomHoldout::from_mining(query.seed, &query.mining)
+                .evaluate(self.shared.dataset(), &query.cancel)?;
+            let bytes = evaluation.resident_bytes();
+            Ok(HoldoutEntry { evaluation, bytes })
+        })?;
+        let counter = if cached {
+            &self.counters.holdout_hits
+        } else {
+            &self.counters.holdout_misses
+        };
+        counter.fetch_add(1, Relaxed);
+        Ok(holdout)
+    }
+
     /// A snapshot of the cache state and hit counters.
     pub fn stats(&self) -> EngineStats {
         let mined = self.mined.lock().expect("mine cache lock");
@@ -1041,6 +1119,11 @@ impl Engine {
             .filter_map(|cell| cell.get())
             .map(|e| e.mined_bytes)
             .sum();
+        let holdout_bytes = mined
+            .values()
+            .filter_map(|cell| cell.get())
+            .map(|e| e.holdout_bytes())
+            .sum();
         let nulls = self.nulls.lock().expect("null cache lock");
         let null_bytes = nulls
             .values()
@@ -1053,21 +1136,24 @@ impl Engine {
             mine_misses: self.counters.mine_misses.load(Relaxed),
             null_hits: self.counters.null_hits.load(Relaxed),
             null_misses: self.counters.null_misses.load(Relaxed),
+            holdout_hits: self.counters.holdout_hits.load(Relaxed),
+            holdout_misses: self.counters.holdout_misses.load(Relaxed),
             cancelled_queries: self.counters.cancelled_queries.load(Relaxed),
             cached_rule_sets: mined.len(),
             cached_nulls: nulls.len(),
             table_bytes,
             rule_set_bytes,
             null_bytes,
+            holdout_bytes,
             evicted_rule_sets: self.counters.evicted_rule_sets.load(Relaxed),
             evicted_nulls: self.counters.evicted_nulls.load(Relaxed),
         }
     }
 
-    /// Total approximate resident cache bytes (rule sets + tables + nulls) —
-    /// what a byte-budget eviction policy bounds.  Entries still being filled
-    /// by a concurrent query are not counted (their size is unknown until the
-    /// fill completes).
+    /// Total approximate resident cache bytes (rule sets + tables + nulls +
+    /// holdout evaluations) — what a byte-budget eviction policy bounds.
+    /// Entries still being filled by a concurrent query are not counted
+    /// (their size is unknown until the fill completes).
     pub fn cache_bytes(&self) -> usize {
         self.stats().resident_bytes()
     }
@@ -1104,10 +1190,11 @@ impl Engine {
     }
 
     /// Evicts the least-recently-used filled cache entry (a mined rule set —
-    /// with its tables — or a permutation null) and returns what was
-    /// dropped.  Queries holding an `Arc` to the evicted artifact keep it
-    /// alive until they finish; a later identical query recomputes it,
-    /// bit-identically (the caches never change semantics, only cost).
+    /// with its tables and holdout evaluations — or a permutation null) and
+    /// returns what was dropped.  Queries holding an `Arc` to the evicted
+    /// artifact keep it alive until they finish; a later identical query
+    /// recomputes it, bit-identically (the caches never change semantics,
+    /// only cost).
     pub fn evict_lru(&self) -> Option<CacheEntry> {
         // Decide between the LRU rule set and the LRU null under both locks,
         // so a concurrent toucher cannot slip between the choice and the

@@ -39,17 +39,17 @@ pub fn queries_cancelled_total(dataset: &str, cell: &Arc<AtomicU64>) {
     );
 }
 
-/// Cache hits by dataset and cache (`mine` or `null`).
+/// Cache hits by dataset and cache (`mine`, `null` or `holdout`).
 pub fn cache_hits_total(dataset: &str, cache: &str, cell: &Arc<AtomicU64>) {
     metrics::expose_counter(
         "sigrule_cache_hits_total",
-        "Engine cache hits, by cache (mine = rule sets, null = permutation nulls).",
+        "Engine cache hits, by cache (mine = rule sets, null = permutation nulls, holdout = evaluated holdout splits).",
         &[("dataset", dataset), ("cache", cache)],
         cell,
     );
 }
 
-/// Cache misses by dataset and cache (`mine` or `null`).
+/// Cache misses by dataset and cache (`mine`, `null` or `holdout`).
 pub fn cache_misses_total(dataset: &str, cache: &str, cell: &Arc<AtomicU64>) {
     metrics::expose_counter(
         "sigrule_cache_misses_total",

@@ -667,11 +667,14 @@ fn engine_stats_fields(resp: &mut ObjectBuilder, engine: &Engine) {
         .number("mine_misses", stats.mine_misses as f64)
         .number("null_hits", stats.null_hits as f64)
         .number("null_misses", stats.null_misses as f64)
+        .number("holdout_hits", stats.holdout_hits as f64)
+        .number("holdout_misses", stats.holdout_misses as f64)
         .number("cached_rule_sets", stats.cached_rule_sets as f64)
         .number("cached_nulls", stats.cached_nulls as f64)
         .number("rule_set_bytes", stats.rule_set_bytes as f64)
         .number("table_bytes", stats.table_bytes as f64)
         .number("null_bytes", stats.null_bytes as f64)
+        .number("holdout_bytes", stats.holdout_bytes as f64)
         .number("resident_bytes", stats.resident_bytes() as f64)
         .number("evicted_rule_sets", stats.evicted_rule_sets as f64)
         .number("evicted_nulls", stats.evicted_nulls as f64);

@@ -319,6 +319,32 @@ mod tests {
     }
 
     #[test]
+    fn evicted_holdout_split_is_recounted_and_recomputed_bit_identically() {
+        let holdout = Query::new(RuleMiningConfig::new(30))
+            .with_correction(CorrectionApproach::Holdout, ErrorMetric::Fdr)
+            .with_seed(5);
+        let registry = EngineRegistry::with_budget(Some(0));
+        let engine = registry.insert("a", Engine::new(synth(6)));
+        let first = engine.query(&holdout).unwrap();
+        let stats = engine.stats();
+        assert!(stats.holdout_bytes > 0);
+        assert_eq!(
+            registry.resident_bytes(),
+            stats.rule_set_bytes + stats.table_bytes + stats.null_bytes + stats.holdout_bytes
+        );
+
+        // A zero budget evicts the rule set, and its holdout split with it.
+        assert!(registry.enforce_budget() > 0);
+        assert_eq!(registry.resident_bytes(), 0);
+        assert_eq!(engine.stats().holdout_bytes, 0);
+
+        let again = engine.query(&holdout).unwrap();
+        let stats = engine.stats();
+        assert_eq!((stats.holdout_hits, stats.holdout_misses), (0, 2));
+        assert_eq!(again.result, first.result);
+    }
+
+    #[test]
     fn unbounded_registry_never_evicts() {
         let registry = EngineRegistry::new();
         let a = registry.insert("a", Engine::new(synth(6)));

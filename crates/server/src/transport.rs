@@ -335,16 +335,35 @@ where
 }
 
 /// [`serve_streams`] with explicit server options (cache byte budget).
-pub fn serve_streams_with<R, W>(reader: R, writer: W, options: ServerOptions) -> i32
+///
+/// Lines are framed exactly as on a socket: capped at 1 MiB, decoded as
+/// lossy UTF-8, so neither an over-long nor a non-UTF-8 line ends the
+/// session — each gets one error answer.
+pub fn serve_streams_with<R, W>(mut reader: R, writer: W, options: ServerOptions) -> i32
 where
     R: BufRead,
     W: Write + Send + 'static,
 {
     let server = Arc::new(SharedServer::new(options));
     let mut conn = ConnDriver::new(server, Box::new(writer));
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if conn.process_line(&line) == LineOutcome::Shutdown {
+    let mut framer = LineFramer::default();
+    loop {
+        let bytes = match reader.fill_buf() {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        };
+        if bytes.is_empty() {
+            // EOF; a trailing unterminated line still gets an answer.
+            if framer.feed(b"\n", &mut conn) == LineOutcome::Shutdown {
+                return 0;
+            }
+            break;
+        }
+        let n = bytes.len();
+        let outcome = framer.feed(bytes, &mut conn);
+        reader.consume(n);
+        if outcome == LineOutcome::Shutdown {
             return 0;
         }
     }
@@ -511,14 +530,16 @@ fn handle_socket_connection<S: SocketStream>(server: Arc<SharedServer>, stream: 
     }
 }
 
-/// The longest request line a socket connection buffers, in bytes.
+/// The longest request line a connection (socket or stdin) buffers, in
+/// bytes.
 /// Requests are a few hundred bytes (a `perm_shard` line is the largest);
 /// a longer line is answered with one `invalid_request` error and skipped
 /// through its newline, so no client can grow the server's memory without
 /// bound.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Splits raw socket reads into request lines under [`MAX_LINE_BYTES`].
+/// Splits raw stream reads (a socket's or stdin's) into request lines under
+/// [`MAX_LINE_BYTES`].
 /// Each read is scanned once, so framing is linear in the bytes received.
 #[derive(Default)]
 struct LineFramer {
@@ -718,6 +739,45 @@ mod tests {
             .collect();
         ids.sort();
         assert_eq!(ids, vec!["a", "b", "c", "d"]);
+    }
+
+    /// Runs one stdin session over raw bytes and returns the parsed
+    /// response lines.
+    fn stdin_session(script: &[u8]) -> Vec<Json> {
+        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        assert_eq!(serve_streams(script, SharedBuf(out.clone())), 0);
+        let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+        text.lines().map(|l| Json::parse(l).unwrap()).collect()
+    }
+
+    #[test]
+    fn stdin_non_utf8_line_is_answered_and_the_session_continues() {
+        let script = b"{\"id\":1,\"cmd\":\"stats\"}\n\xff\xfe\n{\"id\":2,\"cmd\":\"stats\"}\n";
+        let responses = stdin_session(script);
+        assert_eq!(responses.len(), 3, "one answer per line: {responses:?}");
+        assert_eq!(responses[1].get("ok").and_then(Json::as_bool), Some(false));
+        let last = &responses[2];
+        assert_eq!(last.get("id").and_then(Json::as_u64), Some(2));
+        assert_eq!(last.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
+    fn stdin_over_cap_line_gets_one_invalid_request_and_the_next_is_answered() {
+        let mut script = b"{\"id\":1,\"cmd\":\"stats\"}\n".to_vec();
+        script.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES + 1));
+        script.extend_from_slice(b"\n{\"id\":2,\"cmd\":\"stats\"}");
+        let responses = stdin_session(&script);
+        assert_eq!(responses.len(), 3, "{responses:?}");
+        assert_eq!(
+            responses[1].get("code").and_then(Json::as_str),
+            Some("invalid_request")
+        );
+        let message = responses[1].get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains("exceeds"), "{message}");
+        assert!(responses[1].get("id").is_none());
+        let last = &responses[2];
+        assert_eq!(last.get("id").and_then(Json::as_u64), Some(2));
+        assert_eq!(last.get("ok").and_then(Json::as_bool), Some(true));
     }
 
     /// One in-process TCP server, driven by library clients: concurrent

@@ -140,3 +140,40 @@ fn engine_stats_reflect_cache_traffic() {
     assert_eq!(stats.cached_rule_sets, 1);
     assert_eq!(stats.cached_nulls, 1);
 }
+
+/// The holdout rows share one evaluated split per (mining, seed): a cold
+/// FWER query fills it, and the FDR query and queries at new α values hit
+/// it, each answering exactly what the free `random_holdout` answers.  A new
+/// seed is a new split and misses.
+#[test]
+fn holdout_queries_share_one_evaluated_split_per_seed() {
+    let data = dataset(11, 240, 8);
+    let engine = Engine::new(data.clone());
+    let mining = RuleMiningConfig::new(40);
+    let explore = |seed| RandomHoldout::from_mining(seed, &mining).exploratory;
+    let query = |metric, alpha, seed| {
+        base_query(40, CorrectionApproach::Holdout, metric)
+            .with_alpha(alpha)
+            .with_seed(seed)
+    };
+    let cases = [
+        (ErrorMetric::Fwer, 0.05, 23),
+        (ErrorMetric::Fdr, 0.05, 23),
+        (ErrorMetric::Fwer, 0.01, 23),
+        (ErrorMetric::Fdr, 0.2, 23),
+        (ErrorMetric::Fwer, 0.05, 24),
+    ];
+    let mut hits_misses = Vec::new();
+    for (metric, alpha, seed) in cases {
+        let outcome = engine.query(&query(metric, alpha, seed)).unwrap();
+        let free = random_holdout(&data, seed, &explore(seed), metric, alpha);
+        assert_eq!(outcome.result, free, "{metric:?} at {alpha}, seed {seed}");
+        let stats = engine.stats();
+        hits_misses.push((stats.holdout_hits, stats.holdout_misses));
+    }
+    assert_eq!(hits_misses, [(0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]);
+    let stats = engine.stats();
+    assert_eq!(stats.mine_misses, 1, "one whole-dataset rule set");
+    assert!(stats.holdout_bytes > 0);
+    assert!(stats.resident_bytes() >= stats.rule_set_bytes + stats.holdout_bytes);
+}

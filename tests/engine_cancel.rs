@@ -122,3 +122,55 @@ proptest! {
         assert_recovers(&engine, &query, &reference);
     }
 }
+
+/// A holdout query cancelled while its split is being evaluated leaves the
+/// holdout cell empty (no hit, no miss, no bytes), and the retry evaluates
+/// afresh and answers bit-identically to the free `random_holdout`.
+#[test]
+fn cancelled_cold_holdout_leaves_the_cell_empty_and_the_retry_is_bit_identical() {
+    let data = dataset(3, 1500, 10);
+    let query = Query::new(RuleMiningConfig::new(60))
+        .with_correction(CorrectionApproach::Holdout, ErrorMetric::Fdr)
+        .with_seed(31);
+    let explore = RandomHoldout::from_mining(31, &query.mining).exploratory;
+    let reference = random_holdout(&data, 31, &explore, ErrorMetric::Fdr, query.alpha);
+    let engine = Engine::new(data);
+    // Mine the whole dataset first: the holdout query then finds its rule
+    // set cached, and a short deadline fires inside the holdout fill.
+    engine.query(&perm_query(60)).unwrap();
+    let before = engine.stats();
+
+    // Deadlines double from well inside the fill until one lets it finish.
+    let mut cancelled = 0;
+    let mut deadline_us = 300;
+    let first = loop {
+        let token = CancelToken::new().child_with_deadline(Duration::from_micros(deadline_us));
+        match engine.query(&query.clone().with_cancel(token)) {
+            Err(PipelineError::Cancelled(c)) => {
+                assert_eq!(c.reason, CancelReason::DeadlineExceeded);
+                cancelled += 1;
+                let stats = engine.stats();
+                assert_eq!((stats.holdout_hits, stats.holdout_misses), (0, 0));
+                assert_eq!(stats.holdout_bytes, 0, "an aborted fill left residue");
+                assert_eq!(stats.resident_bytes(), before.resident_bytes());
+            }
+            Ok(outcome) => break outcome,
+            Err(other) => panic!("unexpected error: {other:?}"),
+        }
+        deadline_us *= 2;
+    };
+    assert!(
+        cancelled > 0,
+        "the first deadline should land inside the fill"
+    );
+    assert_eq!(first.result, reference);
+    let stats = engine.stats();
+    assert_eq!((stats.holdout_hits, stats.holdout_misses), (0, 1));
+    assert!(stats.holdout_bytes > 0);
+
+    // Warm: a new α decides from the cached split.
+    let warm = engine.query(&query.clone().with_alpha(0.01)).unwrap();
+    assert_eq!(engine.stats().holdout_hits, 1);
+    let free = random_holdout(engine.dataset(), 31, &explore, ErrorMetric::Fdr, 0.01);
+    assert_eq!(warm.result, free);
+}
