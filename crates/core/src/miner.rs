@@ -49,7 +49,10 @@ impl MinedRuleSet {
     }
 
     /// The pattern forest the rules were generated from (mined once; reused
-    /// by every permutation).
+    /// by every permutation).  Every node is a tested pattern: with
+    /// `closed_only` (the default) the forest holds only the closed nodes,
+    /// each parented on its nearest closed ancestor (see
+    /// [`PatternForest::into_closed`]); otherwise it is the full Eclat forest.
     pub fn forest(&self) -> &PatternForest {
         &self.forest
     }
@@ -153,11 +156,17 @@ pub fn mine_rules_with_vertical(
 
 /// [`mine_rules_with_vertical`] with a cooperative [`CancelToken`].
 ///
-/// The token is checked between the three mining phases (pattern forest,
-/// per-class supports, and p-value scoring), so a fired token aborts before
-/// the next phase starts.  Mining is a pure function of `(dataset, config)`;
-/// an abort produces no partial rule set, and a subsequent uncancelled call
-/// over the same inputs is bit-identical to one that was never cancelled.
+/// With `closed_only` set, the mined forest is compacted to its closed nodes
+/// right after mining, so the rule set, the engine cache and every
+/// permutation sweep hold rule nodes only; when every node is already closed
+/// the forest is kept as mined.
+///
+/// The token is checked between the mining phases (pattern forest, closed
+/// compaction, per-class supports, and p-value scoring), so a fired token
+/// aborts before the next phase starts.  Mining is a pure function of
+/// `(dataset, config)`; an abort produces no partial rule set, and a
+/// subsequent uncancelled call over the same inputs is bit-identical to one
+/// that was never cancelled.
 pub fn mine_rules_cancellable(
     dataset: &Dataset,
     vertical: &VerticalDataset,
@@ -174,20 +183,22 @@ pub fn mine_rules_cancellable(
     if let Some(max_len) = config.max_length {
         miner_config = miner_config.with_max_length(max_len);
     }
-    let forest = miner.mine_forest_vertical(vertical, &miner_config);
+    let mut forest = miner.mine_forest_vertical(vertical, &miner_config);
     cancel.check()?;
+
+    // Every node of the forest from here on is a rule LHS.
+    if config.closed_only {
+        let closed = forest.closed_indices();
+        if closed.len() < forest.len() {
+            forest = forest.into_closed(&closed, config.use_diffsets);
+        }
+        cancel.check()?;
+    }
 
     let labels = dataset.class_labels();
     let class_counts: Vec<usize> = dataset.class_counts().as_slice().to_vec();
     let n = dataset.n_records();
     let n_classes = class_counts.len();
-
-    // Which forest nodes become rule LHS.
-    let selected: Vec<usize> = if config.closed_only {
-        forest.closed_indices()
-    } else {
-        (0..forest.len()).collect()
-    };
 
     // Rule supports for every class, computed once on the original labels.
     let mut per_class_supports: Vec<Vec<usize>> = Vec::with_capacity(n_classes);
@@ -205,8 +216,7 @@ pub fn mine_rules_cancellable(
 
     let mut rules = Vec::new();
     let mut rule_nodes = Vec::new();
-    for &node_idx in &selected {
-        let node = &forest.nodes()[node_idx];
+    for (node_idx, node) in forest.nodes().iter().enumerate() {
         let coverage = node.support;
         if n_classes == 2 {
             // One rule per pattern: the class the pattern is positively
@@ -247,7 +257,7 @@ pub fn mine_rules_cancellable(
     }
 
     let tests_per_pattern = if n_classes == 2 { 1 } else { n_classes };
-    let n_tests = selected.len() * tests_per_pattern;
+    let n_tests = forest.len() * tests_per_pattern;
 
     Ok(MinedRuleSet {
         rules,

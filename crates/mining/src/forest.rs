@@ -12,6 +12,14 @@
 //!   parent's rule support and the node's cover in a single pass over the
 //!   forest in depth-first (parent-before-child) order.
 //!
+//! Eclat builds the forest over every frequent pattern, each node's parent
+//! being its set-enumeration parent.  When only closed patterns become rules,
+//! [`PatternForest::into_closed`] then drops every other node: a kept node's
+//! parent becomes its nearest *kept* ancestor and its Diffset is taken against
+//! that ancestor.  This goes beyond the paper and is exact because an
+//! ancestor's tid-set contains its descendant's, so
+//! `supp_c(X) = supp_c(Y) − |diff(Y, X) ∩ c|` holds for any ancestor `Y`.
+//!
 //! [`PatternForest::rule_supports`] is the plain single-permutation pass: it
 //! loads one label per stored id.  The permutation engine instead counts a
 //! whole chunk of permutations at once
@@ -35,13 +43,16 @@ pub struct PatternNode {
     /// Its support (`supp(X)`), i.e. its coverage when used as a rule LHS.
     pub support: usize,
     /// Index of the parent node in the forest, or `None` when the parent is
-    /// the (virtual) empty pattern covering every record.
+    /// the (virtual) empty pattern covering every record.  The parent is a
+    /// sub-pattern covering a superset of the node's records: the
+    /// set-enumeration parent in a mined forest, the nearest kept ancestor
+    /// after [`PatternForest::into_closed`].
     pub parent: Option<usize>,
     /// The stored cover: full tid-set or Diffset relative to the parent.
     pub cover: Cover,
     /// Hash of the pattern's tid-set; two nodes with equal support and equal
-    /// hash almost surely cover the same records (used for closed-pattern
-    /// grouping).
+    /// hash almost surely cover the same records (the grouping key of
+    /// [`PatternForest::closed_indices`], which resolves collisions exactly).
     pub tid_hash: u64,
 }
 
@@ -90,20 +101,11 @@ impl PatternForest {
         self.n_records
     }
 
-    /// Materialises the full tid-set of a node by walking up to the nearest
-    /// ancestor stored as a full tid-set.
+    /// Materialises the full tid-set of a node from its ancestors' covers.
     pub fn tids(&self, index: usize) -> TidSet {
-        let node = &self.nodes[index];
-        match &node.cover {
-            Cover::Tids(t) => t.clone(),
-            Cover::Diffset(_) => {
-                let parent_tids = match node.parent {
-                    Some(p) => self.tids(p),
-                    None => TidSet::full(self.n_records),
-                };
-                node.cover.materialize(&parent_tids)
-            }
-        }
+        self.materialize(&[index])[index]
+            .take()
+            .expect("the target is materialised")
     }
 
     /// Computes `supp(X ⇒ c)` for **every** node in one pass, given the class
@@ -250,13 +252,18 @@ impl PatternForest {
         nodes + heap
     }
 
-    /// Indices of the nodes whose pattern is *closed*: no super-pattern in the
-    /// forest covers exactly the same records (§3 of the paper; Pasquier et
-    /// al.).
+    /// Indices of the nodes whose pattern is *closed*: the unique longest
+    /// pattern in the forest among those covering exactly the same records
+    /// (§3 of the paper; Pasquier et al.).
     ///
-    /// Nodes are grouped by `(support, tid_hash)`; within a group the closed
-    /// pattern is the union of the group's patterns, so a node is closed iff
-    /// its pattern equals that union.
+    /// Nodes are grouped by `(support, tid_hash)`, and a node is closed iff
+    /// its pattern equals the union `U` of its group's patterns.  When some
+    /// member equals `U` the answer is exact without comparing tid-sets:
+    /// every member is a subset of `U` with `U`'s support, so by
+    /// anti-monotonicity each covers `U`'s records.  When no member equals
+    /// `U`, either the hash merged different record sets or a length cap cut
+    /// the closure off; the group is then split by materialised tid-set and
+    /// the union rule applied to each part.
     pub fn closed_indices(&self) -> Vec<usize> {
         use std::collections::HashMap;
         let mut groups: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
@@ -267,19 +274,172 @@ impl PatternForest {
                 .push(i);
         }
         let mut closed = Vec::new();
+        let mut unresolved = Vec::new();
         for indices in groups.values() {
-            let mut union = Pattern::empty();
-            for &i in indices {
-                union = union.union(&self.nodes[i].pattern);
+            match self.union_member(indices) {
+                Some(i) => closed.push(i),
+                None => unresolved.push(indices),
             }
-            for &i in indices {
-                if self.nodes[i].pattern == union {
-                    closed.push(i);
+        }
+        if !unresolved.is_empty() {
+            let targets: Vec<usize> = unresolved.iter().flat_map(|g| g.iter().copied()).collect();
+            let tids = self.materialize(&targets);
+            for group in unresolved {
+                let mut parts: Vec<(&TidSet, Vec<usize>)> = Vec::new();
+                for &i in group {
+                    let own = tids[i].as_ref().expect("every target is materialised");
+                    match parts.iter_mut().find(|(t, _)| *t == own) {
+                        Some((_, members)) => members.push(i),
+                        None => parts.push((own, vec![i])),
+                    }
                 }
+                closed.extend(
+                    parts
+                        .iter()
+                        .filter_map(|(_, members)| self.union_member(members)),
+                );
             }
         }
         closed.sort_unstable();
         closed
+    }
+
+    /// The member of `indices` whose pattern is the union of all of theirs.
+    fn union_member(&self, indices: &[usize]) -> Option<usize> {
+        let union = indices
+            .iter()
+            .fold(Pattern::empty(), |u, &i| u.union(&self.nodes[i].pattern));
+        indices
+            .iter()
+            .copied()
+            .find(|&i| self.nodes[i].pattern == union)
+    }
+
+    /// Flags every node that has one of `targets` strictly below it: the
+    /// nodes a depth-first pass must materialise to reach the targets.
+    fn ancestors_of(&self, targets: &[usize]) -> Vec<bool> {
+        let mut above = vec![false; self.nodes.len()];
+        for &i in targets {
+            if let Some(p) = self.nodes[i].parent {
+                above[p] = true;
+            }
+        }
+        // Parents precede children, so one backward sweep propagates.
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            if let (true, Some(p)) = (above[i], node.parent) {
+                above[p] = true;
+            }
+        }
+        above
+    }
+
+    /// The tid-sets of `targets` (indexed by node; `None` elsewhere), in one
+    /// depth-first pass that materialises only the targets and their
+    /// ancestors.
+    fn materialize(&self, targets: &[usize]) -> Vec<Option<TidSet>> {
+        let above = self.ancestors_of(targets);
+        let mut wanted = vec![false; self.nodes.len()];
+        for &i in targets {
+            wanted[i] = true;
+        }
+        let mut out = vec![None; self.nodes.len()];
+        let full = TidSet::full(self.n_records);
+        let mut path: Vec<(usize, TidSet)> = Vec::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            if !wanted[i] && !above[i] {
+                continue;
+            }
+            while path.last().is_some_and(|&(p, _)| Some(p) != node.parent) {
+                path.pop();
+            }
+            let tids = node
+                .cover
+                .materialize(path.last().map_or(&full, |(_, t)| t));
+            if wanted[i] {
+                out[i] = Some(tids.clone());
+            }
+            if above[i] {
+                path.push((i, tids));
+            }
+        }
+        out
+    }
+
+    /// Compacts the forest to the nodes in `keep` (ascending forest indices,
+    /// typically [`closed_indices`](PatternForest::closed_indices)), in one
+    /// depth-first pass that consumes `self` and frees each dropped cover as
+    /// it goes.
+    ///
+    /// Each kept node moves over with its pattern, support and tid hash, and
+    /// its parent becomes its nearest kept ancestor (or `None`).  A node whose
+    /// parent is kept keeps its cover as mined.  A node whose parent is
+    /// dropped is re-parented: it gets [`Cover::choose`] against its new
+    /// parent's tid-set, or its full tid-set when `use_diffsets` is off (pass
+    /// the miner's setting).  Only re-parented nodes and their ancestors are
+    /// materialised.  Every rule support computed on the compacted forest
+    /// equals the one computed on the full forest, because an ancestor's
+    /// tid-set contains its descendant's.
+    pub fn into_closed(self, keep: &[usize], use_diffsets: bool) -> PatternForest {
+        assert!(
+            keep.windows(2).all(|w| w[0] < w[1])
+                && keep.last().is_none_or(|&i| i < self.nodes.len()),
+            "keep must hold ascending indices into the forest"
+        );
+        let new_index = |old: usize| keep.binary_search(&old).ok();
+        let reparented: Vec<usize> = keep
+            .iter()
+            .copied()
+            .filter(|&i| self.nodes[i].parent.is_some_and(|p| new_index(p).is_none()))
+            .collect();
+        let above = self.ancestors_of(&reparented);
+        let full = TidSet::full(self.n_records);
+        let mut kept = keep.iter().copied().peekable();
+        let mut reparented = reparented.into_iter().peekable();
+        let mut nodes = Vec::with_capacity(keep.len());
+        // The materialised root-to-node path of the nodes above a re-parented
+        // one.
+        let mut path: Vec<(usize, TidSet)> = Vec::new();
+        for (i, node) in self.nodes.into_iter().enumerate() {
+            let is_kept = kept.next_if_eq(&i).is_some();
+            let is_reparented = reparented.next_if_eq(&i).is_some();
+            let mut tids = (is_reparented || above[i]).then(|| {
+                while path.last().is_some_and(|&(p, _)| Some(p) != node.parent) {
+                    path.pop();
+                }
+                node.cover
+                    .materialize(path.last().map_or(&full, |(_, t)| t))
+            });
+            if is_kept {
+                let (parent, cover) = if is_reparented {
+                    let (parent, ancestor_tids) = path
+                        .iter()
+                        .rev()
+                        .find_map(|(old, t)| new_index(*old).map(|n| (Some(n), t)))
+                        .unwrap_or((None, &full));
+                    let own = if above[i] { tids.clone() } else { tids.take() }
+                        .expect("a re-parented node is materialised");
+                    let cover = if use_diffsets {
+                        Cover::choose(ancestor_tids, own)
+                    } else {
+                        Cover::Tids(own)
+                    };
+                    (parent, cover)
+                } else {
+                    (node.parent.and_then(new_index), node.cover)
+                };
+                nodes.push(PatternNode {
+                    pattern: node.pattern,
+                    support: node.support,
+                    parent,
+                    cover,
+                    tid_hash: node.tid_hash,
+                });
+            }
+            if let Some(tids) = tids.filter(|_| above[i]) {
+                path.push((i, tids));
+            }
+        }
+        PatternForest::new(nodes, self.n_records)
     }
 }
 
@@ -326,9 +486,10 @@ impl SupportPlan {
     }
 }
 
-/// Hashes a tid-set with FxHash-style mixing; collisions at equal support are
-/// astronomically unlikely and only affect which pattern is reported as the
-/// closed representative.
+/// Hashes a tid-set with FxHash-style mixing.  Collisions at equal support
+/// are astronomically unlikely; [`PatternForest::closed_indices`] detects and
+/// resolves them by tid-set comparison, so they never change which patterns
+/// are closed.
 pub fn hash_tids(tids: &TidSet) -> u64 {
     let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
     for &t in tids.tids() {
@@ -490,6 +651,135 @@ mod tests {
         ];
         let forest = PatternForest::new(nodes, 5);
         assert_eq!(forest.closed_indices(), vec![1]);
+    }
+
+    #[test]
+    fn closed_indices_survive_a_forged_hash_collision() {
+        // {0} and {0,2} cover {0,1}; {1} covers {2,3}.  All three share one
+        // forged hash at equal support, so the group's union {0,1,2} is no
+        // member's pattern: the closed {0,2} and {1} must still be found.
+        let a = TidSet::from_tids([0, 1]);
+        let b = TidSet::from_tids([2, 3]);
+        let full = TidSet::full(4);
+        let forged = |pattern: Pattern, parent, cover| PatternNode {
+            pattern,
+            support: 2,
+            parent,
+            cover,
+            tid_hash: 42,
+        };
+        let nodes = vec![
+            forged(
+                Pattern::from_items([0]),
+                None,
+                Cover::choose(&full, a.clone()),
+            ),
+            forged(
+                Pattern::from_items([0, 2]),
+                Some(0),
+                Cover::choose(&a, a.clone()),
+            ),
+            forged(
+                Pattern::from_items([1]),
+                None,
+                Cover::choose(&full, b.clone()),
+            ),
+        ];
+        let forest = PatternForest::new(nodes, 4);
+        assert_eq!(forest.closed_indices(), vec![1, 2]);
+    }
+
+    /// A forest over 24 records where attribute 1 mirrors attribute 0, so
+    /// many frequent patterns are not closed.
+    fn redundant_forest(use_diffsets: bool) -> (PatternForest, Vec<ClassId>) {
+        use crate::eclat::EclatMiner;
+        use crate::miner::MinerConfig;
+        use sigrule_data::{Dataset, Record, Schema};
+        let schema = Schema::synthetic(&[2, 2, 2, 3], 2).unwrap();
+        let records: Vec<Record> = (0..24)
+            .map(|i| {
+                let a = usize::from(i % 3 == 0);
+                let items = vec![
+                    schema.item_id(0, a).unwrap(),
+                    schema.item_id(1, a).unwrap(),
+                    schema.item_id(2, usize::from(i % 2 == 0)).unwrap(),
+                    schema.item_id(3, i % 5 % 3).unwrap(),
+                ];
+                Record::new(items, u32::from(i % 4 == 1))
+            })
+            .collect();
+        let d = Dataset::new(schema, records).unwrap();
+        let miner = if use_diffsets {
+            EclatMiner::default()
+        } else {
+            EclatMiner::without_diffsets()
+        };
+        (
+            miner.mine_forest(&d, &MinerConfig::new(2)),
+            d.class_labels(),
+        )
+    }
+
+    #[test]
+    fn into_closed_keeps_rule_nodes_with_identical_supports() {
+        for use_diffsets in [true, false] {
+            let (forest, labels) = redundant_forest(use_diffsets);
+            let keep = forest.closed_indices();
+            assert!(keep.len() < forest.len());
+            let before: Vec<Vec<usize>> =
+                (0..2).map(|c| forest.rule_supports(&labels, c)).collect();
+            let old_tids: Vec<TidSet> = keep.iter().map(|&i| forest.tids(i)).collect();
+            let old_nodes: Vec<PatternNode> =
+                keep.iter().map(|&i| forest.nodes()[i].clone()).collect();
+            let closed = forest.into_closed(&keep, use_diffsets);
+            assert_eq!(closed.len(), keep.len());
+            assert_eq!(closed.closed_indices(), (0..keep.len()).collect::<Vec<_>>());
+            if !use_diffsets {
+                assert_eq!(closed.n_diffsets(), 0);
+            }
+            let full = TidSet::full(closed.n_records());
+            let mut reparented = 0;
+            for (i, node) in closed.nodes().iter().enumerate() {
+                assert_eq!(node.pattern, old_nodes[i].pattern);
+                assert_eq!(node.support, old_nodes[i].support);
+                assert_eq!(node.tid_hash, old_nodes[i].tid_hash);
+                assert_eq!(closed.tids(i), old_tids[i]);
+                // Kept or re-taken, every cover is the paper's choice
+                // against the node's (new) parent.
+                let parent_tids = node.parent.map_or(full.clone(), |p| closed.tids(p));
+                let want = if use_diffsets {
+                    Cover::choose(&parent_tids, old_tids[i].clone())
+                } else {
+                    Cover::Tids(old_tids[i].clone())
+                };
+                assert_eq!(node.cover, want);
+                let parent_len = node.parent.map_or(0, |p| closed.nodes()[p].pattern.len());
+                if let Some(p) = node.parent {
+                    assert!(closed.nodes()[p].pattern.is_subset_of(&node.pattern));
+                }
+                reparented += usize::from(parent_len + 1 < node.pattern.len());
+            }
+            assert!(reparented > 0, "some kept node lost its Eclat parent");
+            for (class, want) in before.iter().enumerate() {
+                let got = closed.rule_supports(&labels, class as ClassId);
+                let want: Vec<usize> = keep.iter().map(|&i| want[i]).collect();
+                assert_eq!(got, want, "diffsets {use_diffsets} class {class}");
+            }
+        }
+    }
+
+    #[test]
+    fn into_closed_with_every_node_kept_is_the_identity() {
+        let (forest, _) = toy_forest();
+        let keep: Vec<usize> = (0..forest.len()).collect();
+        assert_eq!(forest.clone().into_closed(&keep, true), forest);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending indices")]
+    fn into_closed_rejects_unsorted_keep() {
+        let (forest, _) = toy_forest();
+        let _ = forest.into_closed(&[2, 0], true);
     }
 
     #[test]

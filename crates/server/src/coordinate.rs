@@ -368,9 +368,19 @@ pub fn scatter_collect(
     let ranges = partition_ranges(n_permutations, executors.len());
     assert!(!ranges.is_empty(), "scatter_collect needs permutations");
     let total = ranges.len();
+    let mut pending: VecDeque<(usize, usize)> = ranges.into_iter().collect();
+    // Every executor gets its first range before any thread starts, so a
+    // fast executor cannot drain `pending` before a slow one claims at all.
+    let first: Vec<Option<(usize, usize)>> =
+        executors.iter().map(|_| pending.pop_front()).collect();
+    let inflight = first
+        .iter()
+        .enumerate()
+        .filter_map(|(index, range)| range.map(|(start, end)| (start, end, index)))
+        .collect();
     let state = Mutex::new(SchedState {
-        pending: ranges.into_iter().collect(),
-        inflight: Vec::new(),
+        pending,
+        inflight,
         done: BTreeMap::new(),
         total,
         report: ShardReport::default(),
@@ -386,11 +396,15 @@ pub fn scatter_collect(
         for (index, executor) in executors.iter().enumerate() {
             let state = &state;
             let wake = &wake;
+            let mut first = first[index];
             scope.spawn(move || {
                 let _trace = trace.map(sigrule_obs::trace::enter);
                 loop {
-                    // Claim a range: pending first, then steal a straggler.
-                    let claimed = {
+                    // Claim a range: the seeded one, then pending, then
+                    // steal a straggler.
+                    let claimed = if let Some((start, end)) = first.take() {
+                        Some((start, end, false))
+                    } else {
                         let mut sched = lock(state);
                         loop {
                             if sched.fatal.is_some() || sched.done.len() == sched.total {
