@@ -1,4 +1,4 @@
-//! Ablation: Apriori vs Eclat vs FP-growth on the same synthetic dataset.
+//! Ablation: Apriori vs Eclat on the same synthetic dataset.
 //! (The paper only needs *a* frequent pattern miner; this bench documents why
 //! the vertical miner is the default.)
 

@@ -6,7 +6,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::rule::ClassRule;
 use sigrule_data::{ClassId, Dataset, ItemSpace, VerticalDataset};
-use sigrule_mining::{EclatMiner, MinerConfig, PatternForest};
+use sigrule_mining::{mine_closed_forest, EclatMiner, MinerConfig, PatternForest};
 use sigrule_stats::{LogFactorialTable, PValueCache};
 
 /// Default byte budget of the static p-value buffer (the paper's best
@@ -51,8 +51,10 @@ impl MinedRuleSet {
     /// The pattern forest the rules were generated from (mined once; reused
     /// by every permutation).  Every node is a tested pattern: with
     /// `closed_only` (the default) the forest holds only the closed nodes,
-    /// each parented on its nearest closed ancestor (see
-    /// [`PatternForest::into_closed`]); otherwise it is the full Eclat forest.
+    /// each parented on its nearest closed ancestor, mined directly by
+    /// [`mine_closed_forest`] (or, under a length cap, Eclat's forest
+    /// compacted by [`PatternForest::into_closed`]); otherwise it is the
+    /// full Eclat forest.
     pub fn forest(&self) -> &PatternForest {
         &self.forest
     }
@@ -131,9 +133,9 @@ impl MinedRuleSet {
 
 /// Mines class association rules from a dataset and attaches p-values.
 ///
-/// Follows §3 of the paper: frequent patterns are mined once (Eclat over the
-/// set-enumeration tree), only closed patterns are kept as rule left-hand
-/// sides (unless configured otherwise), and every pattern yields one rule for
+/// Follows §3 of the paper: patterns are mined once, only closed patterns are
+/// kept as rule left-hand sides (unless configured otherwise, when Eclat
+/// mines every frequent pattern), and every pattern yields one rule for
 /// two-class data (the class it is positively associated with) or one rule per
 /// class otherwise.
 pub fn mine_rules(dataset: &Dataset, config: &RuleMiningConfig) -> MinedRuleSet {
@@ -156,10 +158,15 @@ pub fn mine_rules_with_vertical(
 
 /// [`mine_rules_with_vertical`] with a cooperative [`CancelToken`].
 ///
-/// With `closed_only` set, the mined forest is compacted to its closed nodes
-/// right after mining, so the rule set, the engine cache and every
-/// permutation sweep hold rule nodes only; when every node is already closed
-/// the forest is kept as mined.
+/// With `closed_only` set the forest holds closed nodes only, so the rule
+/// set, the engine cache and every permutation sweep hold rule nodes only.
+/// Without a length cap the closed patterns are mined directly
+/// ([`mine_closed_forest`], LCM); with `max_length` the full Eclat forest is
+/// mined and then compacted ([`PatternForest::into_closed`]) unless every
+/// node is already closed.  Both give the same forest when the cap never
+/// binds.  `--all-patterns` (`closed_only` off) keeps the full Eclat forest.
+/// The main mine, the holdout's exploratory mine and remote shard workers
+/// all mine through here.
 ///
 /// The token is checked between the mining phases (pattern forest, closed
 /// compaction, per-class supports, and p-value scoring), so a fired token
@@ -174,26 +181,28 @@ pub fn mine_rules_cancellable(
     cancel: &CancelToken,
 ) -> Result<MinedRuleSet, Cancelled> {
     cancel.check()?;
-    let miner = if config.use_diffsets {
-        EclatMiner::default()
+    // Every node of the forest is a rule LHS.  Closed sets without a length
+    // cap are mined directly; under a cap, Eclat's full forest is compacted.
+    let forest = if config.closed_only && config.max_length.is_none() {
+        mine_closed_forest(vertical, config.min_sup, config.use_diffsets)
     } else {
-        EclatMiner::without_diffsets()
-    };
-    let mut miner_config = MinerConfig::new(config.min_sup);
-    if let Some(max_len) = config.max_length {
-        miner_config = miner_config.with_max_length(max_len);
-    }
-    let mut forest = miner.mine_forest_vertical(vertical, &miner_config);
-    cancel.check()?;
-
-    // Every node of the forest from here on is a rule LHS.
-    if config.closed_only {
-        let closed = forest.closed_indices();
-        if closed.len() < forest.len() {
-            forest = forest.into_closed(&closed, config.use_diffsets);
+        let miner = EclatMiner {
+            use_diffsets: config.use_diffsets,
+        };
+        let mut miner_config = MinerConfig::new(config.min_sup);
+        if let Some(max_len) = config.max_length {
+            miner_config = miner_config.with_max_length(max_len);
         }
+        let forest = miner.mine_forest_vertical(vertical, &miner_config);
         cancel.check()?;
-    }
+        match config.closed_only.then(|| forest.closed_indices()) {
+            Some(closed) if closed.len() < forest.len() => {
+                forest.into_closed(&closed, config.use_diffsets)
+            }
+            _ => forest,
+        }
+    };
+    cancel.check()?;
 
     let labels = dataset.class_labels();
     let class_counts: Vec<usize> = dataset.class_counts().as_slice().to_vec();

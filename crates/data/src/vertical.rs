@@ -102,6 +102,67 @@ impl TidSet {
         TidSet { tids: out }
     }
 
+    /// `self ∩ other` when it holds at least `min_len` ids, else `None`.
+    ///
+    /// A branch-free merge (each step advances both sides by comparison
+    /// results instead of a data-dependent jump) that gives up as soon as the
+    /// ids left on the shorter side can no longer reach `min_len`.
+    pub fn intersect_min(&self, other: &TidSet, min_len: usize) -> Option<TidSet> {
+        let (a, b) = (self.tids.as_slice(), other.tids.as_slice());
+        if a.len().min(b.len()) < min_len {
+            return None;
+        }
+        let mut out = Vec::with_capacity(a.len().min(b.len()));
+        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            if k + (a.len() - i).min(b.len() - j) < min_len {
+                return None;
+            }
+            let (x, y) = (a[i], b[j]);
+            // Write every candidate and keep it only when both sides hold it.
+            // Pushing into reserved capacity, not indexing a zero-filled
+            // buffer, leaves the unused capacity's pages untouched.
+            out.truncate(k);
+            out.push(x);
+            k += usize::from(x == y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+        if k < min_len {
+            return None;
+        }
+        out.truncate(k);
+        Some(TidSet { tids: out })
+    }
+
+    /// True when every id of `self` is in `other`.
+    ///
+    /// Rejects on the sizes and the endpoints first, then gallops through
+    /// `other` (exponential then binary search from the last match), so a
+    /// short set is tested against a long one in `O(|self| log |other|)`.
+    pub fn is_subset(&self, other: &TidSet) -> bool {
+        let (sub, sup) = (self.tids.as_slice(), other.tids.as_slice());
+        let (Some(&first), Some(&last)) = (sub.first(), sub.last()) else {
+            return true;
+        };
+        if sub.len() > sup.len() || first < sup[0] || last > sup[sup.len() - 1] {
+            return false;
+        }
+        let mut rest = sup;
+        for &t in sub {
+            let mut step = 1;
+            while step < rest.len() && rest[step] < t {
+                step *= 2;
+            }
+            let window = &rest[..rest.len().min(step + 1)];
+            match window.binary_search(&t) {
+                Ok(pos) => rest = &rest[pos + 1..],
+                Err(_) => return false,
+            }
+        }
+        true
+    }
+
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &TidSet) -> TidSet {
         let mut out = Vec::new();

@@ -2,8 +2,8 @@
 //! with horizontal support counting.
 //!
 //! Kept as the reference baseline: it is the simplest correct miner, so the
-//! property tests use it as an oracle against Eclat and FP-growth, and the
-//! miner-comparison benchmark measures how much the vertical miners gain.
+//! property tests use it as an oracle against Eclat, and the
+//! miner-comparison benchmark measures how much the vertical miner gains.
 
 use crate::miner::{FrequentPattern, FrequentPatternMiner, MinerConfig};
 use sigrule_data::{Dataset, ItemId, Pattern};

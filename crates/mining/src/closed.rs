@@ -5,18 +5,213 @@
 //! pattern is the longest pattern among those patterns that occur in the same
 //! set of records as it, and it is unique."
 //!
-//! Two routes are provided:
+//! Two routes build the closed-only forest the rule miner tests:
 //!
-//! * [`PatternForest::closed_indices`](crate::forest::PatternForest::closed_indices)
-//!   identifies closed patterns from the mined forest using tid-set hashes —
-//!   this is what the rule-mining pipeline uses;
-//! * [`closed_flags`] works on a plain list of frequent patterns (with
-//!   supports only) and is used to cross-check the forest-based result: when
-//!   the list contains *all* frequent patterns, a pattern is closed iff no
-//!   proper super-pattern in the list has the same support.
+//! * [`mine_closed_forest`] mines the closed patterns directly, by LCM's
+//!   prefix-preserving closure extension (Uno, Kiyomi & Arimura, FIMI 2004),
+//!   and never visits a pattern that is not closed.  The rule miner uses it
+//!   whenever patterns have no length cap.  This goes beyond the paper, which
+//!   mines every frequent pattern first.
+//! * Eclat's full forest compacted by
+//!   [`PatternForest::closed_indices`](crate::forest::PatternForest::closed_indices)
+//!   and [`PatternForest::into_closed`](crate::forest::PatternForest::into_closed),
+//!   which identify closed patterns by tid-set hash.  The rule miner takes
+//!   this route under a length cap, where "closed" means the unique longest
+//!   pattern within the cap, which is not a closure property.
+//!
+//! Both routes yield the same forest when there is no cap.  Separately,
+//! [`closed_flags`] works on a plain list of frequent patterns (with
+//! supports only) and cross-checks the forest-based result: when the list
+//! contains *all* frequent patterns, a pattern is closed iff no proper
+//! super-pattern in the list has the same support.
 
+use crate::eclat::ranked_items;
+use crate::forest::{hash_tids, PatternForest, PatternNode};
 use crate::miner::FrequentPattern;
+use sigrule_data::{Cover, ItemId, Pattern, TidSet, VerticalDataset};
 use std::collections::HashMap;
+
+/// Mines the closed frequent patterns of `vertical` (support at least
+/// `min_sup`, no length cap) straight into their closed-only forest.
+///
+/// The result equals, node for node, Eclat's forest compacted to its closed
+/// nodes: `EclatMiner { use_diffsets }.mine_forest_vertical(..)` followed by
+/// `into_closed(&closed_indices(), use_diffsets)`.  That fixes the layout:
+///
+/// * a closed set's position in Eclat's depth-first order is the
+///   lexicographic order of its items' rank sequence (ranks from Eclat's item
+///   order, ascending support then item id), so the closed sets are sorted by
+///   rank sequence;
+/// * its nearest closed Eclat ancestor is its longest proper rank-prefix that
+///   is closed, so that prefix is its parent;
+/// * its cover is [`Cover::choose`] against the parent's tid-set (every
+///   record for a root), or the full tid-set when `use_diffsets` is off.
+///
+/// The closed sets themselves come from LCM: starting from the closure of
+/// the empty pattern, each closed set `P` is extended by every later-ranked
+/// item `i` whose tid-set `T = tids(P ∪ {i})` is frequent and passes the
+/// prefix-preservation test (no earlier-ranked item outside `P` occurs in
+/// every record of `T`).  The extension's closure `Q` adds the later items
+/// that do.  Every closed set is reached exactly once, from the closed set
+/// its prefix below `i` closes to.
+///
+/// `Q`'s parent is known when it is found.  Its rank-prefixes that reach `i`
+/// close to `Q`, and those that reach `P`'s own extension item close to `P`,
+/// so `Q`'s longest closed proper prefix is `P` when `P` has no item ranked
+/// above `i`, and otherwise `P`'s parent.  Each node therefore gets its final
+/// cover at once and no full tid-set outlives the walk.
+pub fn mine_closed_forest(
+    vertical: &VerticalDataset,
+    min_sup: usize,
+    use_diffsets: bool,
+) -> PatternForest {
+    let min_sup = min_sup.max(1);
+    let n_records = vertical.n_records();
+    let items = ranked_items(vertical, min_sup);
+    let full = TidSet::full(n_records);
+    let mut walk = ClosedWalk {
+        items: &items,
+        min_sup,
+        use_diffsets,
+        full: &full,
+        ranks: Vec::new(),
+        rank_ends: Vec::new(),
+        nodes: Vec::new(),
+    };
+
+    // The closure of the empty pattern: the items in every record.
+    let root: Vec<u32> = (0..items.len() as u32)
+        .filter(|&r| vertical.item_support(items[r as usize]) == n_records)
+        .collect();
+    let candidates: Vec<(u32, &TidSet)> = (0..items.len() as u32)
+        .filter(|r| !root.contains(r))
+        .map(|r| (r, vertical.item_tids(items[r as usize])))
+        .collect();
+    let this = (!root.is_empty()).then(|| (walk.push(&root, &full, None), &full));
+    walk.extend(&root, this, None, &candidates, &[]);
+
+    // Into depth-first order, in place: parents precede children, since a
+    // prefix sorts before its extensions.
+    let mut order: Vec<usize> = (0..walk.nodes.len()).collect();
+    order.sort_unstable_by(|&a, &b| walk.ranks_of(a).cmp(walk.ranks_of(b)));
+    let mut nodes = walk.nodes;
+    let mut position = vec![0; order.len()];
+    for (pos, &mined) in order.iter().enumerate() {
+        position[mined] = pos;
+    }
+    for node in &mut nodes {
+        node.parent = node.parent.map(|p| position[p]);
+    }
+    for i in 0..nodes.len() {
+        while position[i] != i {
+            let j = position[i];
+            nodes.swap(i, j);
+            position.swap(i, j);
+        }
+    }
+    PatternForest::new(nodes, n_records)
+}
+
+/// A closed set found by [`ClosedWalk`]: its index in mining order and its
+/// tid-set; `None` is the empty pattern (every record, no node).
+type Found<'t> = Option<(usize, &'t TidSet)>;
+
+/// One run of the closed-pattern walk of [`mine_closed_forest`].
+struct ClosedWalk<'a> {
+    /// Item id of each rank.
+    items: &'a [ItemId],
+    min_sup: usize,
+    use_diffsets: bool,
+    /// Every record: the tid-set a root's cover is taken against.
+    full: &'a TidSet,
+    /// The ascending ranks of every closed set, back to back in mining
+    /// order; set `i`'s end at `rank_ends[i]`.
+    ranks: Vec<u32>,
+    rank_ends: Vec<usize>,
+    /// The node of each closed set, in mining order; parents are
+    /// mining-order indices.
+    nodes: Vec<PatternNode>,
+}
+
+impl ClosedWalk<'_> {
+    /// The ascending ranks of closed set `i` (mining order).
+    fn ranks_of(&self, i: usize) -> &[u32] {
+        let start = if i == 0 { 0 } else { self.rank_ends[i - 1] };
+        &self.ranks[start..self.rank_ends[i]]
+    }
+
+    /// Records the closed set `ranks` with tid-set `tids` under `parent`, and
+    /// returns its index in mining order.
+    fn push(&mut self, ranks: &[u32], tids: &TidSet, parent: Found) -> usize {
+        let parent_tids = parent.map_or(self.full, |(_, t)| t);
+        let node = PatternNode {
+            pattern: Pattern::from_items(ranks.iter().map(|&r| self.items[r as usize])),
+            support: tids.len(),
+            parent: parent.map(|(index, _)| index),
+            cover: if self.use_diffsets {
+                Cover::choose(parent_tids, tids.clone())
+            } else {
+                Cover::Tids(tids.clone())
+            },
+            tid_hash: hash_tids(tids),
+        };
+        self.ranks.extend_from_slice(ranks);
+        self.rank_ends.push(self.ranks.len());
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// Records every closed set reached from the closed set `pattern`
+    /// (ascending ranks; `this` is its own entry, `parent` its parent's) by a
+    /// prefix-preserving extension.
+    ///
+    /// `candidates` holds each later-ranked item outside `pattern` that is
+    /// frequent together with it, with that joint tid-set, in ascending rank
+    /// order.  `earlier` holds, for each earlier-ranked item outside `pattern`
+    /// that could still occur in every record of an extension, its tid-set
+    /// intersected with some ancestor's: enough for the subset test, since
+    /// every extension's tid-set lies inside that ancestor's.
+    fn extend<'t>(
+        &mut self,
+        pattern: &[u32],
+        this: Found<'t>,
+        parent: Found<'t>,
+        candidates: &[(u32, &'t TidSet)],
+        earlier: &[&'t TidSet],
+    ) {
+        for (pos, &(item, tids)) in candidates.iter().enumerate() {
+            let mut before = earlier
+                .iter()
+                .chain(candidates[..pos].iter().map(|(_, t)| t));
+            if before.any(|t| tids.is_subset(t)) {
+                continue;
+            }
+            let mut closed = pattern.to_vec();
+            closed.push(item);
+            let mut next = Vec::new();
+            for &(other, other_tids) in &candidates[pos + 1..] {
+                match tids.intersect_min(other_tids, self.min_sup) {
+                    Some(joined) if joined.len() == tids.len() => closed.push(other),
+                    Some(joined) => next.push((other, joined)),
+                    None => {}
+                }
+            }
+            closed.sort_unstable();
+            let up = if pattern.last().is_none_or(|&r| r < item) {
+                this
+            } else {
+                parent
+            };
+            let index = self.push(&closed, tids, up);
+            if !next.is_empty() {
+                let next: Vec<(u32, &TidSet)> = next.iter().map(|(r, t)| (*r, t)).collect();
+                let mut earlier_next = earlier.to_vec();
+                earlier_next.extend(candidates[..pos].iter().map(|&(_, t)| t));
+                self.extend(&closed, Some((index, tids)), up, &next, &earlier_next);
+            }
+        }
+    }
+}
 
 /// Marks which of the given frequent patterns are closed.
 ///
@@ -65,7 +260,7 @@ mod tests {
     use super::*;
     use crate::eclat::EclatMiner;
     use crate::miner::{FrequentPatternMiner, MinerConfig};
-    use sigrule_data::{Dataset, Pattern, Record, Schema};
+    use sigrule_data::{Dataset, Record, Schema};
 
     #[test]
     fn simple_closure_example() {
@@ -133,5 +328,115 @@ mod tests {
     fn empty_input() {
         assert!(closed_flags(&[]).is_empty());
         assert!(closed_patterns(&[]).is_empty());
+    }
+
+    /// Attribute rows: `rows[r][a]` is the value of attribute `a` in record
+    /// `r`; classes alternate.
+    fn rows(cardinalities: &[usize], rows: &[&[usize]]) -> Dataset {
+        let schema = Schema::synthetic(cardinalities, 2).unwrap();
+        let records = rows
+            .iter()
+            .enumerate()
+            .map(|(r, values)| {
+                let items = values
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &v)| schema.item_id(a, v).unwrap())
+                    .collect();
+                Record::new(items, (r % 2) as u32)
+            })
+            .collect();
+        Dataset::new(schema, records).unwrap()
+    }
+
+    /// The direct forest, after checking it against Eclat's compacted forest
+    /// with and without diffsets.
+    fn direct_checked(d: &Dataset, min_sup: usize) -> PatternForest {
+        let vertical = VerticalDataset::from_dataset(d);
+        for use_diffsets in [false, true] {
+            let eclat = EclatMiner { use_diffsets }
+                .mine_forest_vertical(&vertical, &MinerConfig::new(min_sup));
+            let closed = eclat.closed_indices();
+            let compacted = eclat.into_closed(&closed, use_diffsets);
+            let direct = mine_closed_forest(&vertical, min_sup, use_diffsets);
+            assert_eq!(direct, compacted, "use_diffsets {use_diffsets}");
+        }
+        mine_closed_forest(&vertical, min_sup, true)
+    }
+
+    #[test]
+    fn an_item_in_every_record_closes_the_empty_pattern_into_a_root() {
+        // Attribute 0 has one value: item 0 is in all six records.
+        let d = rows(
+            &[1, 2, 2],
+            &[
+                &[0, 0, 0],
+                &[0, 0, 1],
+                &[0, 1, 0],
+                &[0, 0, 0],
+                &[0, 1, 1],
+                &[0, 0, 1],
+            ],
+        );
+        let forest = direct_checked(&d, 1);
+        let root = forest
+            .nodes()
+            .iter()
+            .find(|n| n.pattern.items() == [0])
+            .expect("the closure of the empty pattern is a node");
+        assert_eq!((root.support, root.parent), (6, None));
+        assert!(forest.nodes().iter().all(|n| n.pattern.contains(0)));
+        for (i, node) in forest.nodes().iter().enumerate() {
+            assert_eq!(forest.tids(i).tids(), d.tids_of(&node.pattern).as_slice());
+        }
+    }
+
+    #[test]
+    fn tied_item_supports_follow_item_ids() {
+        // Every item has support 2 or 3, with several ties at each.
+        let d = rows(
+            &[2, 2, 2],
+            &[&[0, 0, 1], &[0, 1, 0], &[1, 0, 1], &[1, 1, 0], &[0, 0, 0]],
+        );
+        let forest = direct_checked(&d, 1);
+        // The first node extends the lowest-ranked item: the smallest id
+        // among the least frequent.
+        assert_eq!(forest.nodes()[0].pattern.items()[0], 1);
+        let forest = direct_checked(&d, 2);
+        assert!(!forest.is_empty());
+    }
+
+    #[test]
+    fn min_sup_zero_counts_as_one_and_above_the_record_count_mines_nothing() {
+        let d = rows(&[2, 3], &[&[0, 0], &[0, 1], &[1, 2], &[0, 0]]);
+        let vertical = VerticalDataset::from_dataset(&d);
+        assert_eq!(
+            direct_checked(&d, 0),
+            mine_closed_forest(&vertical, 1, true)
+        );
+        let none = direct_checked(&d, 5);
+        assert!(none.is_empty());
+        assert_eq!(none.n_records(), 4);
+    }
+
+    #[test]
+    fn one_record_is_one_root_node() {
+        let d = rows(&[2, 3], &[&[1, 2]]);
+        let forest = direct_checked(&d, 1);
+        assert_eq!(forest.len(), 1);
+        let node = &forest.nodes()[0];
+        assert_eq!(
+            node.pattern,
+            Pattern::from_items(d.records()[0].items().iter().copied())
+        );
+        assert_eq!((node.support, node.parent), (1, None));
+    }
+
+    #[test]
+    fn no_records_mine_nothing() {
+        let d = rows(&[2, 2], &[]);
+        let forest = direct_checked(&d, 1);
+        assert!(forest.is_empty());
+        assert_eq!(forest.n_records(), 0);
     }
 }

@@ -18,19 +18,27 @@ pub struct EclatMiner {
     /// the *stored* representation (and therefore the permutation-engine
     /// cost); the set of mined patterns is identical.
     pub use_diffsets: bool,
-    /// When true, level-1 items are reordered by ascending support before the
-    /// depth-first exploration — the standard Eclat heuristic that keeps
-    /// intermediate tid-sets small.
-    pub reorder_items: bool,
 }
 
 impl Default for EclatMiner {
     fn default() -> Self {
-        EclatMiner {
-            use_diffsets: true,
-            reorder_items: true,
-        }
+        EclatMiner { use_diffsets: true }
     }
+}
+
+/// The frequent items of `vertical` in the order the depth-first miners
+/// extend patterns: ascending support (the standard Eclat heuristic that
+/// keeps intermediate tid-sets small), ties by item id.
+///
+/// Both [`EclatMiner`] and [`mine_closed_forest`](crate::closed::mine_closed_forest)
+/// enumerate in this order, and the closed miner's forest equals Eclat's
+/// compacted one only because they share it.
+pub(crate) fn ranked_items(vertical: &VerticalDataset, min_sup: usize) -> Vec<ItemId> {
+    let mut items: Vec<ItemId> = (0..vertical.n_items() as ItemId)
+        .filter(|&i| vertical.item_support(i) >= min_sup)
+        .collect();
+    items.sort_by_key(|&i| (vertical.item_support(i), i));
+    items
 }
 
 impl EclatMiner {
@@ -39,7 +47,6 @@ impl EclatMiner {
     pub fn without_diffsets() -> Self {
         EclatMiner {
             use_diffsets: false,
-            reorder_items: true,
         }
     }
 
@@ -59,13 +66,10 @@ impl EclatMiner {
         let n_records = vertical.n_records();
 
         // Frequent level-1 items.
-        let mut items: Vec<(ItemId, TidSet)> = (0..vertical.n_items() as ItemId)
-            .filter(|&i| vertical.item_support(i) >= min_sup)
+        let items: Vec<(ItemId, TidSet)> = ranked_items(vertical, min_sup)
+            .into_iter()
             .map(|i| (i, vertical.item_tids(i).clone()))
             .collect();
-        if self.reorder_items {
-            items.sort_by_key(|(_, tids)| tids.len());
-        }
 
         let mut nodes: Vec<PatternNode> = Vec::new();
         let full = TidSet::full(n_records);
@@ -268,29 +272,17 @@ mod tests {
     }
 
     #[test]
+    fn items_rank_by_ascending_support_then_item_id() {
+        // supports: item 0 → 3, 1 → 2, 2 → 3, 3 → 2
+        let vertical = VerticalDataset::from_dataset(&toy());
+        assert_eq!(ranked_items(&vertical, 1), vec![1, 3, 0, 2]);
+        assert_eq!(ranked_items(&vertical, 3), vec![0, 2]);
+    }
+
+    #[test]
     fn high_min_sup_yields_nothing() {
         let d = toy();
         let patterns = EclatMiner::default().mine(&d, &MinerConfig::new(10));
         assert!(patterns.is_empty());
-    }
-
-    #[test]
-    fn reordering_does_not_change_the_result_set() {
-        let d = toy();
-        let with = canonicalize(
-            EclatMiner {
-                reorder_items: true,
-                ..EclatMiner::default()
-            }
-            .mine(&d, &MinerConfig::new(1)),
-        );
-        let without = canonicalize(
-            EclatMiner {
-                reorder_items: false,
-                ..EclatMiner::default()
-            }
-            .mine(&d, &MinerConfig::new(1)),
-        );
-        assert_eq!(with, without);
     }
 }

@@ -13,12 +13,15 @@
 //!   forest in depth-first (parent-before-child) order.
 //!
 //! Eclat builds the forest over every frequent pattern, each node's parent
-//! being its set-enumeration parent.  When only closed patterns become rules,
-//! [`PatternForest::into_closed`] then drops every other node: a kept node's
-//! parent becomes its nearest *kept* ancestor and its Diffset is taken against
-//! that ancestor.  This goes beyond the paper and is exact because an
-//! ancestor's tid-set contains its descendant's, so
-//! `supp_c(X) = supp_c(Y) − |diff(Y, X) ∩ c|` holds for any ancestor `Y`.
+//! being its set-enumeration parent.  When only closed patterns become rules
+//! the forest holds closed nodes only, each parented on its nearest closed
+//! ancestor with its Diffset taken against that ancestor.  Without a length
+//! cap [`mine_closed_forest`](crate::closed::mine_closed_forest) builds it
+//! directly; under a cap, [`PatternForest::into_closed`] compacts Eclat's
+//! forest to the nodes [`PatternForest::closed_indices`] keeps.  This goes
+//! beyond the paper and is exact because an ancestor's tid-set contains its
+//! descendant's, so `supp_c(X) = supp_c(Y) − |diff(Y, X) ∩ c|` holds for any
+//! ancestor `Y`.
 //!
 //! [`PatternForest::rule_supports`] is the plain single-permutation pass: it
 //! loads one label per stored id.  The permutation engine instead counts a
@@ -45,8 +48,8 @@ pub struct PatternNode {
     /// Index of the parent node in the forest, or `None` when the parent is
     /// the (virtual) empty pattern covering every record.  The parent is a
     /// sub-pattern covering a superset of the node's records: the
-    /// set-enumeration parent in a mined forest, the nearest kept ancestor
-    /// after [`PatternForest::into_closed`].
+    /// set-enumeration parent in a mined forest, the nearest closed ancestor
+    /// in a closed-only one.
     pub parent: Option<usize>,
     /// The stored cover: full tid-set or Diffset relative to the parent.
     pub cover: Cover,

@@ -2,8 +2,9 @@
 //!
 //! The paper (§3) maps every attribute/value pair to an item and runs an
 //! existing frequent pattern miner; the correction machinery is agnostic to
-//! which one.  This crate provides three interchangeable miners plus the
-//! pattern-forest representation the permutation engine needs:
+//! which one.  This crate provides two interchangeable frequent pattern
+//! miners, a direct closed-pattern miner, and the pattern-forest
+//! representation the permutation engine needs:
 //!
 //! * [`apriori`] — the classic level-wise algorithm (Agrawal et al.), used as
 //!   a baseline and as an independent oracle in the cross-validation tests;
@@ -11,11 +12,11 @@
 //!   (Rymon) that produces a [`PatternForest`] with
 //!   parent links and Diffset-encoded covers (Zaki & Gouda), exactly the
 //!   structure §4.2.1–4.2.2 of the paper requires;
-//! * [`fpgrowth`] — FP-growth (Han et al.) over an FP-tree, the fastest of
-//!   the three for dense data;
-//! * [`closed`] — closed-pattern identification (Pasquier et al.), since the
-//!   paper generates one rule per *closed* frequent pattern to avoid testing
-//!   duplicated hypotheses.
+//! * [`closed`] — closed patterns (Pasquier et al.), since the paper
+//!   generates one rule per *closed* frequent pattern to avoid testing
+//!   duplicated hypotheses: an LCM miner (Uno, Kiyomi & Arimura) that mines
+//!   the closed-only forest directly, and closed-pattern identification on a
+//!   mined list.
 //!
 //! # Example: mine frequent patterns
 //!
@@ -47,12 +48,10 @@ pub mod apriori;
 pub mod closed;
 pub mod eclat;
 pub mod forest;
-pub mod fpgrowth;
 pub mod miner;
 
 pub use apriori::AprioriMiner;
-pub use closed::closed_flags;
+pub use closed::{closed_flags, mine_closed_forest};
 pub use eclat::EclatMiner;
 pub use forest::{PatternForest, PatternNode, SupportBackend, SupportPlan};
-pub use fpgrowth::FpGrowthMiner;
 pub use miner::{FrequentPattern, FrequentPatternMiner, MinerConfig, MinerKind};

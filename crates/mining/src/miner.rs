@@ -75,11 +75,9 @@ pub trait FrequentPatternMiner {
 pub enum MinerKind {
     /// Level-wise Apriori.
     Apriori,
-    /// Vertical Eclat/dEclat (the default; the only miner that produces a
-    /// [`PatternForest`](crate::forest::PatternForest)).
+    /// Vertical Eclat/dEclat (the default; the frequent pattern miner that
+    /// produces a [`PatternForest`](crate::forest::PatternForest)).
     Eclat,
-    /// FP-growth.
-    FpGrowth,
 }
 
 impl MinerKind {
@@ -88,14 +86,13 @@ impl MinerKind {
         match self {
             MinerKind::Apriori => crate::apriori::AprioriMiner.mine(dataset, config),
             MinerKind::Eclat => crate::eclat::EclatMiner::default().mine(dataset, config),
-            MinerKind::FpGrowth => crate::fpgrowth::FpGrowthMiner.mine(dataset, config),
         }
     }
 
     /// All miner kinds (used by the cross-validation tests and the
     /// miner-comparison benchmark).
-    pub fn all() -> [MinerKind; 3] {
-        [MinerKind::Apriori, MinerKind::Eclat, MinerKind::FpGrowth]
+    pub fn all() -> [MinerKind; 2] {
+        [MinerKind::Apriori, MinerKind::Eclat]
     }
 
     /// Display name.
@@ -103,7 +100,6 @@ impl MinerKind {
         match self {
             MinerKind::Apriori => "apriori",
             MinerKind::Eclat => "eclat",
-            MinerKind::FpGrowth => "fp-growth",
         }
     }
 }
@@ -141,7 +137,6 @@ mod tests {
     fn miner_kind_names() {
         assert_eq!(MinerKind::Apriori.name(), "apriori");
         assert_eq!(MinerKind::Eclat.name(), "eclat");
-        assert_eq!(MinerKind::FpGrowth.name(), "fp-growth");
-        assert_eq!(MinerKind::all().len(), 3);
+        assert_eq!(MinerKind::all().len(), 2);
     }
 }

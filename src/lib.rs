@@ -8,7 +8,7 @@
 //! * [`stats`] — Fisher's exact test, multiple-testing corrections, p-value
 //!   buffering;
 //! * [`data`] — datasets, vertical layouts, discretization, UCI emulators;
-//! * [`mining`] — Apriori, Eclat/dEclat, FP-growth, closed patterns;
+//! * [`mining`] — Apriori, Eclat/dEclat, direct closed-pattern mining (LCM);
 //! * [`synth`] — the Table 1 synthetic data generator;
 //! * [`core`] — class association rules and the three correction approaches;
 //! * [`eval`] — the paper's evaluation methodology, every figure/table, and

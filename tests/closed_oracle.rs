@@ -14,7 +14,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sigrule_repro::mining::{EclatMiner, MinerConfig};
+use sigrule_repro::data::VerticalDataset;
+use sigrule_repro::mining::{mine_closed_forest, EclatMiner, MinerConfig};
 use sigrule_repro::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -303,5 +304,26 @@ proptest! {
         prop_assert_eq!(tid_lists.rules(), closed.rules());
         prop_assert_eq!(tid_lists.forest().n_diffsets(), 0);
         prop_assert_eq!(tid_lists.forest().len(), closed.forest().len());
+    }
+
+    /// (d) Without a length cap, the directly mined closed forest is the
+    /// Eclat forest compacted to its closed nodes, node for node: same
+    /// order, patterns, supports, parents, covers and tid hashes.
+    #[test]
+    fn direct_closed_forest_equals_the_compacted_eclat_forest(
+        (dataset, min_sup, _) in mining_case(),
+        use_diffsets in 0u8..2,
+    ) {
+        let use_diffsets = use_diffsets == 1;
+        let vertical = VerticalDataset::from_dataset(&dataset);
+        let eclat = EclatMiner { use_diffsets }
+            .mine_forest_vertical(&vertical, &MinerConfig::new(min_sup));
+        let closed = eclat.closed_indices();
+        let compacted = eclat.into_closed(&closed, use_diffsets);
+        let direct = mine_closed_forest(&vertical, min_sup, use_diffsets);
+        prop_assert_eq!(&direct, &compacted);
+        let mined =
+            mine_rules(&dataset, &RuleMiningConfig::new(min_sup).with_diffsets(use_diffsets));
+        prop_assert_eq!(mined.forest(), &direct);
     }
 }

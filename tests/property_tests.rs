@@ -3,11 +3,13 @@
 //! p-value validity and monotonicity of the multiple-testing procedures.
 
 use proptest::prelude::*;
+use sigrule_repro::data::TidSet;
 use sigrule_repro::mining::{
-    closed_flags, AprioriMiner, EclatMiner, FpGrowthMiner, FrequentPatternMiner, MinerConfig,
+    closed_flags, AprioriMiner, EclatMiner, FrequentPatternMiner, MinerConfig,
 };
 use sigrule_repro::prelude::*;
 use sigrule_repro::stats::{adjusted_p_values, benjamini_hochberg, AdjustMethod};
+use std::collections::BTreeSet;
 
 /// Strategy: a small random class-labelled dataset (records over `n_attrs`
 /// binary/ternary attributes), plus a minimum support.
@@ -41,11 +43,73 @@ fn small_dataset_strategy() -> impl Strategy<Value = (Dataset, usize)> {
     })
 }
 
+/// Strategy: two sorted tid lists over a small id range, shaped as
+/// unrelated, interleaved-disjoint, identical, a subset of the first, or the
+/// first minus one interior id; plus a length floor.  Lists may be empty.
+fn tid_pair_strategy() -> impl Strategy<Value = (TidSet, TidSet, usize)> {
+    (
+        prop::collection::vec(0u32..80, 0..=40),
+        prop::collection::vec(0u32..80, 0..=40),
+        0u8..5,
+        0usize..=45,
+    )
+        .prop_map(|(a, b, shape, min_len)| {
+            let (a, b): (Vec<u32>, Vec<u32>) = match shape {
+                0 => (a, b),
+                1 => (
+                    a.iter().map(|t| 2 * t).collect(),
+                    b.iter().map(|t| 2 * t + 1).collect(),
+                ),
+                2 => (a.clone(), a),
+                3 => {
+                    let sub = a.iter().copied().filter(|t| b.contains(t)).collect();
+                    (a, sub)
+                }
+                _ => {
+                    let a = TidSet::from_tids(a).tids().to_vec();
+                    let mut b = a.clone();
+                    if !b.is_empty() {
+                        b.remove(b.len() / 2);
+                    }
+                    (a, b)
+                }
+            };
+            (TidSet::from_tids(a), TidSet::from_tids(b), min_len)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The early-exit branch-free merge returns exactly the plain
+    /// intersection when it is long enough, and `None` otherwise.
+    #[test]
+    fn intersect_min_is_intersect_filtered_by_length((a, b, min_len) in tid_pair_strategy()) {
+        let empty = TidSet::empty();
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a), (&a, &empty), (&empty, &b)] {
+            let full = x.intersect(y);
+            let want = (full.len() >= min_len).then_some(full);
+            prop_assert_eq!(x.intersect_min(y, min_len), want);
+        }
+    }
+
+    /// The galloping subset test agrees with `BTreeSet::is_subset`.
+    #[test]
+    fn galloping_subset_matches_btreeset((a, b, _) in tid_pair_strategy()) {
+        let empty = TidSet::empty();
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a), (&a, &empty), (&empty, &b)] {
+            let xs: BTreeSet<u32> = x.tids().iter().copied().collect();
+            let ys: BTreeSet<u32> = y.tids().iter().copied().collect();
+            prop_assert_eq!(x.is_subset(y), xs.is_subset(&ys));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The three miners enumerate exactly the same frequent patterns with the
-    /// same supports.
+    /// Eclat enumerates exactly Apriori's frequent patterns with the same
+    /// supports.
     #[test]
     fn miners_agree((dataset, min_sup) in small_dataset_strategy()) {
         let config = MinerConfig::new(min_sup);
@@ -55,9 +119,7 @@ proptest! {
         };
         let apriori = canon(AprioriMiner.mine(&dataset, &config));
         let eclat = canon(EclatMiner::default().mine(&dataset, &config));
-        let fp = canon(FpGrowthMiner.mine(&dataset, &config));
         prop_assert_eq!(&apriori, &eclat);
-        prop_assert_eq!(&eclat, &fp);
     }
 
     /// Support is anti-monotone: every sub-pattern of a frequent pattern has
