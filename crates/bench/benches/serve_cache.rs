@@ -7,8 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sigrule::engine::{Engine, Query};
-use sigrule::pipeline::CorrectionApproach;
-use sigrule::{ErrorMetric, Pipeline, RuleMiningConfig};
+use sigrule::{CorrectionApproach, ErrorMetric, RuleMiningConfig};
 use sigrule_data::Dataset;
 use sigrule_synth::{SyntheticGenerator, SyntheticParams};
 
@@ -66,21 +65,5 @@ fn bench_warm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The one-shot pipeline, for reference: what a CLI invocation costs end to
-/// end (minus file IO) before the serve mode existed.
-fn bench_one_shot(c: &mut Criterion) {
-    let data = dataset();
-    let pipeline = Pipeline::new(MIN_SUP)
-        .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
-        .with_permutations(N_PERMUTATIONS)
-        .with_seed(7);
-    let mut group = c.benchmark_group("serve_cache");
-    group.sample_size(10);
-    group.bench_function("one_shot_pipeline", |b| {
-        b.iter(|| black_box(pipeline.run_dataset(&data).unwrap()))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_cold, bench_warm, bench_one_shot);
+criterion_group!(benches, bench_cold, bench_warm);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! A small dependency-free `--flag value` / `--flag=value` argument parser
 //! and the option set shared by every subcommand.
 
-use sigrule::pipeline::CorrectionApproach;
+use sigrule::CorrectionApproach;
 use sigrule::{ErrorMetric, RuleMiningConfig};
 use sigrule_data::loader::{BasketOptions, LoadOptions};
 use sigrule_data::InputFormat;

@@ -3,10 +3,9 @@
 use crate::args::{parse_correction, ArgMap, CommonOpts, UsageError};
 use crate::output::{method_summary_row, significant_rules_table, Report};
 use sigrule::cancel::CancelToken;
-use sigrule::engine::{Engine, Loader};
-use sigrule::pipeline::{CorrectionApproach, Pipeline, PipelineError};
-use sigrule::ErrorMetric;
-use sigrule_data::{Dataset, InputFormat, SharedDataset};
+use sigrule::engine::{Engine, Loader, Query};
+use sigrule::{CorrectionApproach, ErrorMetric, PipelineError};
+use sigrule_data::{Dataset, InputFormat};
 use sigrule_eval::report::Table;
 use sigrule_server::coordinate::{self, DistributedNull, ShardSpec};
 use sigrule_server::json::ObjectBuilder;
@@ -45,25 +44,24 @@ fn millis(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Builds the pipeline a [`CommonOpts`] set describes for `n_records`
+/// Builds the engine query a [`CommonOpts`] set describes for `n_records`
 /// records.
-fn pipeline_for(
+fn query_for(
     opts: &CommonOpts,
     n_records: usize,
     approach: CorrectionApproach,
     metric: ErrorMetric,
-) -> Pipeline {
-    let mut pipeline = Pipeline::new(opts.effective_min_sup(n_records))
-        .with_load(opts.load_options())
-        .with_mining(opts.mining_config(n_records))
-        .with_correction(approach, metric)
-        .with_alpha(opts.alpha)
-        .with_permutations(opts.permutations)
-        .with_seed(opts.seed);
-    if let Some(n) = opts.threads {
-        pipeline = pipeline.with_threads(n);
+) -> Query {
+    Query {
+        mining: opts.mining_config(n_records),
+        approach,
+        metric,
+        alpha: opts.alpha,
+        n_permutations: opts.permutations,
+        seed: opts.seed,
+        threads: opts.threads,
+        cancel: CancelToken::none(),
     }
-    pipeline
 }
 
 /// Fails the command when `--strict` was given and the loader produced
@@ -146,15 +144,13 @@ pub fn mine(args: &ArgMap) -> Result<Report, CliError> {
     let (approach, metric) = parse_correction(args)?;
 
     let (dataset, warnings, format, load_ms) = load_input(&opts)?;
-    let pipeline = pipeline_for(&opts, dataset.n_records(), approach, metric);
-    // Share the loaded dataset with the engine instead of copying it (on
-    // large inputs run_dataset's seeding clone would double peak memory).
-    let shared = SharedDataset::new(dataset);
-    let run = pipeline.run_shared(&shared)?;
+    let query = query_for(&opts, dataset.n_records(), approach, metric);
+    let engine = Engine::new(dataset);
+    let run = engine.query(&query)?;
 
     let mut report = Report::new("mine");
     report.warnings = warnings;
-    dataset_summary(&mut report, &opts, shared.dataset(), format);
+    dataset_summary(&mut report, &opts, engine.dataset(), format);
     report.add("rules_mined", run.mined.rules().len());
     report.add("hypothesis_tests", run.mined.n_tests());
     report.add("correction", run.result.method.clone());
@@ -170,7 +166,10 @@ pub fn mine(args: &ArgMap) -> Result<Report, CliError> {
     report.add("significant", run.result.n_significant());
     report.add("load_ms", format!("{load_ms:.1}"));
     report.add("mine_ms", format!("{:.1}", millis(run.timings.mine)));
-    report.add("correct_ms", format!("{:.1}", millis(run.timings.correct)));
+    report.add(
+        "correct_ms",
+        format!("{:.1}", millis(run.timings.null + run.timings.correct)),
+    );
     report.tables.push(significant_rules_table(&run, opts.top));
     Ok(report)
 }
@@ -293,8 +292,7 @@ pub fn correct(args: &ArgMap) -> Result<Report, CliError> {
         ],
     );
     for (approach, metric) in method_roster() {
-        let query = pipeline_for(&opts, n_records, approach, metric).query();
-        let outcome = engine.query(&query)?;
+        let outcome = engine.query(&query_for(&opts, n_records, approach, metric))?;
         table.push_row(method_summary_row(
             &outcome.result,
             millis(outcome.timings.null + outcome.timings.correct),
@@ -378,8 +376,7 @@ pub fn bench(args: &ArgMap) -> Result<Report, CliError> {
         if approach == CorrectionApproach::None {
             continue;
         }
-        let query = pipeline_for(&opts, n_records, approach, metric).query();
-        let outcome = engine.query(&query)?;
+        let outcome = engine.query(&query_for(&opts, n_records, approach, metric))?;
         table.push_row(vec![
             "correct".into(),
             format!("{} ({})", outcome.result.method, metric.label()),

@@ -82,7 +82,7 @@ pub fn run_eval(argv: &[String]) -> RunOutcome {
         let run = || runner.run(&grid);
         match threads {
             Some(n) => {
-                let pool = match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
+                let pool = match sigrule::correction::permutation::rayon_pool(n) {
                     Ok(pool) => pool,
                     Err(e) => return RunOutcome::runtime_error(&format!("thread pool: {e}")),
                 };

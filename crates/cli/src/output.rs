@@ -7,7 +7,7 @@
 
 use crate::args::Format;
 use sigrule::rule::sort_by_significance;
-use sigrule::{ClassRule, PipelineRun};
+use sigrule::{ClassRule, QueryOutcome};
 use sigrule_eval::report::{fmt_float, json_string, Table};
 
 /// A subcommand's printable result.
@@ -89,12 +89,12 @@ impl Report {
     }
 }
 
-/// Builds the significant-rules table of a pipeline run: rules sorted by
+/// Builds the significant-rules table of a query's outcome: rules sorted by
 /// ascending p-value, capped at `top` rows (0 = no cap).
 ///
 /// This is the table the end-to-end tests compare against the library API,
 /// so the CLI binary and the test build it through the same code.
-pub fn significant_rules_table(run: &PipelineRun, top: usize) -> Table {
+pub fn significant_rules_table(run: &QueryOutcome, top: usize) -> Table {
     let mut rules: Vec<ClassRule> = run
         .result
         .significant_rules()

@@ -6,7 +6,7 @@
 //! * the server may answer a tormented request with a structured error
 //!   (`code` + `error_kind` per the taxonomy in `docs/SERVE.md`), but
 //!   every *successful* answer is bit-identical to a clean one-shot
-//!   [`Pipeline`] run;
+//!   `Loader` → `Engine` → `Query` run;
 //! * an aborted cache fill leaves the once-cell cold, never partial — a
 //!   retry redoes the work and matches bit for bit;
 //! * the server never hangs or leaks workers: every test ends in an
@@ -17,8 +17,8 @@
 //! hard `timeout`, so a hang fails instead of stalling the pipeline.
 #![cfg(feature = "faults")]
 
-use sigrule::pipeline::{CorrectionApproach, Pipeline};
-use sigrule::ErrorMetric;
+use sigrule::engine::{Loader, Query};
+use sigrule::{CorrectionApproach, ErrorMetric, RuleMiningConfig};
 use sigrule_server::json::Json;
 use sigrule_server::transport::ListenAddr;
 use sigrule_server::{ClientStream, RetryPolicy};
@@ -132,11 +132,15 @@ struct Reference {
 }
 
 fn reference(min_sup: usize, permutations: usize, seed: u64) -> Reference {
-    let one_shot = Pipeline::new(min_sup)
+    let query = Query::new(RuleMiningConfig::new(min_sup))
         .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
         .with_permutations(permutations)
-        .with_seed(seed)
-        .run_file(fixture())
+        .with_seed(seed);
+    let one_shot = Loader::default()
+        .load_file(fixture())
+        .unwrap()
+        .into_engine()
+        .query(&query)
         .unwrap();
     let mut rules: Vec<_> = one_shot
         .result

@@ -3,10 +3,10 @@
 //! over stdin, and assert the JSON responses — the second (warm) permutation
 //! correction must be answered without re-mining or re-permuting (the stage
 //! timings prove it), and both responses must be bit-identical to a one-shot
-//! `Pipeline` run with the same seed.
+//! `Loader` → `Engine` → `Query` run with the same seed.
 
-use sigrule::pipeline::{CorrectionApproach, Pipeline};
-use sigrule::ErrorMetric;
+use sigrule::engine::{Loader, Query};
+use sigrule::{CorrectionApproach, ErrorMetric, RuleMiningConfig};
 use sigrule_server::json::Json;
 use std::io::Write;
 use std::path::PathBuf;
@@ -128,12 +128,16 @@ fn warm_serve_answers_match_one_shot_pipeline_bit_for_bit() {
         assert_eq!(cold.get(field), warm.get(field), "field {field}");
     }
 
-    // ... and bit-identical to a one-shot Pipeline run with the same seed.
-    let one_shot = Pipeline::new(8)
+    // ... and bit-identical to a one-shot run with the same seed.
+    let query = Query::new(RuleMiningConfig::new(8))
         .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
         .with_permutations(200)
-        .with_seed(17)
-        .run_file(&path)
+        .with_seed(17);
+    let one_shot = Loader::default()
+        .load_file(&path)
+        .unwrap()
+        .into_engine()
+        .query(&query)
         .unwrap();
     assert_eq!(
         warm.get("significant").and_then(Json::as_u64),

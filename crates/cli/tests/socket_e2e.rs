@@ -3,21 +3,24 @@
 //! and Unix sockets with many concurrent clients, and assert that
 //!
 //! * warm and cold answers — whichever client asked — are bit-identical to
-//!   a fresh one-shot [`Pipeline`] run (cutoff and per-rule p-values);
+//!   a fresh one-shot `Loader` → `Engine` → `Query` run (cutoff and
+//!   per-rule p-values);
 //! * a byte budget that forces eviction changes costs, never answers, and
 //!   registry resident bytes stay under the budget;
 //! * `shutdown` drains in-flight async workers on *other* connections
 //!   before the process exits (the drain regression test);
 //! * the `sigrule client` subcommand pipes a whole session;
 //! * a request line over the 1 MiB cap is answered with `invalid_request`
-//!   and skipped, without closing the connection.
+//!   and skipped, without closing the connection;
+//! * a long multi-byte string line is parsed in linear time, while other
+//!   connections keep answering.
 //!
 //! Every client read carries a hard timeout, so a hung accept loop or a
 //! lost response fails the test in seconds instead of stalling CI (the CI
 //! job additionally wraps this test binary in a `timeout`).
 
-use sigrule::pipeline::{CorrectionApproach, Pipeline};
-use sigrule::ErrorMetric;
+use sigrule::engine::{Loader, Query};
+use sigrule::{CorrectionApproach, ErrorMetric, RuleMiningConfig};
 use sigrule_server::json::Json;
 use sigrule_server::transport::ListenAddr;
 use sigrule_server::ClientStream;
@@ -111,11 +114,15 @@ struct Reference {
 }
 
 fn reference(min_sup: usize, permutations: usize, seed: u64) -> Reference {
-    let one_shot = Pipeline::new(min_sup)
+    let query = Query::new(RuleMiningConfig::new(min_sup))
         .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
         .with_permutations(permutations)
-        .with_seed(seed)
-        .run_file(fixture())
+        .with_seed(seed);
+    let one_shot = Loader::default()
+        .load_file(fixture())
+        .unwrap()
+        .into_engine()
+        .query(&query)
         .unwrap();
     let mut rules: Vec<_> = one_shot
         .result
@@ -446,6 +453,41 @@ fn oversized_line_is_rejected_before_its_newline_and_the_connection_survives() {
     let resp = Json::parse(line.trim()).expect("stats answer is JSON");
     assert_ok(&resp);
     assert_eq!(resp.get("cmd").and_then(Json::as_str), Some("stats"));
+
+    assert_ok(&other.request(r#"{"cmd":"shutdown"}"#).unwrap());
+    served.assert_clean_exit();
+}
+
+/// A line just under the 1 MiB cap whose string field is all two-byte
+/// characters: the connection that sent it is answered within seconds (a
+/// structured rejection of the unknown field), and another connection's
+/// `stats` is answered meanwhile.  A JSON parser that rescans the rest of
+/// the line per character would pin a core for minutes on this line.
+#[test]
+fn long_multibyte_string_line_is_answered_promptly() {
+    const PROMPT: Duration = Duration::from_secs(30);
+    let served = ServedProcess::spawn("tcp:127.0.0.1:0", &[]);
+    let mut hostile = served.connect();
+    hostile.set_read_timeout(Some(PROMPT)).unwrap();
+    let payload = "é".repeat(500_000);
+    hostile
+        .send(&format!(r#"{{"cmd":"stats","x":"{payload}"}}"#))
+        .unwrap();
+
+    let mut other = served.connect();
+    other.set_read_timeout(Some(PROMPT)).unwrap();
+    let resp = other.request(r#"{"cmd":"stats"}"#).unwrap();
+    assert_eq!(resp.get("cmd").and_then(Json::as_str), Some("stats"));
+    assert_ok(&resp);
+
+    let answer = hostile
+        .read_response()
+        .expect("the long line is answered promptly");
+    assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        answer.get("code").and_then(Json::as_str),
+        Some("invalid_request")
+    );
 
     assert_ok(&other.request(r#"{"cmd":"shutdown"}"#).unwrap());
     served.assert_clean_exit();

@@ -10,10 +10,10 @@
 //! [`CancelToken::child_with_deadline`] observes its parent's cancellation
 //! (a dead connection cancels every request it had in flight) while adding
 //! its own per-request deadline.  [`CancelToken::none`] is a zero-cost
-//! never-cancelled token for call sites that do not participate — the
-//! one-shot [`Pipeline`](crate::pipeline::Pipeline) and existing infallible
-//! entry points use it, so their behavior (and their answers) are
-//! untouched.
+//! never-cancelled token for call sites that do not participate — a
+//! [`Query`](crate::engine::Query) carries it by default, and the one-shot
+//! CLI commands and existing infallible entry points use it, so their
+//! behavior (and their answers) are untouched.
 //!
 //! ```
 //! use sigrule::cancel::{CancelReason, CancelToken};

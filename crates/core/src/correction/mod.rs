@@ -16,7 +16,8 @@
 //! set, metric, α, plus any engine-cached artifacts) and produces a
 //! [`CorrectionResult`].  The free functions remain the reference entry
 //! points; the trait is what the session-oriented
-//! [`Engine`](crate::engine::Engine) dispatches.
+//! [`Engine`](crate::engine::Engine) dispatches, picking the implementation
+//! a query's [`CorrectionApproach`] names.
 
 pub mod direct;
 pub mod holdout;
@@ -31,6 +32,8 @@ use permutation::{PermutationCorrection, PermutationStats};
 use serde::{Deserialize, Serialize};
 use sigrule_data::Dataset;
 use sigrule_stats::SharedTableSet;
+use std::fmt;
+use std::str::FromStr;
 
 /// Which error rate a correction controls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -48,6 +51,123 @@ impl ErrorMetric {
         match self {
             ErrorMetric::Fwer => "FWER",
             ErrorMetric::Fdr => "FDR",
+        }
+    }
+}
+
+/// Which of the paper's correction approaches a query applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum CorrectionApproach {
+    /// Raw p-values at α ("No correction").
+    None,
+    /// Direct adjustment (§4.1): Bonferroni for FWER, Benjamini–Hochberg for
+    /// FDR.
+    #[default]
+    Direct,
+    /// Permutation-based (§4.2), using the parallel bitset engine.
+    Permutation,
+    /// Random holdout (§4.3): split, discover on one half, validate on the
+    /// other.
+    Holdout,
+}
+
+/// An unrecognised correction-approach name; the message lists the accepted
+/// spellings so a CLI can surface it verbatim.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseCorrectionApproachError {
+    /// The name that failed to parse.
+    pub input: String,
+}
+
+impl fmt::Display for ParseCorrectionApproachError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "unknown correction approach {:?}: expected one of none, direct, \
+             bonferroni (bc), bh (benjamini-hochberg), permutation (perm), \
+             or holdout (random-holdout)",
+            self.input
+        )
+    }
+}
+
+impl std::error::Error for ParseCorrectionApproachError {}
+
+impl FromStr for CorrectionApproach {
+    type Err = ParseCorrectionApproachError;
+
+    /// Parses a CLI-style name (`none`, `direct` / `bonferroni` / `bh`,
+    /// `permutation`, `holdout`); the error names every accepted value.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        CorrectionApproach::parse_with_metric(name).map(|(approach, _)| approach)
+    }
+}
+
+impl CorrectionApproach {
+    /// Parses a CLI-style name together with the error metric it implies
+    /// (`bonferroni` implies FWER, `bh` implies FDR; the other names imply
+    /// nothing).
+    pub fn parse_with_metric(
+        name: &str,
+    ) -> Result<(CorrectionApproach, Option<ErrorMetric>), ParseCorrectionApproachError> {
+        match name.to_ascii_lowercase().as_str() {
+            "none" => Ok((CorrectionApproach::None, None)),
+            "direct" => Ok((CorrectionApproach::Direct, None)),
+            "bonferroni" | "bc" => Ok((CorrectionApproach::Direct, Some(ErrorMetric::Fwer))),
+            "bh" | "benjamini-hochberg" => Ok((CorrectionApproach::Direct, Some(ErrorMetric::Fdr))),
+            "permutation" | "perm" => Ok((CorrectionApproach::Permutation, None)),
+            "holdout" | "random-holdout" => Ok((CorrectionApproach::Holdout, None)),
+            _ => Err(ParseCorrectionApproachError {
+                input: name.to_string(),
+            }),
+        }
+    }
+
+    /// Resolves a user-supplied correction name and metric name pair into an
+    /// approach + metric, applying the defaults and the implied-metric rules
+    /// every front end shares (`bonferroni` implies FWER, `bh` implies FDR;
+    /// no correction defaults to `direct`, no metric to FWER; naming both a
+    /// metric-implying correction and a *different* metric is an error).
+    /// Both the CLI flags and the serve protocol go through this, so the two
+    /// surfaces cannot drift.
+    pub fn resolve(
+        correction: Option<&str>,
+        metric: Option<&str>,
+    ) -> Result<(CorrectionApproach, ErrorMetric), String> {
+        let (approach, implied) = match correction {
+            None => (CorrectionApproach::Direct, None),
+            Some(name) => CorrectionApproach::parse_with_metric(name).map_err(|e| e.to_string())?,
+        };
+        let metric = match metric {
+            None => implied.unwrap_or(ErrorMetric::Fwer),
+            Some(name) => {
+                let requested = match name.to_ascii_lowercase().as_str() {
+                    "fwer" => ErrorMetric::Fwer,
+                    "fdr" => ErrorMetric::Fdr,
+                    other => return Err(format!("metric must be fwer or fdr (got {other:?})")),
+                };
+                if let Some(implied) = implied {
+                    if implied != requested {
+                        return Err(format!(
+                            "correction {} controls {} and contradicts metric {name}",
+                            correction.unwrap_or_default(),
+                            implied.label(),
+                        ));
+                    }
+                }
+                requested
+            }
+        };
+        Ok((approach, metric))
+    }
+
+    /// CLI-facing name of the approach.
+    pub fn label(&self) -> &'static str {
+        match self {
+            CorrectionApproach::None => "none",
+            CorrectionApproach::Direct => "direct",
+            CorrectionApproach::Permutation => "permutation",
+            CorrectionApproach::Holdout => "holdout",
         }
     }
 }
@@ -134,8 +254,8 @@ pub struct CorrectionContext<'a> {
 }
 
 impl<'a> CorrectionContext<'a> {
-    /// A context with no cached artifacts — the one-shot configuration every
-    /// [`Pipeline`](crate::pipeline::Pipeline) run uses.
+    /// A context with no cached artifacts: the correction collects whatever
+    /// it needs itself.
     pub fn fresh(
         dataset: &'a Dataset,
         mined: &'a MinedRuleSet,
@@ -437,5 +557,53 @@ mod tests {
         assert!(strict.is_empty() || strict.n_significant() > 0);
         let lax = no_correction(&m, 1.0);
         assert_eq!(lax.n_significant(), m.rules().len());
+    }
+
+    #[test]
+    fn approach_names_parse() {
+        assert_eq!(
+            "permutation".parse::<CorrectionApproach>(),
+            Ok(CorrectionApproach::Permutation)
+        );
+        assert_eq!(
+            CorrectionApproach::parse_with_metric("BC"),
+            Ok((CorrectionApproach::Direct, Some(ErrorMetric::Fwer)))
+        );
+        assert_eq!(
+            CorrectionApproach::parse_with_metric("bh"),
+            Ok((CorrectionApproach::Direct, Some(ErrorMetric::Fdr)))
+        );
+        // The shared front-end resolution rules.
+        assert_eq!(
+            CorrectionApproach::resolve(None, None),
+            Ok((CorrectionApproach::Direct, ErrorMetric::Fwer))
+        );
+        assert_eq!(
+            CorrectionApproach::resolve(Some("bh"), None),
+            Ok((CorrectionApproach::Direct, ErrorMetric::Fdr))
+        );
+        assert_eq!(
+            CorrectionApproach::resolve(Some("permutation"), Some("FDR")),
+            Ok((CorrectionApproach::Permutation, ErrorMetric::Fdr))
+        );
+        assert!(CorrectionApproach::resolve(Some("bh"), Some("fwer")).is_err());
+        assert!(CorrectionApproach::resolve(None, Some("neither")).is_err());
+        let err = "nope".parse::<CorrectionApproach>().unwrap_err();
+        let message = err.to_string();
+        for name in [
+            "none",
+            "direct",
+            "bonferroni",
+            "bh",
+            "permutation",
+            "holdout",
+        ] {
+            assert!(
+                message.contains(name),
+                "error should name {name}: {message}"
+            );
+        }
+        assert!(message.contains("nope"));
+        assert_eq!(CorrectionApproach::Holdout.label(), "holdout");
     }
 }

@@ -352,11 +352,17 @@ impl PartialPermutationStats {
         let end = read_word(bytes, 1) as usize;
         let n_minima = read_word(bytes, 2) as usize;
         let n_rules = read_word(bytes, 3) as usize;
-        let expected = HEADER_WORDS * 8 + encoded_stats_bytes(n_minima, n_rules);
-        if bytes.len() != expected {
+        // The counts come off the wire: sum them with checked arithmetic, so
+        // a hostile header cannot wrap the implied length into a match.
+        let expected = n_minima
+            .checked_add(n_rules)
+            .and_then(|words| words.checked_add(HEADER_WORDS + 1))
+            .and_then(|words| words.checked_mul(8));
+        if expected != Some(bytes.len()) {
             return Err(MergeError(format!(
-                "encoded shard is {} bytes, header implies {expected}",
-                bytes.len()
+                "encoded shard is {} bytes, header implies {}",
+                bytes.len(),
+                expected.map_or("more than fits".to_string(), |n| n.to_string())
             )));
         }
         if start > end || (n_minima != end - start && !(n_rules == 0 && n_minima == 0)) {
@@ -1421,6 +1427,23 @@ mod tests {
         let mut header_lies = bytes.clone();
         header_lies[16] ^= 0xff; // minima count no longer matches the length
         assert!(PartialPermutationStats::from_bytes(&header_lies).is_err());
+    }
+
+    #[test]
+    fn hostile_shard_header_is_rejected_not_a_panic() {
+        // start=0, end=u64::MAX, n_minima=u64::MAX, n_rules=0: unchecked,
+        // 32 + (u64::MAX + 0 + 1) * 8 wraps to exactly these 32 bytes.
+        let mut header = Vec::new();
+        for word in [0, u64::MAX, u64::MAX, 0] {
+            header.extend_from_slice(&word.to_le_bytes());
+        }
+        assert!(PartialPermutationStats::from_bytes(&header).is_err());
+        // Counts that overflow only once multiplied into bytes, too.
+        let mut header = Vec::new();
+        for word in [0, 0, u64::MAX / 8, u64::MAX / 8] {
+            header.extend_from_slice(&word.to_le_bytes());
+        }
+        assert!(PartialPermutationStats::from_bytes(&header).is_err());
     }
 
     #[test]

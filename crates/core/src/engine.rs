@@ -1,8 +1,17 @@
 //! The session-oriented engine: load a dataset once, answer many queries.
 //!
-//! A one-shot [`Pipeline`](crate::pipeline::Pipeline) re-runs every stage per
-//! call, but most of what it builds is reusable across queries that only vary
-//! the significance level, error metric, or correction approach:
+//! The paper's workflow is one loop: mine the rules once, then apply one
+//! correction to them (§4).  This module is that loop, in three explicit
+//! stages: [`Loader`] is the **load** stage (file/text → dataset +
+//! warnings), [`Engine`] is the **index + cache** stage, and
+//! [`Query`]/[`QueryOutcome`] are the **query** stage.  A one-shot run is
+//! `Loader` → `Engine` → `Query`; a resident `sigrule serve` process keeps
+//! the engine and answers many queries, so both paths run the same code and
+//! warm answers are bit-identical to cold ones — the engine is a caching
+//! layer, never a semantics change.
+//!
+//! Most of what a query builds is reusable across queries that only vary the
+//! significance level, error metric, or correction approach:
 //!
 //! * the loaded dataset and its vertical (tid-set) index — shared via
 //!   [`SharedDataset`], built lazily, once;
@@ -16,29 +25,27 @@
 //!   seed inside the mined rule set's entry, so the FWER and FDR holdout
 //!   rows, and any later α, split and mine the exploratory half once.
 //!
-//! The stages are explicit: [`Loader`] is the **load** stage (file/text →
-//! dataset + warnings), [`Engine`] is the **index + cache** stage, and
-//! [`Query`]/[`QueryOutcome`] are the **query** stage.  `Pipeline` composes
-//! all three for the one-shot case, so both paths run the same code and warm
-//! answers are bit-identical to cold ones — the engine is a caching layer,
-//! never a semantics change.
-//!
 //! ```
-//! use sigrule::engine::{Engine, Query};
-//! use sigrule::pipeline::CorrectionApproach;
-//! use sigrule::{ErrorMetric, RuleMiningConfig};
-//! # use sigrule_synth::{SyntheticGenerator, SyntheticParams};
+//! use sigrule::engine::{Loader, Query};
+//! use sigrule::{CorrectionApproach, ErrorMetric, RuleMiningConfig};
 //!
-//! # let params = SyntheticParams::default().with_records(300).with_attributes(8)
-//! #     .with_rules(1).with_coverage(60, 60).with_confidence(0.9, 0.9);
-//! # let (dataset, _) = SyntheticGenerator::new(params).unwrap().generate(1);
-//! let engine = Engine::new(dataset);
-//! let query = Query::new(RuleMiningConfig::new(30))
+//! let csv = "\
+//! weather,ground,grass
+//! rain,wet,green
+//! rain,wet,green
+//! rain,wet,green
+//! sun,dry,brown
+//! sun,dry,brown
+//! sun,dry,green
+//! ";
+//! let engine = Loader::default().load_csv_str(csv).unwrap().into_engine();
+//! let query = Query::new(RuleMiningConfig::new(2))
 //!     .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
 //!     .with_permutations(50);
 //!
 //! let cold = engine.query(&query).unwrap();
 //! assert!(!cold.mined_cached);
+//! assert!(cold.mined.rules().len() > 0);
 //!
 //! // Same mining config and null model, different α: everything is cached.
 //! let warm = engine.query(&query.clone().with_alpha(0.01)).unwrap();
@@ -49,28 +56,73 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::correction::holdout::HoldoutEvaluation;
-use crate::correction::permutation::PermutationStats;
+use crate::correction::permutation::{rayon_pool, PermutationCorrection, PermutationStats};
 use crate::correction::{
-    Correction, CorrectionContext, CorrectionResult, DirectAdjustment, ErrorMetric,
-    PermutationApproach, RandomHoldout, Uncorrected,
+    Correction, CorrectionApproach, CorrectionContext, CorrectionResult, DirectAdjustment,
+    ErrorMetric, PermutationApproach, RandomHoldout, Uncorrected,
 };
 use crate::miner::{mine_rules_cancellable, MinedRuleSet};
-use crate::pipeline::{CorrectionApproach, PipelineError};
 use sigrule_data::loader::{
     detect_format_with, load_baskets_file, load_baskets_str, load_csv_file, load_csv_str,
     BasketOptions, InputFormat, LoadOptions, LoadWarning,
 };
-use sigrule_data::{Dataset, SharedDataset};
+use sigrule_data::{DataError, Dataset, SharedDataset};
 use sigrule_stats::SharedTableSet;
 use std::collections::HashMap;
+use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+/// An error raised while loading a dataset or answering a [`Query`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum PipelineError {
+    /// Loading or validating the dataset failed.
+    Data(DataError),
+    /// The query itself is invalid.
+    Config(String),
+    /// The query's [`CancelToken`] fired — deadline or explicit cancel —
+    /// before the work finished.  The engine cache is left cold (never
+    /// partial); an identical retry redoes the work and stays bit-identical.
+    Cancelled(Cancelled),
+}
+
+impl fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PipelineError::Data(e) => write!(f, "{e}"),
+            PipelineError::Config(reason) => write!(f, "invalid configuration: {reason}"),
+            PipelineError::Cancelled(c) => write!(f, "{c}"),
+        }
+    }
+}
+
+impl std::error::Error for PipelineError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            PipelineError::Data(e) => Some(e),
+            PipelineError::Config(_) => None,
+            PipelineError::Cancelled(_) => None,
+        }
+    }
+}
+
+impl From<DataError> for PipelineError {
+    fn from(e: DataError) -> Self {
+        PipelineError::Data(e)
+    }
+}
+
+impl From<Cancelled> for PipelineError {
+    fn from(c: Cancelled) -> Self {
+        PipelineError::Cancelled(c)
+    }
+}
+
 /// The load stage: turns a file or text into a dataset plus loader warnings,
-/// in a fixed or auto-detected input format.  Shared by the one-shot
-/// [`Pipeline`](crate::pipeline::Pipeline) and the `sigrule serve` process.
+/// in a fixed or auto-detected input format.  Shared by the one-shot CLI
+/// commands and the `sigrule serve` process.
 #[derive(Debug, Clone, Default)]
 pub struct Loader {
     /// CSV/TSV parsing and discretization options.
@@ -196,8 +248,8 @@ type NullKey = (MiningKey, usize, u64);
 #[derive(Debug)]
 struct MineEntry {
     mined: Arc<MinedRuleSet>,
-    /// Built on the first permutation query against this rule set, then
-    /// reused by every later one.
+    /// Built on the first permutation null against this rule set, then
+    /// reused by every later one (see [`MineEntry::tables`]).
     tables: OnceLock<SharedTableSet>,
     /// One evaluated random-holdout split per seed, filled by the first
     /// holdout query with that seed.  Evicted with the rule set.
@@ -215,6 +267,15 @@ struct MineEntry {
 }
 
 impl MineEntry {
+    /// The rule set's static p-value tables, built on first use.  They
+    /// depend only on the rules and the static buffer budget, whose default
+    /// is the same for every permutation count and seed, so every null and
+    /// shard against this rule set shares one build.
+    fn tables(&self) -> &SharedTableSet {
+        self.tables
+            .get_or_init(|| PermutationCorrection::default().build_shared_tables(&self.mined))
+    }
+
     /// Approximate resident bytes of the built static p-value tables (zero
     /// until they exist).
     fn tables_bytes(&self) -> usize {
@@ -257,6 +318,14 @@ struct NullEntry {
     /// LRU stamp: the engine clock value of the last query that touched this
     /// entry.
     last_used: AtomicU64,
+}
+
+/// What a null-cache lookup returned: the stats, whether the cache already
+/// held them, and the time spent collecting them (zero on a hit).
+struct NullLookup {
+    stats: Arc<PermutationStats>,
+    cached: bool,
+    elapsed: Duration,
 }
 
 /// The state of a [`FillCell`]: never filled, being filled by one thread, or
@@ -357,8 +426,8 @@ impl<T> FillCell<T> {
 }
 
 /// One query against a resident [`Engine`]: which rules to mine and how to
-/// correct them.  Everything the one-shot pipeline configures per run, minus
-/// the input source (the engine already holds the dataset).
+/// correct them.  Everything a run configures except the input source (the
+/// engine already holds the dataset).
 #[derive(Debug, Clone)]
 pub struct Query {
     /// Rule-mining configuration (cache key of the mined rule set).
@@ -631,7 +700,7 @@ pub struct Engine {
     load_time: Duration,
     warnings: Vec<LoadWarning>,
     /// The `dataset` label this engine's metrics and log events carry
-    /// (`"local"` for one-shot pipelines; a registry overwrites it with the
+    /// (`"local"` for one-shot runs; a registry overwrites it with the
     /// served dataset name).  Observation only — never part of a cache key.
     label: String,
     mined: Mutex<HashMap<MiningKey, Arc<FillCell<MineEntry>>>>,
@@ -801,23 +870,10 @@ impl Engine {
     pub fn mined_with_tables(
         &self,
         config: &RuleMiningConfig,
-        n_permutations: usize,
-        seed: u64,
         cancel: &CancelToken,
     ) -> Result<(Arc<MinedRuleSet>, SharedTableSet), Cancelled> {
         let (entry, _elapsed, _cached) = self.mine_entry(config, cancel)?;
-        let tables = entry
-            .tables
-            .get_or_init(|| {
-                PermutationApproach {
-                    n_permutations,
-                    seed,
-                }
-                .correction()
-                .build_shared_tables(&entry.mined)
-            })
-            .clone();
-        Ok((entry.mined.clone(), tables))
+        Ok((entry.mined.clone(), entry.tables().clone()))
     }
 
     /// Fills (or fetches) the permutation-null cache entry for
@@ -829,9 +885,9 @@ impl Engine {
     /// collection: concurrent identical queries block on it instead of
     /// duplicating the work, and if it errors or panics the cell reverts to
     /// empty — the cache is **cold or complete, never partial**, whatever a
-    /// worker fleet does.  Mining and the shared static p-value tables are
-    /// resolved through the usual caches first, so the collector receives
-    /// exactly the inputs a local run would.
+    /// worker fleet does.  Mining and, on a miss, the shared static p-value
+    /// tables are resolved through the usual caches, so the collector
+    /// receives exactly the inputs a local run would.
     ///
     /// The caller contracts that the collector's output is bit-identical to
     /// [`collect_stats`](crate::correction::permutation::PermutationCorrection::collect_stats)
@@ -856,6 +912,24 @@ impl Engine {
     {
         let (entry, _mine_time, _mined_cached) = self.mine_entry(mining, cancel)?;
         let key: NullKey = (MiningKey::from(mining), n_permutations, seed);
+        let null = self.null_stats(&entry, key, cancel, |tables| {
+            collect(&entry.mined, tables, cancel)
+        })?;
+        Ok((null.stats, null.cached))
+    }
+
+    /// The one copy of the null-cache protocol: looks the null of `key` up
+    /// and, on a miss, builds the rule set's static tables and fills the
+    /// cell with `collect`.  The fill cell blocks concurrent identical
+    /// requests on the one collector and reverts to empty if `collect`
+    /// errors or panics.  Bumps the hit/miss counters and the LRU stamp.
+    fn null_stats<E: From<Cancelled>>(
+        &self,
+        entry: &MineEntry,
+        key: NullKey,
+        cancel: &CancelToken,
+        collect: impl FnOnce(&SharedTableSet) -> Result<PermutationStats, E>,
+    ) -> Result<NullLookup, E> {
         let cell = self
             .nulls
             .lock()
@@ -863,35 +937,44 @@ impl Engine {
             .entry(key)
             .or_default()
             .clone();
-        cancel.check()?;
-        let tables = entry.tables.get_or_init(|| {
-            PermutationApproach {
-                n_permutations,
-                seed,
+        let (null_entry, cached, elapsed) = match cell.get() {
+            Some(resident) => (resident, true, Duration::ZERO),
+            None => {
+                cancel.check()?;
+                let tables = entry.tables();
+                let start = Instant::now();
+                let (filled, cached) = cell.get_or_fill(|| -> Result<NullEntry, E> {
+                    cancel.check()?;
+                    Ok(NullEntry {
+                        stats: Arc::new(collect(tables)?),
+                        last_used: AtomicU64::new(0),
+                    })
+                })?;
+                let elapsed = if cached {
+                    Duration::ZERO
+                } else {
+                    start.elapsed()
+                };
+                (filled, cached, elapsed)
             }
-            .correction()
-            .build_shared_tables(&entry.mined)
-        });
-        let (null_entry, cached) = cell.get_or_fill(|| -> Result<NullEntry, Cancelled> {
-            cancel.check()?;
-            let stats = collect(&entry.mined, tables, cancel)?;
-            Ok(NullEntry {
-                stats: Arc::new(stats),
-                last_used: AtomicU64::new(0),
-            })
-        })?;
-        if cached {
-            self.counters.null_hits.fetch_add(1, Relaxed);
+        };
+        let counter = if cached {
+            &self.counters.null_hits
         } else {
-            self.counters.null_misses.fetch_add(1, Relaxed);
-        }
+            &self.counters.null_misses
+        };
+        counter.fetch_add(1, Relaxed);
         null_entry.last_used.store(self.tick(), Relaxed);
-        Ok((null_entry.stats.clone(), cached))
+        Ok(NullLookup {
+            stats: null_entry.stats.clone(),
+            cached,
+            elapsed,
+        })
     }
 
     /// Answers one query, consulting and populating the caches.  Warm results
-    /// are bit-identical to cold ones (and to a one-shot
-    /// [`Pipeline`](crate::pipeline::Pipeline) run with the same parameters).
+    /// are bit-identical to cold ones (and to a fresh engine's answer to the
+    /// same query).
     ///
     /// The query's [`CancelToken`] is checked between permutation chunks and
     /// mining phases; once it fires the query returns
@@ -964,90 +1047,32 @@ impl Engine {
         cancel.check()?;
         let (entry, mine_time, mined_cached) = self.mine_entry(&query.mining, cancel)?;
         let correction = query.correction();
-
-        let mut ctx = CorrectionContext::fresh(
-            self.shared.dataset(),
-            &entry.mined,
-            query.metric,
-            query.alpha,
-        );
+        let dataset = self.shared.dataset();
+        let ctx = CorrectionContext::fresh(dataset, &entry.mined, query.metric, query.alpha);
 
         // Null stage: look the cacheable null up, collecting it on a miss
-        // (under a pinned thread pool when the query asks for one).  The
-        // fill cell blocks concurrent identical queries on the one collector.
-        let mut null_time = Duration::ZERO;
-        let mut null_cached = None;
-        let null_stats: Option<Arc<PermutationStats>> = match query.null_key() {
+        // (under a pinned thread pool when the query asks for one).
+        let null = match query.null_key() {
             None => None,
-            Some(key) => {
-                let cell = self
-                    .nulls
-                    .lock()
-                    .expect("null cache lock")
-                    .entry(key)
-                    .or_default()
-                    .clone();
-                if cell.get().is_none() {
-                    // Probably cold: prepare the shared tables and (when
-                    // requested) the pinned pool before entering the cell, so
-                    // pool-build errors can still be reported.
-                    cancel.check()?;
-                    let tables = entry.tables.get_or_init(|| {
-                        PermutationApproach {
-                            n_permutations: query.n_permutations,
-                            seed: query.seed,
-                        }
-                        .correction()
-                        .build_shared_tables(&entry.mined)
-                    });
-                    ctx.tables = Some(tables);
-                    let pool = match query.threads {
-                        Some(n) => Some(
-                            rayon::ThreadPoolBuilder::new()
-                                .num_threads(n)
-                                .build()
-                                .map_err(|e| PipelineError::Config(format!("thread pool: {e}")))?,
-                        ),
-                        None => None,
-                    };
-                    let start = Instant::now();
-                    let (null_entry, cached) =
-                        cell.get_or_fill(|| -> Result<NullEntry, Cancelled> {
-                            cancel.check()?;
-                            let collect = || {
-                                correction.collect_null(&ctx, cancel).map(|stats| {
-                                    stats.expect("a correction with a null key collects a null")
-                                })
-                            };
-                            let stats = match &pool {
-                                Some(pool) => pool.install(collect),
-                                None => collect(),
-                            }?;
-                            Ok(NullEntry {
-                                stats: Arc::new(stats),
-                                last_used: AtomicU64::new(0),
-                            })
-                        })?;
-                    if cached {
-                        self.counters.null_hits.fetch_add(1, Relaxed);
-                        null_cached = Some(true);
-                    } else {
-                        null_time = start.elapsed();
-                        self.counters.null_misses.fetch_add(1, Relaxed);
-                        null_cached = Some(false);
-                    }
-                    null_entry.last_used.store(self.tick(), Relaxed);
-                    Some(null_entry.stats.clone())
-                } else {
-                    self.counters.null_hits.fetch_add(1, Relaxed);
-                    null_cached = Some(true);
-                    let null_entry = cell.get().expect("null cell is full above");
-                    null_entry.last_used.store(self.tick(), Relaxed);
-                    Some(null_entry.stats.clone())
+            Some(key) => Some(self.null_stats(&entry, key, cancel, |tables| {
+                let ctx = CorrectionContext {
+                    tables: Some(tables),
+                    ..ctx
+                };
+                let collect = || {
+                    correction
+                        .collect_null(&ctx, cancel)
+                        .map(|stats| stats.expect("a correction with a null key collects a null"))
+                };
+                match query.threads {
+                    Some(n) => rayon_pool(n)
+                        .map_err(|e| PipelineError::Config(format!("thread pool: {e}")))?
+                        .install(collect),
+                    None => collect(),
                 }
-            }
+                .map_err(PipelineError::from)
+            })?),
         };
-        ctx.null = null_stats.as_deref();
 
         // Decision stage: cheap, never cached (it depends on α and metric).
         // A holdout query first looks its evaluated split up, filling it on
@@ -1058,7 +1083,11 @@ impl Engine {
             CorrectionApproach::Holdout => Some(self.holdout_entry(&entry, query)?),
             _ => None,
         };
-        ctx.holdout = holdout.as_ref().map(|h| &h.evaluation);
+        let ctx = CorrectionContext {
+            null: null.as_ref().map(|n| &*n.stats),
+            holdout: holdout.as_ref().map(|h| &h.evaluation),
+            ..ctx
+        };
         let result = correction.apply(&ctx);
         let correct_time = start.elapsed();
 
@@ -1067,11 +1096,11 @@ impl Engine {
             result,
             timings: QueryTimings {
                 mine: mine_time,
-                null: null_time,
+                null: null.as_ref().map_or(Duration::ZERO, |n| n.elapsed),
                 correct: correct_time,
             },
             mined_cached,
-            null_cached,
+            null_cached: null.map(|n| n.cached),
         })
     }
 
@@ -1256,7 +1285,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Pipeline;
     use sigrule_synth::{SyntheticGenerator, SyntheticParams};
 
     fn synth(seed: u64) -> Dataset {
@@ -1330,6 +1358,7 @@ mod tests {
             (CorrectionApproach::Permutation, ErrorMetric::Fwer),
             (CorrectionApproach::Permutation, ErrorMetric::Fdr),
             (CorrectionApproach::Holdout, ErrorMetric::Fwer),
+            (CorrectionApproach::Holdout, ErrorMetric::Fdr),
         ] {
             for alpha in [0.05, 0.01] {
                 let query = Query::new(RuleMiningConfig::new(30))
@@ -1338,13 +1367,8 @@ mod tests {
                     .with_seed(7)
                     .with_alpha(alpha);
                 let warm = engine.query(&query).unwrap();
-                let one_shot = Pipeline::new(30)
-                    .with_correction(approach, metric)
-                    .with_permutations(40)
-                    .with_seed(7)
-                    .with_alpha(alpha)
-                    .run_dataset(&dataset)
-                    .unwrap();
+                // The one-shot run: a fresh engine answering one query.
+                let one_shot = Engine::new(dataset.clone()).query(&query).unwrap();
                 assert_eq!(
                     warm.result, one_shot.result,
                     "{approach:?}/{metric:?}@{alpha}"
@@ -1368,14 +1392,22 @@ mod tests {
     #[test]
     fn invalid_queries_are_rejected() {
         let engine = Engine::new(synth(4));
-        assert!(engine.query(&Query::new(RuleMiningConfig::new(0))).is_err());
-        assert!(engine
-            .query(&Query::new(RuleMiningConfig::new(10)).with_alpha(0.0))
-            .is_err());
-        assert!(engine.query(&perm_query(10).with_permutations(0)).is_err());
-        let mut q = Query::new(RuleMiningConfig::new(10));
-        q.threads = Some(0);
-        assert!(engine.query(&q).is_err());
+        let mut threadless = Query::new(RuleMiningConfig::new(10));
+        threadless.threads = Some(0);
+        for invalid in [
+            Query::new(RuleMiningConfig::new(0)),
+            Query::new(RuleMiningConfig::new(10)).with_alpha(0.0),
+            Query::new(RuleMiningConfig::new(10)).with_alpha(1.5),
+            perm_query(10).with_permutations(0),
+            threadless,
+        ] {
+            assert!(matches!(invalid.validate(), Err(PipelineError::Config(_))));
+            assert!(matches!(
+                engine.query(&invalid),
+                Err(PipelineError::Config(_))
+            ));
+        }
+        assert_eq!(engine.stats().queries, 0, "rejected before counting");
     }
 
     #[test]
@@ -1445,6 +1477,23 @@ mod tests {
         let engine = loaded.into_engine();
         assert!(engine.load_time() > Duration::ZERO);
         assert!(engine.warnings().is_empty());
+    }
+
+    #[test]
+    fn from_shared_matches_new_without_copying() {
+        let dataset = synth(6);
+        let shared = SharedDataset::new(dataset.clone());
+        let query = perm_query(30).with_seed(9);
+        let from_shared = Engine::from_shared(shared.clone()).query(&query).unwrap();
+        let from_dataset = Engine::new(dataset).query(&query).unwrap();
+        assert_eq!(from_shared.result, from_dataset.result);
+        // The shared handle's lazily built vertical view was used (and is
+        // reusable by the next engine).
+        assert!(shared.vertical_is_built());
+        assert!(Arc::ptr_eq(
+            Engine::from_shared(shared.clone()).dataset(),
+            shared.dataset()
+        ));
     }
 
     #[test]

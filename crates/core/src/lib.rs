@@ -52,13 +52,17 @@ pub mod engine;
 pub mod fault;
 pub mod miner;
 pub mod obs_metrics;
-pub mod pipeline;
+#[cfg(any(test, doctest))]
+mod pipeline;
 pub mod rule;
 
 pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use config::RuleMiningConfig;
-pub use correction::{Correction, CorrectionContext, CorrectionResult, ErrorMetric};
-pub use engine::{CacheEntry, CacheEntryKind, Engine, EngineStats, Loader, Query, QueryOutcome};
+pub use correction::{
+    Correction, CorrectionApproach, CorrectionContext, CorrectionResult, ErrorMetric,
+};
+pub use engine::{
+    CacheEntry, CacheEntryKind, Engine, EngineStats, Loader, PipelineError, Query, QueryOutcome,
+};
 pub use miner::{mine_rules, mine_rules_cancellable, mine_rules_with_vertical, MinedRuleSet};
-pub use pipeline::{CorrectionApproach, Pipeline, PipelineError, PipelineRun};
 pub use rule::ClassRule;

@@ -1,21 +1,15 @@
-//! End-to-end pipeline: load → discretize → mine → correct.
+//! One-shot runs: load → discretize → mine → correct in a single pass.
 //!
-//! [`Pipeline`] packages the whole workflow of the paper behind one
-//! configurable value, so callers (most prominently the `sigrule` CLI) do not
-//! have to wire the stages by hand: the input — delimited rows *or* basket
-//! transactions, selected by [`InputFormat`] or auto-detected per file — is
-//! loaded through [`sigrule_data::loader`], class association rules are
-//! mined, and one of the correction approaches of §4 is applied (direct
-//! adjustment, permutation, or random holdout — or no correction at all).
-//!
-//! Since the engine refactor the pipeline is a **thin front**: every run
-//! builds a one-query [`Engine`] and goes through exactly the code a
-//! resident engine uses, so a `sigrule serve` answer and a one-shot run with
-//! the same parameters are bit-identical by construction.  The load stage
-//! lives in [`Loader`], the query vocabulary in [`Query`].
+//! There is no pipeline type: a one-shot run is
+//! [`Loader`](crate::engine::Loader) → [`Engine`](crate::engine::Engine) →
+//! [`Query`](crate::engine::Query), the same code a resident `sigrule serve`
+//! engine runs, so a one-shot answer and a served answer with the same
+//! parameters are bit-identical by construction.  This module holds the worked example and
+//! the tests of that path from text or file input to a corrected result.
 //!
 //! ```
-//! use sigrule::pipeline::{CorrectionApproach, Pipeline};
+//! use sigrule::engine::{Loader, Query};
+//! use sigrule::{CorrectionApproach, ErrorMetric, RuleMiningConfig};
 //!
 //! let csv = "\
 //! weather,ground,grass
@@ -26,490 +20,28 @@
 //! sun,dry,brown
 //! sun,dry,green
 //! ";
-//! let run = Pipeline::new(2)
-//!     .with_correction(CorrectionApproach::None, sigrule::ErrorMetric::Fwer)
-//!     .run_csv_str(csv)
-//!     .expect("well-formed CSV");
-//! assert_eq!(run.n_records, 6);
+//! let engine = Loader::default()
+//!     .load_csv_str(csv)
+//!     .expect("well-formed CSV")
+//!     .into_engine();
+//! let run = engine
+//!     .query(
+//!         &Query::new(RuleMiningConfig::new(2))
+//!             .with_correction(CorrectionApproach::None, ErrorMetric::Fwer),
+//!     )
+//!     .unwrap();
+//! assert_eq!(engine.dataset().n_records(), 6);
 //! assert!(run.mined.rules().len() > 0);
 //! assert_eq!(run.result.significant.len(), run.result.rules.len());
 //! ```
 
-use crate::config::RuleMiningConfig;
-use crate::correction::{CorrectionContext, CorrectionResult, ErrorMetric};
-use crate::engine::{Engine, Loader, Query};
-use crate::miner::MinedRuleSet;
-use sigrule_data::loader::{BasketOptions, InputFormat, LoadOptions, LoadWarning};
-use sigrule_data::{DataError, Dataset, SharedDataset};
-use std::fmt;
-use std::path::Path;
-use std::str::FromStr;
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Which of the paper's correction approaches the pipeline applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CorrectionApproach {
-    /// Raw p-values at α ("No correction").
-    None,
-    /// Direct adjustment (§4.1): Bonferroni for FWER, Benjamini–Hochberg for
-    /// FDR.
-    #[default]
-    Direct,
-    /// Permutation-based (§4.2), using the parallel bitset engine.
-    Permutation,
-    /// Random holdout (§4.3): split, discover on one half, validate on the
-    /// other.
-    Holdout,
-}
-
-/// An unrecognised correction-approach name; the message lists the accepted
-/// spellings so a CLI can surface it verbatim.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseCorrectionApproachError {
-    /// The name that failed to parse.
-    pub input: String,
-}
-
-impl fmt::Display for ParseCorrectionApproachError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown correction approach {:?}: expected one of none, direct, \
-             bonferroni (bc), bh (benjamini-hochberg), permutation (perm), \
-             or holdout (random-holdout)",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseCorrectionApproachError {}
-
-impl FromStr for CorrectionApproach {
-    type Err = ParseCorrectionApproachError;
-
-    /// Parses a CLI-style name (`none`, `direct` / `bonferroni` / `bh`,
-    /// `permutation`, `holdout`); the error names every accepted value.
-    fn from_str(name: &str) -> Result<Self, Self::Err> {
-        CorrectionApproach::parse_with_metric(name).map(|(approach, _)| approach)
-    }
-}
-
-impl CorrectionApproach {
-    /// Parses a CLI-style name together with the error metric it implies
-    /// (`bonferroni` implies FWER, `bh` implies FDR; the other names imply
-    /// nothing).
-    pub fn parse_with_metric(
-        name: &str,
-    ) -> Result<(CorrectionApproach, Option<ErrorMetric>), ParseCorrectionApproachError> {
-        match name.to_ascii_lowercase().as_str() {
-            "none" => Ok((CorrectionApproach::None, None)),
-            "direct" => Ok((CorrectionApproach::Direct, None)),
-            "bonferroni" | "bc" => Ok((CorrectionApproach::Direct, Some(ErrorMetric::Fwer))),
-            "bh" | "benjamini-hochberg" => Ok((CorrectionApproach::Direct, Some(ErrorMetric::Fdr))),
-            "permutation" | "perm" => Ok((CorrectionApproach::Permutation, None)),
-            "holdout" | "random-holdout" => Ok((CorrectionApproach::Holdout, None)),
-            _ => Err(ParseCorrectionApproachError {
-                input: name.to_string(),
-            }),
-        }
-    }
-
-    /// Resolves a user-supplied correction name and metric name pair into an
-    /// approach + metric, applying the defaults and the implied-metric rules
-    /// every front end shares (`bonferroni` implies FWER, `bh` implies FDR;
-    /// no correction defaults to `direct`, no metric to FWER; naming both a
-    /// metric-implying correction and a *different* metric is an error).
-    /// Both the CLI flags and the serve protocol go through this, so the two
-    /// surfaces cannot drift.
-    pub fn resolve(
-        correction: Option<&str>,
-        metric: Option<&str>,
-    ) -> Result<(CorrectionApproach, ErrorMetric), String> {
-        let (approach, implied) = match correction {
-            None => (CorrectionApproach::Direct, None),
-            Some(name) => CorrectionApproach::parse_with_metric(name).map_err(|e| e.to_string())?,
-        };
-        let metric = match metric {
-            None => implied.unwrap_or(ErrorMetric::Fwer),
-            Some(name) => {
-                let requested = match name.to_ascii_lowercase().as_str() {
-                    "fwer" => ErrorMetric::Fwer,
-                    "fdr" => ErrorMetric::Fdr,
-                    other => return Err(format!("metric must be fwer or fdr (got {other:?})")),
-                };
-                if let Some(implied) = implied {
-                    if implied != requested {
-                        return Err(format!(
-                            "correction {} controls {} and contradicts metric {name}",
-                            correction.unwrap_or_default(),
-                            implied.label(),
-                        ));
-                    }
-                }
-                requested
-            }
-        };
-        Ok((approach, metric))
-    }
-
-    /// CLI-facing name of the approach.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CorrectionApproach::None => "none",
-            CorrectionApproach::Direct => "direct",
-            CorrectionApproach::Permutation => "permutation",
-            CorrectionApproach::Holdout => "holdout",
-        }
-    }
-}
-
-/// An error raised while configuring or running a [`Pipeline`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum PipelineError {
-    /// Loading or validating the dataset failed.
-    Data(DataError),
-    /// The pipeline configuration itself is invalid.
-    Config(String),
-    /// The query's [`CancelToken`](crate::cancel::CancelToken) fired —
-    /// deadline or explicit cancel — before the work finished.  The engine
-    /// cache is left cold (never partial); an identical retry redoes the
-    /// work and stays bit-identical.
-    Cancelled(crate::cancel::Cancelled),
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::Data(e) => write!(f, "{e}"),
-            PipelineError::Config(reason) => write!(f, "invalid configuration: {reason}"),
-            PipelineError::Cancelled(c) => write!(f, "{c}"),
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PipelineError::Data(e) => Some(e),
-            PipelineError::Config(_) => None,
-            PipelineError::Cancelled(_) => None,
-        }
-    }
-}
-
-impl From<DataError> for PipelineError {
-    fn from(e: DataError) -> Self {
-        PipelineError::Data(e)
-    }
-}
-
-impl From<crate::cancel::Cancelled> for PipelineError {
-    fn from(c: crate::cancel::Cancelled) -> Self {
-        PipelineError::Cancelled(c)
-    }
-}
-
-/// Wall-clock time spent in each pipeline stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// Loading + discretizing the input (zero when a [`Dataset`] was passed
-    /// directly).
-    pub load: Duration,
-    /// Mining rules and attaching p-values.
-    pub mine: Duration,
-    /// Running the correction approach (including collecting the permutation
-    /// null when the approach needs one).
-    pub correct: Duration,
-}
-
-impl StageTimings {
-    /// Total time across the stages.
-    pub fn total(&self) -> Duration {
-        self.load + self.mine + self.correct
-    }
-}
-
-/// The outcome of one pipeline run.
-#[derive(Debug, Clone)]
-pub struct PipelineRun {
-    /// Number of records of the input dataset.
-    pub n_records: usize,
-    /// Number of source columns of the input dataset (`None` for basket
-    /// data, which has no column structure).
-    pub n_columns: Option<usize>,
-    /// Number of distinct items of the input dataset.
-    pub n_items: usize,
-    /// Number of class labels of the input dataset.
-    pub n_classes: usize,
-    /// The mined rule set (rules + everything needed to re-score them),
-    /// behind an [`Arc`] so engine-cached rule sets are shared, not copied.
-    pub mined: Arc<MinedRuleSet>,
-    /// The correction outcome.
-    pub result: CorrectionResult,
-    /// Per-stage wall-clock timings.
-    pub timings: StageTimings,
-    /// Non-fatal warnings raised while loading (basket inputs only).
-    pub warnings: Vec<LoadWarning>,
-}
-
-/// A configured load → discretize → mine → correct pipeline.
-///
-/// Construct with [`Pipeline::new`], adjust with the builder methods, then
-/// run against a CSV path, CSV text, or an in-memory [`Dataset`].
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    /// CSV/TSV parsing and discretization options.
-    pub load: LoadOptions,
-    /// Basket (transaction) parsing options, used for basket inputs.
-    pub basket: BasketOptions,
-    /// The input format [`Pipeline::run_file`] assumes; `None` auto-detects
-    /// per file (extension, then content sniffing).
-    pub input_format: Option<InputFormat>,
-    /// Rule-mining configuration (min_sup, min_conf, closed-only, ...).
-    pub mining: RuleMiningConfig,
-    /// The correction approach to apply.
-    pub approach: CorrectionApproach,
-    /// The error metric the correction targets (FWER or FDR).
-    pub metric: ErrorMetric,
-    /// Significance level α (0.05 throughout the paper).
-    pub alpha: f64,
-    /// Number of permutations for [`CorrectionApproach::Permutation`]
-    /// (1000 in the paper).
-    pub n_permutations: usize,
-    /// Seed of the permutation shuffler / holdout partitioner.
-    pub seed: u64,
-    /// Worker-thread count for the permutation engine (`None`: rayon's
-    /// default pool).
-    pub threads: Option<usize>,
-}
-
-impl Pipeline {
-    /// Creates a pipeline with the paper's defaults: the given minimum
-    /// support, Bonferroni correction at α = 0.05, seed 17, 1000
-    /// permutations, default thread pool.
-    pub fn new(min_sup: usize) -> Self {
-        Pipeline {
-            load: LoadOptions::default(),
-            basket: BasketOptions::default(),
-            input_format: None,
-            mining: RuleMiningConfig::new(min_sup),
-            approach: CorrectionApproach::Direct,
-            metric: ErrorMetric::Fwer,
-            alpha: 0.05,
-            n_permutations: 1000,
-            seed: 17,
-            threads: None,
-        }
-    }
-
-    /// Replaces the load options.
-    pub fn with_load(mut self, load: LoadOptions) -> Self {
-        self.load = load;
-        self
-    }
-
-    /// Replaces the basket parsing options.
-    pub fn with_basket(mut self, basket: BasketOptions) -> Self {
-        self.basket = basket;
-        self
-    }
-
-    /// Pins the input format [`Pipeline::run_file`] uses instead of
-    /// auto-detecting it.
-    pub fn with_input_format(mut self, format: InputFormat) -> Self {
-        self.input_format = Some(format);
-        self
-    }
-
-    /// Replaces the mining configuration.
-    pub fn with_mining(mut self, mining: RuleMiningConfig) -> Self {
-        self.mining = mining;
-        self
-    }
-
-    /// Selects the correction approach and the error metric it controls.
-    pub fn with_correction(mut self, approach: CorrectionApproach, metric: ErrorMetric) -> Self {
-        self.approach = approach;
-        self.metric = metric;
-        self
-    }
-
-    /// Sets the significance level α.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Sets the permutation count.
-    pub fn with_permutations(mut self, n: usize) -> Self {
-        self.n_permutations = n;
-        self
-    }
-
-    /// Sets the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Pins the permutation engine to `n` worker threads.
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
-        self
-    }
-
-    /// The load stage this pipeline's input options describe.
-    pub fn loader(&self) -> Loader {
-        Loader {
-            load: self.load.clone(),
-            basket: self.basket.clone(),
-            input_format: self.input_format,
-        }
-    }
-
-    /// The engine [`Query`] this pipeline's correction options describe.
-    /// One-shot runs are never cancelled, so the query carries the
-    /// never-firing token.
-    pub fn query(&self) -> Query {
-        Query {
-            mining: self.mining.clone(),
-            approach: self.approach,
-            metric: self.metric,
-            alpha: self.alpha,
-            n_permutations: self.n_permutations,
-            seed: self.seed,
-            threads: self.threads,
-            cancel: crate::cancel::CancelToken::none(),
-        }
-    }
-
-    /// Checks the configuration for contradictions before running.
-    pub fn validate(&self) -> Result<(), PipelineError> {
-        self.query().validate()
-    }
-
-    /// Loads a file in the configured (or auto-detected) input format and
-    /// runs the pipeline: rows go through the CSV/TSV reader, baskets through
-    /// the transaction reader — the rest of the pipeline is identical.
-    pub fn run_file(&self, path: impl AsRef<Path>) -> Result<PipelineRun, PipelineError> {
-        self.validate()?;
-        let loaded = self.loader().load_file(path)?;
-        self.run_loaded(loaded.dataset, loaded.elapsed, loaded.warnings)
-    }
-
-    /// Loads a CSV/TSV file and runs the pipeline.
-    pub fn run_csv_file(&self, path: impl AsRef<Path>) -> Result<PipelineRun, PipelineError> {
-        self.validate()?;
-        let loader = Loader {
-            input_format: Some(InputFormat::Rows),
-            ..self.loader()
-        };
-        let loaded = loader.load_file(path)?;
-        self.run_loaded(loaded.dataset, loaded.elapsed, loaded.warnings)
-    }
-
-    /// Parses CSV text and runs the pipeline.
-    pub fn run_csv_str(&self, text: &str) -> Result<PipelineRun, PipelineError> {
-        self.validate()?;
-        let loaded = self.loader().load_csv_str(text)?;
-        self.run_loaded(loaded.dataset, loaded.elapsed, loaded.warnings)
-    }
-
-    /// Parses basket (transaction) text and runs the pipeline.
-    pub fn run_baskets_str(&self, text: &str) -> Result<PipelineRun, PipelineError> {
-        self.validate()?;
-        let loaded = self.loader().load_baskets_str(text)?;
-        self.run_loaded(loaded.dataset, loaded.elapsed, loaded.warnings)
-    }
-
-    /// Runs the pipeline on an already-built dataset (skips the load stage).
-    /// The dataset is copied once to seed the engine; callers running many
-    /// pipelines over one dataset should share it via [`Pipeline::run_shared`]
-    /// (or better, keep a resident [`Engine`]) instead.
-    pub fn run_dataset(&self, dataset: &Dataset) -> Result<PipelineRun, PipelineError> {
-        self.validate()?;
-        self.run_loaded(dataset.clone(), Duration::ZERO, Vec::new())
-    }
-
-    /// Runs the pipeline on an [`Arc`]-shared dataset without copying any
-    /// records (the lazily built views of the [`SharedDataset`] are reused
-    /// too).
-    pub fn run_shared(&self, shared: &SharedDataset) -> Result<PipelineRun, PipelineError> {
-        self.validate()?;
-        self.run_engine(
-            Engine::from_shared(shared.clone()),
-            Duration::ZERO,
-            Vec::new(),
-        )
-    }
-
-    /// The mine + correct stages, through a one-query [`Engine`].
-    fn run_loaded(
-        &self,
-        dataset: Dataset,
-        load: Duration,
-        warnings: Vec<LoadWarning>,
-    ) -> Result<PipelineRun, PipelineError> {
-        self.run_engine(Engine::new(dataset), load, warnings)
-    }
-
-    fn run_engine(
-        &self,
-        engine: Engine,
-        load: Duration,
-        warnings: Vec<LoadWarning>,
-    ) -> Result<PipelineRun, PipelineError> {
-        let dataset = engine.dataset();
-        let n_records = dataset.n_records();
-        let n_columns = dataset.n_columns();
-        let n_items = dataset.n_items();
-        let n_classes = dataset.n_classes();
-        let outcome = engine.query(&self.query())?;
-        Ok(PipelineRun {
-            n_records,
-            n_columns,
-            n_items,
-            n_classes,
-            mined: outcome.mined,
-            result: outcome.result,
-            timings: StageTimings {
-                load,
-                mine: outcome.timings.mine,
-                correct: outcome.timings.null + outcome.timings.correct,
-            },
-            warnings,
-        })
-    }
-
-    /// Runs just the correction stage against an existing mined rule set,
-    /// dispatching through the [`Correction`](crate::correction::Correction)
-    /// trait.
-    pub fn correct(
-        &self,
-        dataset: &Dataset,
-        mined: &MinedRuleSet,
-    ) -> Result<CorrectionResult, PipelineError> {
-        let correction = self.query().correction();
-        let ctx = CorrectionContext::fresh(dataset, mined, self.metric, self.alpha);
-        let run = || correction.apply(&ctx);
-        match self.threads {
-            Some(n) if self.approach == CorrectionApproach::Permutation => {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(n)
-                    .build()
-                    .map_err(|e| PipelineError::Config(format!("thread pool: {e}")))?;
-                Ok(pool.install(run))
-            }
-            _ => Ok(run()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::RuleMiningConfig;
+    use crate::correction::{CorrectionApproach, ErrorMetric};
+    use crate::engine::{Engine, Loader, PipelineError, Query, QueryOutcome};
     use sigrule_data::loader::dataset_to_csv;
+    use sigrule_data::{DataError, Dataset, InputFormat};
     use sigrule_synth::{SyntheticGenerator, SyntheticParams};
 
     fn synth_csv(seed: u64) -> (Dataset, String) {
@@ -527,11 +59,12 @@ mod tests {
     #[test]
     fn csv_run_matches_direct_library_use() {
         let (dataset, csv) = synth_csv(3);
-        let pipeline = Pipeline::new(30);
-        let from_csv = pipeline.run_csv_str(&csv).unwrap();
-        let from_data = pipeline.run_dataset(&dataset).unwrap();
-        assert_eq!(from_csv.n_records, from_data.n_records);
-        assert_eq!(from_csv.n_columns, Some(8));
+        let query = Query::new(RuleMiningConfig::new(30));
+        let engine = Loader::default().load_csv_str(&csv).unwrap().into_engine();
+        assert_eq!(engine.dataset().n_records(), dataset.n_records());
+        assert_eq!(engine.dataset().n_columns(), Some(8));
+        let from_csv = engine.query(&query).unwrap();
+        let from_data = Engine::new(dataset).query(&query).unwrap();
         assert_eq!(from_csv.mined.rules().len(), from_data.mined.rules().len());
         assert_eq!(
             from_csv.result.n_significant(),
@@ -550,19 +83,21 @@ mod tests {
             .with_confidence(0.9, 0.9);
         let (dataset, _) = BasketGenerator::new(params).unwrap().generate(7);
         let text = sigrule_data::loader::dataset_to_baskets(&dataset);
-        let pipeline = Pipeline::new(30)
+        let query = Query::new(RuleMiningConfig::new(30))
             .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
             .with_permutations(50);
-        let from_text = pipeline.run_baskets_str(&text).unwrap();
-        let from_data = pipeline.run_dataset(&dataset).unwrap();
-        assert_eq!(from_text.n_records, 300);
-        assert_eq!(from_text.n_columns, None);
-        assert!(from_text.warnings.is_empty());
+        let loaded = Loader::default().load_baskets_str(&text).unwrap();
+        assert_eq!(loaded.format, InputFormat::Basket);
+        assert_eq!(loaded.dataset.n_records(), 300);
+        assert_eq!(loaded.dataset.n_columns(), None);
+        assert!(loaded.warnings.is_empty());
+        let from_text = loaded.into_engine().query(&query).unwrap();
+        let from_data = Engine::new(dataset).query(&query).unwrap();
         // The text round-trip renumbers item ids (tokens intern in first-seen
         // order), which permutes both the rule order and the item order
         // within a pattern; canonicalised by name, the rule set and its
         // per-rule decisions must still match exactly.
-        let render = |run: &PipelineRun| -> Vec<(Vec<String>, String, usize, usize, f64, bool)> {
+        let render = |run: &QueryOutcome| -> Vec<(Vec<String>, String, usize, usize, f64, bool)> {
             let space = run.mined.item_space();
             let mut rows: Vec<_> = run
                 .result
@@ -588,22 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn run_shared_matches_run_dataset_without_copying() {
-        let (dataset, _) = synth_csv(6);
-        let shared = SharedDataset::new(dataset.clone());
-        let pipeline = Pipeline::new(30)
-            .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
-            .with_permutations(40)
-            .with_seed(9);
-        let from_shared = pipeline.run_shared(&shared).unwrap();
-        let from_dataset = pipeline.run_dataset(&dataset).unwrap();
-        assert_eq!(from_shared.result, from_dataset.result);
-        // The shared handle's lazily built vertical view was used (and is
-        // reusable by the next run).
-        assert!(shared.vertical_is_built());
-    }
-
-    #[test]
     fn run_file_auto_detects_baskets() {
         let text = "\
 a b label:x
@@ -618,18 +137,24 @@ c d label:y
             std::process::id()
         ));
         std::fs::write(&path, text).unwrap();
-        let run = Pipeline::new(2)
-            .with_correction(CorrectionApproach::None, ErrorMetric::Fwer)
-            .run_file(&path)
+        let loaded = Loader::default().load_file(&path).unwrap();
+        assert_eq!(loaded.format, InputFormat::Basket);
+        assert_eq!(loaded.dataset.n_records(), 6);
+        assert_eq!(loaded.dataset.n_columns(), None);
+        let run = loaded
+            .into_engine()
+            .query(
+                &Query::new(RuleMiningConfig::new(2))
+                    .with_correction(CorrectionApproach::None, ErrorMetric::Fwer),
+            )
             .unwrap();
-        assert_eq!(run.n_records, 6);
-        assert_eq!(run.n_columns, None);
+        assert_eq!(run.result.significant.len(), run.result.rules.len());
         // pinning the wrong format fails loudly instead of misparsing
-        let err = Pipeline::new(2)
-            .with_input_format(sigrule_data::InputFormat::Rows)
-            .run_file(&path)
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::Data(_)));
+        let rows = Loader {
+            input_format: Some(InputFormat::Rows),
+            ..Loader::default()
+        };
+        assert!(matches!(rows.load_file(&path), Err(PipelineError::Data(_))));
         std::fs::remove_file(&path).ok();
     }
 
@@ -645,11 +170,10 @@ c d label:y
             (CorrectionApproach::Holdout, ErrorMetric::Fwer),
             (CorrectionApproach::Holdout, ErrorMetric::Fdr),
         ] {
-            let run = Pipeline::new(30)
+            let query = Query::new(RuleMiningConfig::new(30))
                 .with_correction(approach, metric)
-                .with_permutations(50)
-                .run_dataset(&dataset)
-                .unwrap();
+                .with_permutations(50);
+            let run = Engine::new(dataset.clone()).query(&query).unwrap();
             assert_eq!(run.result.metric, metric);
             assert_eq!(run.result.significant.len(), run.result.rules.len());
         }
@@ -658,95 +182,53 @@ c d label:y
     #[test]
     fn pinned_threads_match_default_pool() {
         let (dataset, _) = synth_csv(5);
-        let base = Pipeline::new(30)
+        let base = Query::new(RuleMiningConfig::new(30))
             .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
             .with_permutations(60)
             .with_seed(11);
-        let default_pool = base.run_dataset(&dataset).unwrap();
-        let pinned = base.clone().with_threads(2).run_dataset(&dataset).unwrap();
+        let default_pool = Engine::new(dataset.clone()).query(&base).unwrap();
+        let pinned = Engine::new(dataset)
+            .query(&base.clone().with_threads(2))
+            .unwrap();
         assert_eq!(default_pool.result, pinned.result);
     }
 
     #[test]
     fn invalid_configurations_are_rejected() {
-        let p = Pipeline::new(0);
+        let engine = Loader::default()
+            .load_csv_str("a,cls\n1,x\n2,y\n")
+            .unwrap()
+            .into_engine();
         assert!(matches!(
-            p.run_csv_str("a,cls\n1,x\n2,y\n"),
+            engine.query(&Query::new(RuleMiningConfig::new(0))),
             Err(PipelineError::Config(_))
         ));
-        let p = Pipeline::new(10).with_alpha(0.0);
-        assert!(p.validate().is_err());
-        let p = Pipeline::new(10).with_alpha(1.5);
-        assert!(p.validate().is_err());
-        let p = Pipeline::new(10)
+        let q = Query::new(RuleMiningConfig::new(10)).with_alpha(0.0);
+        assert!(q.validate().is_err());
+        let q = Query::new(RuleMiningConfig::new(10)).with_alpha(1.5);
+        assert!(q.validate().is_err());
+        let q = Query::new(RuleMiningConfig::new(10))
             .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
             .with_permutations(0);
-        assert!(p.validate().is_err());
-        let mut p = Pipeline::new(10);
-        p.threads = Some(0);
-        assert!(p.validate().is_err());
+        assert!(q.validate().is_err());
+        let mut q = Query::new(RuleMiningConfig::new(10));
+        q.threads = Some(0);
+        assert!(q.validate().is_err());
     }
 
     #[test]
     fn malformed_csv_surfaces_the_data_error() {
-        let err = Pipeline::new(5)
-            .run_csv_str("a,b,cls\n1,2,x\n3,y\n")
-            .unwrap_err();
-        match err {
-            PipelineError::Data(DataError::Parse { line, .. }) => assert_eq!(line, 3),
+        match Loader::default().load_csv_str("a,b,cls\n1,2,x\n3,y\n") {
+            Err(PipelineError::Data(DataError::Parse { line, .. })) => assert_eq!(line, 3),
             other => panic!("expected a parse error, got {other:?}"),
         }
-        let err = Pipeline::new(5)
-            .run_csv_file("/nonexistent/input.csv")
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::Data(DataError::Io { .. })));
-    }
-
-    #[test]
-    fn approach_names_parse() {
-        assert_eq!(
-            "permutation".parse::<CorrectionApproach>(),
-            Ok(CorrectionApproach::Permutation)
-        );
-        assert_eq!(
-            CorrectionApproach::parse_with_metric("BC"),
-            Ok((CorrectionApproach::Direct, Some(ErrorMetric::Fwer)))
-        );
-        assert_eq!(
-            CorrectionApproach::parse_with_metric("bh"),
-            Ok((CorrectionApproach::Direct, Some(ErrorMetric::Fdr)))
-        );
-        // The shared front-end resolution rules.
-        assert_eq!(
-            CorrectionApproach::resolve(None, None),
-            Ok((CorrectionApproach::Direct, ErrorMetric::Fwer))
-        );
-        assert_eq!(
-            CorrectionApproach::resolve(Some("bh"), None),
-            Ok((CorrectionApproach::Direct, ErrorMetric::Fdr))
-        );
-        assert_eq!(
-            CorrectionApproach::resolve(Some("permutation"), Some("FDR")),
-            Ok((CorrectionApproach::Permutation, ErrorMetric::Fdr))
-        );
-        assert!(CorrectionApproach::resolve(Some("bh"), Some("fwer")).is_err());
-        assert!(CorrectionApproach::resolve(None, Some("neither")).is_err());
-        let err = "nope".parse::<CorrectionApproach>().unwrap_err();
-        let message = err.to_string();
-        for name in [
-            "none",
-            "direct",
-            "bonferroni",
-            "bh",
-            "permutation",
-            "holdout",
-        ] {
-            assert!(
-                message.contains(name),
-                "error should name {name}: {message}"
-            );
-        }
-        assert!(message.contains("nope"));
-        assert_eq!(CorrectionApproach::Holdout.label(), "holdout");
+        let csv = Loader {
+            input_format: Some(InputFormat::Rows),
+            ..Loader::default()
+        };
+        assert!(matches!(
+            csv.load_file("/nonexistent/input.csv"),
+            Err(PipelineError::Data(DataError::Io { .. }))
+        ));
     }
 }

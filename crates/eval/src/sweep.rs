@@ -23,8 +23,7 @@ use crate::metrics::{AggregateMetrics, DatasetMetrics};
 use crate::report::{fmt_float, Table};
 use rayon::prelude::*;
 use sigrule::engine::{Engine, Query};
-use sigrule::pipeline::{CorrectionApproach, PipelineError};
-use sigrule::{ErrorMetric, RuleMiningConfig};
+use sigrule::{CorrectionApproach, ErrorMetric, PipelineError, RuleMiningConfig};
 use sigrule_synth::{
     BasketGenerator, BasketParams, EmbeddedRule, SyntheticGenerator, SyntheticParams,
 };
@@ -827,10 +826,7 @@ mod tests {
     fn thread_count_does_not_change_the_report() {
         let grid = small_grid();
         let run_with = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
+            let pool = sigrule::correction::permutation::rayon_pool(threads).unwrap();
             pool.install(|| SweepRunner::new().run(&grid).unwrap())
         };
         let one = run_with(1);

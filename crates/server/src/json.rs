@@ -48,11 +48,10 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(JsonError {
                 offset: pos,
                 message: "trailing characters after the document".into(),
@@ -176,20 +175,21 @@ fn expect_literal(
 
 /// Parses one value at `pos`; `depth` counts the arrays and objects that
 /// enclose it.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(error(*pos, "unexpected end of input")),
         Some(b'n') => expect_literal(bytes, pos, "null", Json::Null),
         Some(b't') => expect_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => expect_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::String),
+        Some(b'"') => parse_string(text, pos).map(Json::String),
         Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(error(
             *pos,
             format!("nesting deeper than {MAX_DEPTH} levels"),
         )),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
+        Some(b'{') => parse_object(text, pos, depth + 1),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
         Some(c) => Err(error(
             *pos,
@@ -214,18 +214,30 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         .map_err(|_| error(start, format!("malformed number {text:?}")))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+/// Parses the string starting at the `"` at `pos`.  Each run of plain
+/// characters up to the next `"` or `\` is copied with one `push_str`: both
+/// delimiters are ASCII, so every run starts and ends on a char boundary of
+/// the (already valid UTF-8) input, and the parse is linear in its length.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err(error(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash: one escape sequence.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -258,19 +270,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| error(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty by construction");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -280,7 +285,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -293,7 +298,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut fields = Vec::new();
@@ -307,13 +313,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
         if bytes.get(*pos) != Some(&b'"') {
             return Err(error(*pos, "expected a string key"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(error(*pos, "expected ':' after key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(text, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -422,6 +428,9 @@ mod tests {
     fn string_escapes_round_trip() {
         let parsed = Json::parse(r#""a\"b\\c\ndAé""#).unwrap();
         assert_eq!(parsed.as_str(), Some("a\"b\\c\ndAé"));
+        // Runs of plain text between escapes, multi-byte ones included.
+        let parsed = Json::parse(r#""é\u00e9\té""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("éé\té"));
         let rendered = parsed.render();
         assert_eq!(Json::parse(&rendered).unwrap(), parsed);
     }
@@ -455,6 +464,27 @@ mod tests {
         // Far past the cap, and unterminated: still an error, not an abort.
         assert!(Json::parse(&"[".repeat(500_000)).is_err());
         assert!(Json::parse(&"{\"a\":".repeat(500_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A request line may be up to 1 MiB; a parser that rescans the rest
+        // of the line per character needs minutes for one such line.
+        for fill in ["a", "é"] {
+            let payload = fill.repeat((1 << 20) / fill.len());
+            let line = format!("{{\"cmd\":\"stats\",\"x\":\"{payload}\\n\"}}");
+            let start = std::time::Instant::now();
+            let parsed = Json::parse(&line).unwrap();
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < std::time::Duration::from_secs(2),
+                "1 MiB of {fill:?} took {elapsed:?}"
+            );
+            assert_eq!(
+                parsed.get("x").and_then(Json::as_str),
+                Some(format!("{payload}\n").as_str())
+            );
+        }
     }
 
     #[test]

@@ -49,9 +49,8 @@ use crate::registry::EngineRegistry;
 use sigrule::cancel::CancelToken;
 use sigrule::correction::permutation::{PermutationCorrection, PERMS_PER_CHUNK};
 use sigrule::engine::{Engine, Loader, Query, QueryOutcome};
-use sigrule::pipeline::CorrectionApproach;
 use sigrule::rule::sort_by_significance;
-use sigrule::{ClassRule, RuleMiningConfig};
+use sigrule::{ClassRule, CorrectionApproach, RuleMiningConfig};
 use sigrule_data::loader::{BasketOptions, LoadOptions};
 use sigrule_data::InputFormat;
 use std::collections::HashMap;
@@ -627,7 +626,7 @@ fn handle_perm_shard(
     let began = Instant::now();
     // Enforce the budget on the error path too: a cancelled shard may still
     // have filled the mine cache before aborting.
-    let mine_outcome = engine.mined_with_tables(&mining, n_permutations, seed, cancel);
+    let mine_outcome = engine.mined_with_tables(&mining, cancel);
     state.registry.enforce_budget();
     let (mined, tables) = mine_outcome?;
     let correction = PermutationCorrection::new(n_permutations).with_seed(seed);
@@ -927,7 +926,8 @@ pub(crate) fn runs_async(parsed: &Result<Json, JsonError>) -> bool {
 #[allow(clippy::unwrap_used)]
 pub(crate) mod tests {
     use super::*;
-    use sigrule::{ErrorMetric, Pipeline};
+    use sigrule::engine::{Loader, Query};
+    use sigrule::{ErrorMetric, RuleMiningConfig};
     use sigrule_data::loader::dataset_to_baskets;
     use sigrule_synth::{BasketGenerator, BasketParams};
 
@@ -1011,12 +1011,16 @@ pub(crate) mod tests {
         assert_eq!(warm.get("p_value_cutoff"), cold.get("p_value_cutoff"));
         assert_eq!(warm.get("rules"), cold.get("rules"));
 
-        // The warm answers match a one-shot pipeline bit for bit.
-        let one_shot = Pipeline::new(10)
+        // The warm answers match a one-shot run bit for bit.
+        let query = Query::new(RuleMiningConfig::new(10))
             .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
             .with_permutations(50)
-            .with_seed(7)
-            .run_file(&path)
+            .with_seed(7);
+        let one_shot = Loader::default()
+            .load_file(&path)
+            .unwrap()
+            .into_engine()
+            .query(&query)
             .unwrap();
         assert_eq!(
             warm.get("significant").and_then(Json::as_u64),

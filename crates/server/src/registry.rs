@@ -240,7 +240,7 @@ impl EngineRegistry {
 mod tests {
     use super::*;
     use sigrule::engine::Query;
-    use sigrule::pipeline::CorrectionApproach;
+    use sigrule::CorrectionApproach;
     use sigrule::{ErrorMetric, RuleMiningConfig};
     use sigrule_data::Dataset;
     use sigrule_synth::{SyntheticGenerator, SyntheticParams};

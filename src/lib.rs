@@ -37,14 +37,13 @@ pub mod prelude {
         rayon_pool, BufferStrategy, PermutationCorrection, PermutationStats, SupportBackend,
     };
     pub use sigrule::correction::{
-        direct, no_correction, Correction, CorrectionContext, CorrectionResult, DirectAdjustment,
-        ErrorMetric, PermutationApproach, RandomHoldout, Uncorrected,
+        direct, no_correction, Correction, CorrectionApproach, CorrectionContext, CorrectionResult,
+        DirectAdjustment, ErrorMetric, PermutationApproach, RandomHoldout, Uncorrected,
     };
     pub use sigrule::engine::{
-        CacheEntry, CacheEntryKind, Engine, EngineStats, LoadedSource, Loader, Query, QueryOutcome,
-        QueryTimings,
+        CacheEntry, CacheEntryKind, Engine, EngineStats, LoadedSource, Loader, PipelineError,
+        Query, QueryOutcome, QueryTimings,
     };
-    pub use sigrule::pipeline::{CorrectionApproach, Pipeline, PipelineError, PipelineRun};
     pub use sigrule::{
         mine_rules, mine_rules_with_vertical, CancelReason, CancelToken, Cancelled, ClassRule,
         MinedRuleSet, RuleMiningConfig,

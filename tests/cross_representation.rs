@@ -136,13 +136,12 @@ fn rows_and_baskets_agree_across_thread_counts() {
     let baskets = as_baskets(&rows);
 
     let run = |dataset: &Dataset, threads: usize| {
-        Pipeline::new(40)
+        let query = Query::new(RuleMiningConfig::new(40))
             .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
             .with_permutations(120)
             .with_seed(3)
-            .with_threads(threads)
-            .run_dataset(dataset)
-            .unwrap()
+            .with_threads(threads);
+        Engine::new(dataset.clone()).query(&query).unwrap()
     };
     let rows_1 = run(&rows, 1);
     let rows_4 = run(&rows, 4);

@@ -1,8 +1,8 @@
 //! Property test for the resident engine's query caching (ISSUE 4): warm
 //! queries — a second request against the same engine at a different α,
 //! error metric, or correction approach — must be **bit-identical** to a
-//! fresh one-shot [`Pipeline`] run with the same parameters, at any thread
-//! count.  The engine is a caching layer, never a semantics change.
+//! fresh one-shot run (a new [`Engine`] answering one [`Query`]) with the
+//! same parameters, at any thread count.  The engine is a caching layer, never a semantics change.
 
 use proptest::prelude::*;
 use sigrule_repro::prelude::*;
@@ -26,16 +26,7 @@ fn base_query(min_sup: usize, approach: CorrectionApproach, metric: ErrorMetric)
 }
 
 fn one_shot(dataset: &Dataset, query: &Query) -> CorrectionResult {
-    let mut pipeline = Pipeline::new(query.mining.min_sup)
-        .with_mining(query.mining.clone())
-        .with_correction(query.approach, query.metric)
-        .with_alpha(query.alpha)
-        .with_permutations(query.n_permutations)
-        .with_seed(query.seed);
-    if let Some(threads) = query.threads {
-        pipeline = pipeline.with_threads(threads);
-    }
-    pipeline.run_dataset(dataset).unwrap().result
+    Engine::new(dataset.clone()).query(query).unwrap().result
 }
 
 proptest! {
@@ -43,7 +34,7 @@ proptest! {
 
     /// A cold query populates the caches; every follow-up variation (new α,
     /// new metric, new approach) must answer warm and still match a fresh
-    /// pipeline bit for bit.
+    /// one-shot run bit for bit.
     #[test]
     fn warm_queries_match_fresh_pipeline_runs(
         seed in 0u64..200,
@@ -65,7 +56,7 @@ proptest! {
 
         // Warm variations: α, metric, and approach all change; the mined
         // rule set (and, for permutation, the null) must come from the cache
-        // and the results must equal a fresh pipeline's exactly.
+        // and the results must equal a fresh one-shot run's exactly.
         let variations = [
             base_query(min_sup, CorrectionApproach::Permutation, ErrorMetric::Fwer)
                 .with_alpha(alpha),
@@ -86,7 +77,7 @@ proptest! {
             prop_assert_eq!(
                 &warm.result,
                 &fresh,
-                "engine and pipeline disagree for {:?}/{:?} at alpha {}",
+                "warm and one-shot answers disagree for {:?}/{:?} at alpha {}",
                 query.approach,
                 query.metric,
                 query.alpha
@@ -96,7 +87,7 @@ proptest! {
 
     /// Thread-count invariance through the cache: a null collected under a
     /// pinned pool of any size answers warm queries identically, and matches
-    /// pipelines pinned to *different* thread counts.
+    /// one-shot runs pinned to *different* thread counts.
     #[test]
     fn warm_cache_is_thread_count_invariant(
         seed in 0u64..100,

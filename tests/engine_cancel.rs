@@ -3,8 +3,8 @@
 //! work, or by another thread firing the token mid-flight — must leave the
 //! engine's caches **cold or complete, never partial**.  The observable
 //! contract: a subsequent identical query succeeds and is bit-identical to
-//! a fresh one-shot [`Pipeline`] run, as if the aborted attempt had never
-//! happened.
+//! a fresh one-shot run (a new [`Engine`] answering the same [`Query`]), as
+//! if the aborted attempt had never happened.
 
 use proptest::prelude::*;
 use sigrule_repro::prelude::*;
@@ -28,20 +28,15 @@ fn perm_query(min_sup: usize) -> Query {
         .with_seed(23)
 }
 
+/// The clean reference: a fresh engine answering the query with the
+/// never-firing token.
 fn one_shot(dataset: &Dataset, query: &Query) -> CorrectionResult {
-    Pipeline::new(query.mining.min_sup)
-        .with_mining(query.mining.clone())
-        .with_correction(query.approach, query.metric)
-        .with_alpha(query.alpha)
-        .with_permutations(query.n_permutations)
-        .with_seed(query.seed)
-        .run_dataset(dataset)
-        .unwrap()
-        .result
+    let clean = query.clone().with_cancel(CancelToken::none());
+    Engine::new(dataset.clone()).query(&clean).unwrap().result
 }
 
 /// After a possibly-aborted attempt, the engine must serve the identical
-/// query as if nothing happened: same bits as the clean pipeline, and a
+/// query as if nothing happened: same bits as the clean one-shot run, and a
 /// further repeat fully warm — the caches were cold or complete.
 fn assert_recovers(engine: &Engine, query: &Query, reference: &CorrectionResult) {
     let retry = engine.query(query).expect("un-cancelled retry succeeds");
@@ -61,7 +56,7 @@ proptest! {
     /// A deadline landing anywhere — before mining, between permutation
     /// chunks, or after everything finished — either aborts with
     /// `deadline_exceeded` or returns the exact clean answer; either way
-    /// the next identical query is bit-identical to a fresh pipeline.
+    /// the next identical query is bit-identical to a fresh one-shot run.
     #[test]
     fn deadline_at_arbitrary_point_leaves_cache_cold_or_complete(
         seed in 0u64..100,

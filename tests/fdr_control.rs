@@ -11,8 +11,7 @@
 //! not run-to-run variation.  Every cell runs through the sweep's resident
 //! engines, so the holdout cell decides from the engine's cached split.
 
-use sigrule::pipeline::CorrectionApproach;
-use sigrule::ErrorMetric;
+use sigrule::{CorrectionApproach, ErrorMetric};
 use sigrule_eval::sweep::{CorrectionSpec, SweepGrid, SweepRunner};
 
 const ALPHA: f64 = 0.05;

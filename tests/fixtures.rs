@@ -61,11 +61,10 @@ fn basket_fixture_loads_and_mines_significant_rules() {
     assert_eq!(dataset.n_records(), 120);
     assert!(dataset.item_space().is_basket());
 
-    let run = Pipeline::new(12)
+    let query = Query::new(RuleMiningConfig::new(12))
         .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
-        .with_permutations(200)
-        .run_dataset(dataset)
-        .unwrap();
+        .with_permutations(200);
+    let run = Engine::new(dataset.clone()).query(&query).unwrap();
     assert!(
         run.result.n_significant() >= 1,
         "the planted itemset must survive permutation-based FWER control"

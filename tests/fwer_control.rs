@@ -7,8 +7,7 @@
 //! slack absorbs the Monte-Carlo error of 20 replicates, not run-to-run
 //! variation.
 
-use sigrule::pipeline::CorrectionApproach;
-use sigrule::ErrorMetric;
+use sigrule::{CorrectionApproach, ErrorMetric};
 use sigrule_eval::sweep::{CorrectionSpec, SweepGrid, SweepRunner};
 
 const ALPHA: f64 = 0.05;

@@ -167,6 +167,70 @@ proptest! {
     }
 }
 
+/// A word a corrupted or hostile shard might carry: small counts, the
+/// extremes, values whose byte length wraps a `usize`, or noise.
+fn wire_word() -> impl Strategy<Value = u64> {
+    (0usize..6, 0u64..u64::MAX).prop_map(|(kind, noise)| match kind {
+        0 => noise % 64,
+        1 => u64::MAX,
+        2 => u64::MAX / 8,
+        3 => u64::MAX - noise % 64,
+        4 => 1 << 61,
+        _ => noise,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Decoding a shard — the bytes a remote worker sends back — never
+    /// panics, whatever the bytes; whatever it accepts re-encodes to exactly
+    /// those bytes.
+    #[test]
+    fn shard_decoding_never_panics_on_arbitrary_bytes(
+        noise in prop::collection::vec(0u8..=255, 0..160),
+        header in prop::collection::vec(wire_word(), 4),
+    ) {
+        use sigrule_repro::core::correction::permutation::PartialPermutationStats;
+
+        let mut framed: Vec<u8> = header.iter().flat_map(|w| w.to_le_bytes()).collect();
+        framed.extend_from_slice(&noise[..noise.len() / 8 * 8]);
+        for bytes in [&noise, &framed] {
+            if let Ok(decoded) = PartialPermutationStats::from_bytes(bytes) {
+                prop_assert_eq!(&decoded.to_bytes(), bytes);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A valid shard round-trips bit for bit, and overwriting any one of its
+    /// words — half the cases hit the four header words — never panics the
+    /// decoder.
+    #[test]
+    fn shard_encoding_round_trips_and_survives_word_mutations(
+        ((mined, n_perms, seed), at, word) in (engine_case(), 0usize..1024, wire_word())
+    ) {
+        use sigrule_repro::core::correction::permutation::PartialPermutationStats;
+
+        let partial = engine(n_perms, seed)
+            .collect_stats_range(&mined, None, &CancelToken::none(), 0, n_perms)
+            .expect("token never fires");
+        let bytes = partial.to_bytes();
+        prop_assert_eq!(&PartialPermutationStats::from_bytes(&bytes).unwrap(), &partial);
+
+        let n_words = bytes.len() / 8;
+        let i = if at % 2 == 0 { (at / 2) % 4 } else { (at / 2) % n_words };
+        let mut mutated = bytes.clone();
+        mutated[i * 8..i * 8 + 8].copy_from_slice(&word.to_le_bytes());
+        if let Ok(decoded) = PartialPermutationStats::from_bytes(&mutated) {
+            prop_assert_eq!(decoded.to_bytes(), mutated);
+        }
+    }
+}
+
 /// The shared static table prebuilds exactly the coverages the rules use, so
 /// parallel workers never mutate shared cache state.
 #[test]
