@@ -34,10 +34,11 @@
 //!   fully independent: its labels are a fresh copy of the original label
 //!   vector shuffled by an RNG seeded from `seed` and the permutation index
 //!   alone.  Workers reduce their chunk into a per-chunk minimum-p-value list
-//!   and insertion-point histogram; chunks are then merged in index order.
+//!   and insertion-point histogram, merged into the run's totals as soon as
+//!   the chunk finishes (so only the chunks in flight hold a histogram).
 //!   Minima are keyed by permutation index and histogram merging is integer
 //!   addition, so the collected [`PermutationStats`] are **bit-identical** at
-//!   any thread count.
+//!   any thread count and in any completion order.
 //!
 //! * **Batched popcount label counting.**  Each cover's stored id list is
 //!   packed into a [`Bitmap`](sigrule_data::Bitmap) once (covers never
@@ -60,6 +61,25 @@
 //! is per-worker state.  A class → rules index built once maps each distinct
 //! class to the rules testing it, so the inner loop never scans for its
 //! support vector.
+//!
+//! Two more savings keep the per-rule work to one table load:
+//!
+//! * **Ranked tables.**  Each static-table entry
+//!   ([`RankedBuffer`](sigrule_stats::RankedBuffer)) stores, next to every
+//!   p-value, its insertion rank among the sorted observed p-values — the
+//!   histogram cell the pooled null needs.  The rank is computed once per
+//!   entry when the table is built, so a permuted rule is scored without a
+//!   binary search.  The byte budget is spent on the rule set's distinct
+//!   coverages in ascending order (p-values plus ranks); a coverage past it
+//!   falls to the per-worker dynamic buffer and a binary search.
+//! * **One sweep fewer.**  Every record carries exactly one class, so
+//!   `supp(X ⇒ c_last) = supp(X) − Σ supp(X ⇒ c)` over the other classes.
+//!   When every class of the dataset has rules, each chunk sweeps the forest
+//!   for all classes but the last and derives the last from the coverages —
+//!   one sweep instead of two on two-class data.
+//!
+//! Supports stay exact integers and every p-value is the same table `f64`,
+//! so neither saving changes a statistic.
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::correction::{CorrectionResult, ErrorMetric};
@@ -74,6 +94,7 @@ use sigrule_stats::{
     benjamini_hochberg_threshold, DynamicBuffer, EmpiricalNull, FisherTest, LogFactorialTable,
     RuleCounts, SharedPValueTable, SharedTableSet, Tail,
 };
+use std::sync::Mutex;
 
 /// How permutation-time p-values are computed (the ablation axis of
 /// Figure 4, together with the Diffsets flag of the mining step).
@@ -430,6 +451,9 @@ struct ScoringPlan<'a> {
     class_rules: Vec<Vec<usize>>,
     /// Per-node kernel selection + packed cover bitmaps.
     support_plan: sigrule_mining::SupportPlan,
+    /// The last class slot when every class of the dataset has rules: its
+    /// supports are derived from the coverages instead of swept.
+    derived_slot: Option<usize>,
     /// Observed p-values sorted ascending (for pooled-null insertion points).
     sorted_observed: Vec<f64>,
     /// Shared static p-value tables, one per class slot
@@ -439,6 +463,14 @@ struct ScoringPlan<'a> {
     static_tables: Option<SharedTableSet>,
     logs: LogFactorialTable,
     fisher: FisherTest,
+}
+
+/// The observed p-values of a mined rule set, sorted ascending: the
+/// reference every pooled permutation p-value is ranked against.
+fn sorted_observed(mined: &MinedRuleSet) -> Vec<f64> {
+    let mut sorted = mined.p_values();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    sorted
 }
 
 /// Builds the class → rules index of a mined rule set: the distinct rule
@@ -641,32 +673,34 @@ impl PermutationCorrection {
 
         let plan = self.build_plan(mined, tables);
 
-        // Fixed-size chunks over the permutation indices; the chunk list (and
-        // therefore the merge order below) is independent of the worker
-        // count.  Each chunk re-checks the token before running, so a fired
-        // token turns every not-yet-started chunk into a cheap early return
-        // rather than tearing threads down.
+        // Fixed-size chunks over the permutation indices; the chunk list is
+        // independent of the worker count.  Each chunk re-checks the token
+        // before running, so a fired token turns every not-yet-started chunk
+        // into a cheap early return rather than tearing threads down.
+        //
+        // Each finished chunk is merged at once, so only the chunks in flight
+        // hold a histogram.  The merge is order-free: minima land at their
+        // permutation index and histogram cells add exactly.
+        let totals = Mutex::new((vec![f64::INFINITY; end - start], vec![0u64; n_rules + 1]));
         let chunk_starts: Vec<usize> = (start..end).step_by(PERMS_PER_CHUNK).collect();
-        let chunks = chunk_starts
+        chunk_starts
             .into_par_iter()
-            .map(|start| {
+            .map(|chunk_start| {
                 cancel.check()?;
-                Ok(self.run_chunk_batched(&plan, start))
+                let chunk = self.run_chunk_batched(&plan, chunk_start);
+                let mut totals = totals.lock().expect("chunk merge lock");
+                let (minima, cnt) = &mut *totals;
+                let at = chunk_start - start;
+                minima[at..at + chunk.minima.len()].copy_from_slice(&chunk.minima);
+                for (total, c) in cnt.iter_mut().zip(&chunk.cnt) {
+                    *total += c;
+                }
+                Ok(())
             })
-            .collect::<Vec<Result<ChunkStats, Cancelled>>>()
+            .collect::<Vec<Result<(), Cancelled>>>()
             .into_iter()
-            .collect::<Result<Vec<ChunkStats>, Cancelled>>()?;
-
-        // Merge in chunk (= permutation) order: minima are keyed by
-        // permutation index, histogram cells add exactly.
-        let mut minima = Vec::with_capacity(end - start);
-        let mut cnt = vec![0u64; n_rules + 1];
-        for chunk in chunks {
-            minima.extend_from_slice(&chunk.minima);
-            for (total, c) in cnt.iter_mut().zip(chunk.cnt.iter()) {
-                *total += c;
-            }
-        }
+            .collect::<Result<(), Cancelled>>()?;
+        let (minima, cnt) = totals.into_inner().expect("chunk merge lock");
 
         // Prefix-sum the insertion-point counts and map back to rule order.
         let mut counts_sorted = vec![0u64; n_rules];
@@ -710,6 +744,7 @@ impl PermutationCorrection {
         let n = mined.n_records();
         let logs = LogFactorialTable::new(n);
         let (classes, class_rules) = class_index(mined);
+        let sorted_observed = sorted_observed(mined);
         SharedTableSet::new(
             classes
                 .iter()
@@ -719,8 +754,8 @@ impl PermutationCorrection {
                         n,
                         mined.class_counts()[class as usize],
                         self.static_buffer_bytes,
-                        mined.config().min_sup.max(1),
                         rule_idxs.iter().map(|&i| rules[i].coverage),
+                        &sorted_observed,
                         &logs,
                     )
                 })
@@ -747,6 +782,8 @@ impl PermutationCorrection {
         let (classes, class_rules) = class_index(mined);
 
         let support_plan = mined.forest().support_plan(self.backend);
+        let derived_slot =
+            (classes.len() >= 2 && classes.len() == mined.n_classes()).then(|| classes.len() - 1);
 
         // The coverages a class's rules use never change across permutations,
         // so the static buffer can be built once, exactly, and shared — or
@@ -759,15 +796,13 @@ impl PermutationCorrection {
             _ => None,
         };
 
-        let mut sorted_observed = mined.p_values();
-        sorted_observed.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-
         ScoringPlan {
             mined,
             classes,
             class_rules,
             support_plan,
-            sorted_observed,
+            derived_slot,
+            sorted_observed: sorted_observed(mined),
             static_tables,
             logs,
             fisher,
@@ -779,8 +814,10 @@ impl PermutationCorrection {
     /// all of the chunk's label vectors are generated up front (each from
     /// its own `(seed, index)` stream), the per-class lane blocks are filled
     /// once in one transposed pass, and every rule cover is then swept
-    /// against all permutations of the chunk at once.  All mutable state is
-    /// chunk-local; everything shared is behind `&`.
+    /// against all permutations of the chunk at once — once per class slot,
+    /// except a derived last slot (`ScoringPlan::derived_slot`), whose
+    /// supports are the coverages less the swept slots' sum.  All mutable
+    /// state is chunk-local; everything shared is behind `&`.
     ///
     /// Every support is an exact integer and every p-value a deterministic
     /// function of `(coverage, support)`, and the chunk reductions —
@@ -815,6 +852,9 @@ impl PermutationCorrection {
         blocks.fill(&labels_flat);
 
         let mut supports: Vec<u32> = Vec::with_capacity(mined.forest().len() * lanes);
+        // Σ of the swept classes' supports, node-major like `supports`; read
+        // by the derived last class only.
+        let mut swept_sum: Vec<u32> = Vec::new();
         let mut dynamics: Vec<DynamicBuffer> = match self.buffer {
             BufferStrategy::None => Vec::new(),
             _ => plan
@@ -826,28 +866,65 @@ impl PermutationCorrection {
 
         let mut perm_min = vec![f64::INFINITY; lanes];
         let mut cnt = vec![0u64; rules.len() + 1];
+        let mut lane_supports = [0u32; PERMS_PER_CHUNK];
 
         for (slot, &class) in plan.classes.iter().enumerate() {
-            mined.forest().rule_supports_planned_block(
-                &plan.support_plan,
-                blocks.class(class),
-                &mut supports,
-            );
+            let derived = plan.derived_slot == Some(slot);
+            if !derived {
+                mined.forest().rule_supports_planned_block(
+                    &plan.support_plan,
+                    blocks.class(class),
+                    &mut supports,
+                );
+            }
+            let table = plan.static_tables.as_ref().map(|t| t.slot(slot));
             for &ri in &plan.class_rules[slot] {
-                let rule = &rules[ri];
-                let node = mined.rule_node(ri);
-                for (lane, min) in perm_min.iter_mut().enumerate() {
-                    let supp_r = supports[node * lanes + lane] as usize;
-                    let p =
-                        self.rule_p_value(plan, slot, class, rule.coverage, supp_r, &mut dynamics);
-                    if p < *min {
-                        *min = p;
+                let coverage = rules[ri].coverage;
+                let row = mined.rule_node(ri) * lanes;
+                let supp = &mut lane_supports[..lanes];
+                if derived {
+                    for (s, &swept) in supp.iter_mut().zip(&swept_sum[row..row + lanes]) {
+                        *s = coverage as u32 - swept;
                     }
-                    cnt[plan.sorted_observed.partition_point(|&x| x < p)] += 1;
+                } else {
+                    supp.copy_from_slice(&supports[row..row + lanes]);
+                }
+                match table.and_then(|t| t.get(coverage)) {
+                    Some(entry) => {
+                        for (&s, min) in supp.iter().zip(perm_min.iter_mut()) {
+                            let (p, rank) = entry.lookup(s as usize);
+                            *min = min.min(p);
+                            cnt[rank] += 1;
+                        }
+                    }
+                    None => {
+                        for (&s, min) in supp.iter().zip(perm_min.iter_mut()) {
+                            let p = self.rule_p_value(
+                                plan,
+                                slot,
+                                class,
+                                coverage,
+                                s as usize,
+                                &mut dynamics,
+                            );
+                            *min = min.min(p);
+                            cnt[plan.sorted_observed.partition_point(|&x| x < p)] += 1;
+                        }
+                    }
+                }
+            }
+            if plan.derived_slot.is_some() && !derived {
+                if swept_sum.is_empty() {
+                    std::mem::swap(&mut swept_sum, &mut supports);
+                } else {
+                    for (total, &s) in swept_sum.iter_mut().zip(&supports) {
+                        *total += s;
+                    }
                 }
             }
         }
-        kernel::note_batched_sweeps(plan.classes.len() as u64);
+        let swept = plan.classes.len() - usize::from(plan.derived_slot.is_some());
+        kernel::note_batched_sweeps(swept as u64);
 
         ChunkStats {
             minima: perm_min,
@@ -855,10 +932,11 @@ impl PermutationCorrection {
         }
     }
 
-    /// The permutation-time p-value of one rule given its permuted support:
-    /// the [`BufferStrategy`] three-way.  A pure
-    /// function of `(coverage, support)` for fixed margins — the dynamic
-    /// buffer is only a cache, so visit order never changes a value.
+    /// The permutation-time p-value of one rule given its permuted support,
+    /// when the static table does not hold its coverage: recomputed under
+    /// [`BufferStrategy::None`], otherwise from the worker's dynamic buffer.
+    /// A pure function of `(coverage, support)` for fixed margins — the
+    /// dynamic buffer is only a cache, so visit order never changes a value.
     #[inline]
     fn rule_p_value(
         &self,
@@ -881,16 +959,8 @@ impl PermutationCorrection {
                 .expect("permuted support stays within the margins");
                 plan.fisher.p_value(&counts, Tail::TwoSided)
             }
-            BufferStrategy::DynamicOnly => dynamics[slot].p_value(coverage, supp_r, &plan.logs),
-            BufferStrategy::StaticAndDynamic => {
-                let tables = plan
-                    .static_tables
-                    .as_ref()
-                    .expect("built for this strategy");
-                match tables.slot(slot).get(coverage) {
-                    Some(buffer) => buffer.p_value(supp_r),
-                    None => dynamics[slot].p_value(coverage, supp_r, &plan.logs),
-                }
+            BufferStrategy::DynamicOnly | BufferStrategy::StaticAndDynamic => {
+                dynamics[slot].p_value(coverage, supp_r, &plan.logs)
             }
         }
     }

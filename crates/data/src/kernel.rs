@@ -155,7 +155,8 @@ pub fn force(kind: Option<KernelKind>) {
 /// this atomic itself (`sigrule::obs_metrics` exposes it) instead of a copy.
 pub static BATCHED_SWEEPS: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
 
-/// Records `n` batched (lane-block) forest sweeps.
+/// Records `n` batched (lane-block) forest sweeps actually run (a class
+/// whose supports are derived rather than swept is not counted).
 pub fn note_batched_sweeps(n: u64) {
     BATCHED_SWEEPS.fetch_add(n, Relaxed);
 }

@@ -252,10 +252,16 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| error(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| error(*pos, "non-ASCII \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| error(*pos, format!("bad \\u escape {hex:?}")))?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign (`\u+041`).
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(error(
+                                *pos,
+                                format!("bad \\u escape {:?}", String::from_utf8_lossy(hex)),
+                            ));
+                        }
+                        let hex = std::str::from_utf8(hex).expect("ASCII hex digits");
+                        let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                         // Surrogate pairs are not needed by the protocol;
                         // map unpaired surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -394,6 +400,18 @@ impl ObjectBuilder {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let parse = |text: &str| Json::parse(&format!(r#"{{"dataset":"{text}"}}"#));
+        let parsed = parse(r"\u0041").unwrap();
+        assert_eq!(parsed.get("dataset").and_then(Json::as_str), Some("A"));
+        let parsed = parse(r"\u00e9\u00C9").unwrap();
+        assert_eq!(parsed.get("dataset").and_then(Json::as_str), Some("éÉ"));
+        for bad in [r"\u+041", r"\u-041", r"\u 041", r"\u04g1", r"\u041"] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
 
     #[test]
     fn parses_protocol_shaped_requests() {

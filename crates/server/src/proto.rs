@@ -180,6 +180,15 @@ fn get_usize(req: &Json, key: &str) -> Result<Option<usize>, String> {
     }
 }
 
+/// The `"threads"` field, capped at this host's available parallelism.
+/// Answers are bit-identical at any thread count, and the rayon pool starts
+/// up to one OS thread per requested worker for every parallel operation, so
+/// a larger value buys nothing and a huge one would start that many threads.
+fn get_threads(req: &Json) -> Result<Option<usize>, String> {
+    let cap = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Ok(get_usize(req, "threads")?.map(|threads| threads.min(cap)))
+}
+
 fn get_u64(req: &Json, key: &str) -> Result<Option<u64>, String> {
     match req.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -502,7 +511,7 @@ fn handle_correct(
         .with_permutations(get_usize(req, "permutations")?.unwrap_or(1000))
         .with_seed(get_u64(req, "seed")?.unwrap_or(17))
         .with_cancel(cancel.clone());
-    if let Some(threads) = get_usize(req, "threads")? {
+    if let Some(threads) = get_threads(req)? {
         query = query.with_threads(threads);
     }
     let top = get_usize(req, "top")?.unwrap_or(20);
@@ -528,7 +537,7 @@ fn handle_correct(
             mining: query.mining.clone(),
             n_permutations: query.n_permutations,
             seed: query.seed,
-            threads: get_usize(req, "threads")?,
+            threads: get_threads(req)?,
             timeout_ms: None,
         };
         let plan = crate::coordinate::DistributedNull {
@@ -631,7 +640,7 @@ fn handle_perm_shard(
     let (mined, tables) = mine_outcome?;
     let correction = PermutationCorrection::new(n_permutations).with_seed(seed);
     let collect = || correction.collect_stats_range(&mined, Some(&tables), cancel, start, end);
-    let collected = match get_usize(req, "threads")? {
+    let collected = match get_threads(req)? {
         Some(threads) if threads > 0 => sigrule::correction::permutation::rayon_pool(threads)
             .map_err(|e| format!("could not build a {threads}-thread pool: {e}"))?
             .install(collect),
@@ -1462,5 +1471,26 @@ pub(crate) mod tests {
             r#"{"cmd":"correct","min_sup":10,"correction":"bonferroni"}"#,
         );
         ok(&resp);
+    }
+
+    /// A served `"threads"` is capped at the host's parallelism; smaller
+    /// values, 0 (the ambient default) and an absent field pass unchanged.
+    /// Only parsed, never run: a huge value must not start threads here.
+    #[test]
+    fn served_thread_counts_are_capped_at_the_host() {
+        let cap = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = |line: &str| get_threads(&Json::parse(line).unwrap());
+        assert_eq!(
+            threads(r#"{"cmd":"correct","threads":100000}"#),
+            Ok(Some(cap))
+        );
+        assert_eq!(
+            threads(r#"{"cmd":"perm_shard","threads":9007199254740992}"#),
+            Ok(Some(cap))
+        );
+        assert_eq!(threads(r#"{"cmd":"correct","threads":1}"#), Ok(Some(1)));
+        assert_eq!(threads(r#"{"cmd":"correct","threads":0}"#), Ok(Some(0)));
+        assert_eq!(threads(r#"{"cmd":"correct"}"#), Ok(None));
+        assert!(threads(r#"{"cmd":"correct","threads":-2}"#).is_err());
     }
 }

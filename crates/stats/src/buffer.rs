@@ -23,7 +23,10 @@
 //! * [`SharedPValueTable`] — the static buffer built **once, up front**, for
 //!   exactly the distinct coverages the mined rules use (coverages never
 //!   change across permutations), then shared immutably (`&self`, `Sync`)
-//!   by every worker thread;
+//!   by every worker thread.  Each entry ([`RankedBuffer`]) also stores every
+//!   p-value's insertion rank among the observed p-values, so a permuted
+//!   rule is scored with one lookup; the byte budget counts the p-values and
+//!   ranks of those coverages only, not the worst case over every coverage;
 //! * [`DynamicBuffer`] — the per-worker single-slot dynamic buffer for
 //!   coverages the byte budget excluded from the static table.
 
@@ -299,8 +302,8 @@ impl PValueCache {
 
 /// The largest coverage whose buffer still fits a byte budget when every
 /// coverage from `min_sup` up is stored: the paper's "the value of max_sup is
-/// decided by the size of the static buffer" rule, shared by [`PValueCache`]
-/// and [`SharedPValueTable`].
+/// decided by the size of the static buffer" rule for the lazily filled
+/// [`PValueCache`], which cannot know in advance which coverages it will see.
 fn static_max_coverage(n: usize, n_c: usize, budget_bytes: usize, min_sup: usize) -> usize {
     let mut max_sup = min_sup.saturating_sub(1);
     let mut used = 0usize;
@@ -318,76 +321,168 @@ fn static_max_coverage(n: usize, n_c: usize, budget_bytes: usize, min_sup: usize
     max_sup
 }
 
-/// The static half of §4.2.3 rebuilt for parallel permutation workers: the
-/// per-coverage p-value buffers for every **distinct rule coverage** within
-/// the byte budget, built once up front and then only read (`&self`), so a
-/// single table is shared by every worker thread.
+/// One entry of a [`SharedPValueTable`]: the p-value buffer of one coverage
+/// plus, for every support `k ∈ [L, U]`, the **insertion rank** of that
+/// p-value among the rule set's observed p-values — the number of observed
+/// p-values strictly below it.  The permutation engine's pooled-null
+/// histogram is keyed by exactly that rank, so a permuted rule is scored with
+/// one lookup instead of a lookup plus a binary search.
 ///
-/// Coverages above the budget cut-off
-/// ([`SharedPValueTable::max_static_coverage`]) are served by each worker's
-/// own [`DynamicBuffer`].
+/// The ranks are a parallel `u32` vector, so the p-values are stored once.
+#[derive(Debug, Clone)]
+pub struct RankedBuffer {
+    buffer: PValueBuffer,
+    /// `ranks[k − L]` = `sorted_observed.partition_point(|x| x < p(k))`.
+    ranks: Vec<u32>,
+}
+
+impl RankedBuffer {
+    /// Builds the buffer of coverage `supp_x` and ranks each of its p-values
+    /// against `sorted_observed` (ascending).
+    fn build(
+        n: usize,
+        n_c: usize,
+        supp_x: usize,
+        sorted_observed: &[f64],
+        logs: &LogFactorialTable,
+    ) -> Self {
+        let buffer = PValueBuffer::build(n, n_c, supp_x, logs);
+        let ranks = buffer
+            .values
+            .iter()
+            .map(|&p| {
+                u32::try_from(sorted_observed.partition_point(|&x| x < p))
+                    .expect("fewer than 2^32 observed p-values")
+            })
+            .collect();
+        RankedBuffer { buffer, ranks }
+    }
+
+    /// The p-value buffer this entry ranks.
+    pub fn buffer(&self) -> &PValueBuffer {
+        &self.buffer
+    }
+
+    /// The insertion ranks, parallel to the buffer's supports `L..=U`.
+    pub fn ranks(&self) -> &[u32] {
+        &self.ranks
+    }
+
+    /// P-value and insertion rank of a rule with support `supp_r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `supp_r` is outside `[L, U]`.
+    #[inline]
+    pub fn lookup(&self, supp_r: usize) -> (f64, usize) {
+        let i = supp_r.wrapping_sub(self.buffer.lower);
+        (self.buffer.values[i], self.ranks[i] as usize)
+    }
+
+    /// Memory footprint in bytes: the p-values, their ranks and the entry
+    /// itself.
+    pub fn size_bytes(&self) -> usize {
+        ranked_entry_bytes(self.ranks.len())
+    }
+}
+
+/// Bytes of a [`RankedBuffer`] with `len` supports: one `f64` and one `u32`
+/// per support plus the fixed header.  Both the budget of
+/// [`SharedPValueTable::build`] and [`RankedBuffer::size_bytes`] use it, so
+/// the budget counts exactly the bytes the table keeps.
+fn ranked_entry_bytes(len: usize) -> usize {
+    len * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
+        + std::mem::size_of::<RankedBuffer>()
+}
+
+/// Marks a coverage the table does not hold in [`SharedPValueTable`]'s index.
+const ABSENT: u32 = u32::MAX;
+
+/// The static half of §4.2.3 rebuilt for parallel permutation workers: a
+/// [`RankedBuffer`] for every **distinct rule coverage** within the byte
+/// budget, built once up front and then only read (`&self`), so a single
+/// table is shared by every worker thread.
+///
+/// The budget is spent on the coverages the rules actually use, in ascending
+/// order, counting the bytes each entry stores (p-values plus ranks); the
+/// first coverage that no longer fits and every larger one
+/// (above [`SharedPValueTable::max_static_coverage`]) are served by each
+/// worker's own [`DynamicBuffer`].
 #[derive(Debug, Clone)]
 pub struct SharedPValueTable {
     n: usize,
     n_c: usize,
-    min_sup: usize,
-    max_sup: usize,
-    /// `buffers[cov − min_sup]`, built up front for the requested coverages.
-    buffers: Vec<Option<PValueBuffer>>,
+    /// Smallest held coverage (0 when the table is empty).
+    first: usize,
+    /// `index[cov − first]` = position of `cov` in `entries`, or [`ABSENT`].
+    index: Vec<u32>,
+    /// The held entries, in ascending coverage order.
+    entries: Vec<RankedBuffer>,
 }
 
 impl SharedPValueTable {
     /// Builds the table for a dataset with `n` records of which `n_c` carry
-    /// the class, storing a buffer for every distinct value in `coverages`
-    /// that falls inside the byte budget (the same `max_sup` rule as
-    /// [`PValueCache::new`]).
+    /// the class: one [`RankedBuffer`] per distinct value in `coverages`,
+    /// smallest first, while the stored bytes fit `budget_bytes`.  Ranks are
+    /// taken against `sorted_observed`, the rule set's observed p-values in
+    /// ascending order.
     pub fn build(
         n: usize,
         n_c: usize,
         budget_bytes: usize,
-        min_sup: usize,
         coverages: impl IntoIterator<Item = usize>,
+        sorted_observed: &[f64],
         logs: &LogFactorialTable,
     ) -> Self {
-        let min_sup = min_sup.max(1).min(n);
-        let max_sup = static_max_coverage(n, n_c, budget_bytes, min_sup);
-        let slots = if max_sup >= min_sup {
-            max_sup - min_sup + 1
-        } else {
-            0
-        };
-        let mut buffers: Vec<Option<PValueBuffer>> = vec![None; slots];
-        for cov in coverages {
-            if cov >= min_sup && cov <= max_sup {
-                let slot = &mut buffers[cov - min_sup];
-                if slot.is_none() {
-                    *slot = Some(PValueBuffer::build(n, n_c, cov, logs));
-                }
+        let mut wanted: Vec<usize> = coverages.into_iter().collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut entries = Vec::new();
+        let mut used = 0usize;
+        for cov in wanted {
+            // Buffer length for this coverage: U − L + 1.
+            let len = n_c.min(cov) - (n_c + cov).saturating_sub(n) + 1;
+            let bytes = ranked_entry_bytes(len);
+            if used + bytes > budget_bytes {
+                break;
             }
+            used += bytes;
+            entries.push(RankedBuffer::build(n, n_c, cov, sorted_observed, logs));
         }
+        let (first, index) = match (entries.first(), entries.last()) {
+            (Some(lo), Some(hi)) => {
+                let first = lo.buffer.coverage;
+                let mut index = vec![ABSENT; hi.buffer.coverage - first + 1];
+                for (i, entry) in entries.iter().enumerate() {
+                    index[entry.buffer.coverage - first] = i as u32;
+                }
+                (first, index)
+            }
+            _ => (0, Vec::new()),
+        };
         SharedPValueTable {
             n,
             n_c,
-            min_sup,
-            max_sup,
-            buffers,
+            first,
+            index,
+            entries,
         }
     }
 
-    /// The buffer for a coverage, if the table holds it.  Immutable — safe to
+    /// The entry for a coverage, if the table holds it.  Immutable — safe to
     /// call from any number of threads at once.
     #[inline]
-    pub fn get(&self, supp_x: usize) -> Option<&PValueBuffer> {
-        if supp_x >= self.min_sup && supp_x <= self.max_sup {
-            self.buffers[supp_x - self.min_sup].as_ref()
-        } else {
-            None
+    pub fn get(&self, supp_x: usize) -> Option<&RankedBuffer> {
+        match self.index.get(supp_x.wrapping_sub(self.first)) {
+            Some(&i) if i != ABSENT => Some(&self.entries[i as usize]),
+            _ => None,
         }
     }
 
-    /// Largest coverage the byte budget admitted.
+    /// Largest coverage the table holds (0 when it holds none).  Every
+    /// requested coverage up to it is held.
     pub fn max_static_coverage(&self) -> usize {
-        self.max_sup
+        self.entries.last().map_or(0, |e| e.buffer.coverage)
     }
 
     /// Number of records the table was built for.
@@ -400,18 +495,19 @@ impl SharedPValueTable {
         self.n_c
     }
 
-    /// Number of buffers resident in the table.
+    /// Number of coverages resident in the table.
     pub fn n_buffers(&self) -> usize {
-        self.buffers.iter().filter(|b| b.is_some()).count()
+        self.entries.len()
     }
 
-    /// Total bytes held by the resident buffers.
+    /// Total bytes held by the resident entries (p-values and ranks) and
+    /// the coverage index.
     pub fn resident_bytes(&self) -> usize {
-        self.buffers
+        self.entries
             .iter()
-            .flatten()
-            .map(PValueBuffer::size_bytes)
-            .sum()
+            .map(RankedBuffer::size_bytes)
+            .sum::<usize>()
+            + self.index.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -657,57 +753,88 @@ mod tests {
     fn shared_table_matches_cache_and_is_prebuilt() {
         let logs = LogFactorialTable::new(300);
         let coverages = [20usize, 45, 45, 90];
-        let table = SharedPValueTable::build(300, 120, 1 << 20, 10, coverages, &logs);
+        let observed = [1e-6, 0.01, 0.01, 0.2, 0.5];
+        let table = SharedPValueTable::build(300, 120, 1 << 20, coverages, &observed, &logs);
         assert_eq!(table.n(), 300);
         assert_eq!(table.n_c(), 120);
-        // Every requested in-range coverage is resident, once.
+        // Every requested coverage is resident, once.
         assert_eq!(table.n_buffers(), 3);
+        assert_eq!(table.max_static_coverage(), 90);
         assert!(table.resident_bytes() > 0);
         let mut cache = PValueCache::new(300, 120, 1 << 20, 10);
         for cov in [20usize, 45, 90] {
-            let buf = table.get(cov).expect("coverage was requested up front");
+            let entry = table.get(cov).expect("coverage was requested up front");
+            let buf = entry.buffer();
+            assert_eq!(buf.coverage(), cov);
+            assert_eq!(entry.ranks().len(), buf.len());
             for k in buf.lower()..=buf.upper() {
-                assert_eq!(
-                    buf.p_value(k),
-                    cache.p_value(cov, k, &logs),
-                    "cov={cov} k={k}"
-                );
+                let p = cache.p_value(cov, k, &logs);
+                assert_eq!(buf.p_value(k), p, "cov={cov} k={k}");
+                let rank = observed.partition_point(|&x| x < p);
+                assert_eq!(entry.lookup(k), (p, rank), "cov={cov} k={k}");
             }
         }
-        // A coverage that was never requested is absent, not built on demand.
+        // A coverage that was never requested is absent, not built on demand,
+        // whether it lies between held coverages or outside them.
         assert!(table.get(30).is_none());
-        // Out-of-range coverages are refused rather than built.
         assert!(table.get(5).is_none());
+        assert!(table.get(91).is_none());
     }
 
     #[test]
-    fn shared_table_budget_cutoff_matches_cache() {
+    fn shared_table_budget_counts_stored_bytes() {
         let logs = LogFactorialTable::new(200);
-        let cache = PValueCache::new(200, 100, 4000, 10);
-        let table = SharedPValueTable::build(200, 100, 4000, 10, 10..=200, &logs);
-        assert_eq!(table.max_static_coverage(), cache.max_static_coverage());
-        assert!(table.get(table.max_static_coverage() + 1).is_none());
+        let budget = 4000;
+        let table = SharedPValueTable::build(200, 100, budget, 10..=200, &[0.5], &logs);
+        let max = table.max_static_coverage();
+        assert!(max >= 10, "the budget admits at least one coverage");
+        // Every coverage up to the cut-off is held, none above it.
+        for cov in 10..=200 {
+            assert_eq!(table.get(cov).is_some(), cov <= max, "cov={cov}");
+        }
+        // The held entries' p-values and ranks fit the budget, and the next
+        // coverage would not have.
+        let held: usize = (10..=max).map(|c| table.get(c).unwrap().size_bytes()).sum();
+        assert!(held <= budget);
+        let next = PValueBuffer::build(200, 100, max + 1, &logs).len();
+        assert!(held + ranked_entry_bytes(next) > budget);
+        assert_eq!(table.resident_bytes(), held + (max - 10 + 1) * 4);
+        // Only the coverages the rules use are paid for: a sparse rule set
+        // reaches far past the worst-case cut-off of the lazy cache.
+        let cache = PValueCache::new(200, 100, budget, 10);
+        let sparse = SharedPValueTable::build(200, 100, budget, [10, 150, 190], &[0.5], &logs);
+        assert!(cache.max_static_coverage() < 150);
+        assert_eq!(sparse.max_static_coverage(), 190);
+        assert_eq!(sparse.n_buffers(), 3);
     }
 
     #[test]
     fn shared_table_set_is_one_allocation() {
         let logs = LogFactorialTable::new(200);
-        let tables = vec![
-            SharedPValueTable::build(200, 80, 1 << 20, 5, [10usize, 20], &logs),
-            SharedPValueTable::build(200, 120, 1 << 20, 5, [10usize, 20], &logs),
-        ];
-        let set = SharedTableSet::new(tables);
+        let build = |n_c: usize| {
+            SharedPValueTable::build(200, n_c, 1 << 20, [10usize, 20], &[0.01, 0.3], &logs)
+        };
+        let set = SharedTableSet::new(vec![build(80), build(120)]);
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
         assert!(set.resident_bytes() > 0);
+        // The ranks are counted: one u32 per support of every entry.
+        let ranks: usize = set
+            .tables()
+            .iter()
+            .flat_map(|t| [10usize, 20].map(|c| t.get(c).unwrap().ranks().len()))
+            .sum();
+        let values: usize = set
+            .tables()
+            .iter()
+            .flat_map(|t| [10usize, 20].map(|c| t.get(c).unwrap().buffer().len()))
+            .sum();
+        assert!(set.resident_bytes() >= values * 8 + ranks * 4);
         let clone = set.clone();
         assert!(set.same_allocation(&clone));
         // A rebuild with identical inputs is equal in content but distinct in
         // allocation — reuse is observable.
-        let rebuilt = SharedTableSet::new(vec![
-            SharedPValueTable::build(200, 80, 1 << 20, 5, [10usize, 20], &logs),
-            SharedPValueTable::build(200, 120, 1 << 20, 5, [10usize, 20], &logs),
-        ]);
+        let rebuilt = SharedTableSet::new(vec![build(80), build(120)]);
         assert!(!set.same_allocation(&rebuilt));
         assert_eq!(set.slot(0).n_c(), 80);
         assert_eq!(set.tables().len(), 2);

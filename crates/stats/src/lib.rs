@@ -56,7 +56,8 @@ pub use adjust::{
     bonferroni, bonferroni_threshold, holm, sidak, AdjustMethod,
 };
 pub use buffer::{
-    CacheStats, DynamicBuffer, PValueBuffer, PValueCache, SharedPValueTable, SharedTableSet,
+    CacheStats, DynamicBuffer, PValueBuffer, PValueCache, RankedBuffer, SharedPValueTable,
+    SharedTableSet,
 };
 pub use chisq::{chi_square_independence, chi_square_p_value, ChiSquareResult};
 pub use empirical::{empirical_fdr_adjust, min_p_threshold, EmpiricalNull, PooledNull};

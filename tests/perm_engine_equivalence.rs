@@ -232,7 +232,10 @@ proptest! {
 }
 
 /// The shared static table prebuilds exactly the coverages the rules use, so
-/// parallel workers never mutate shared cache state.
+/// parallel workers never mutate shared cache state.  Its budget counts the
+/// bytes it stores (p-values plus ranks) for those coverages only: every
+/// coverage is held whenever their total fits, and one byte less drops
+/// exactly the largest coverage to the dynamic buffer.
 #[test]
 fn shared_static_table_covers_all_rule_coverages() {
     let params = SyntheticParams::default()
@@ -245,25 +248,59 @@ fn shared_static_table_covers_all_rule_coverages() {
     let mined = mine_rules(&dataset, &RuleMiningConfig::new(40));
     assert!(!mined.rules().is_empty());
     let logs = sigrule_repro::stats::LogFactorialTable::new(mined.n_records());
+    let mut sorted_observed = mined.p_values();
+    sorted_observed.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let build = |class: usize, coverages: &[usize], budget: usize| {
+        SharedPValueTable::build(
+            mined.n_records(),
+            mined.class_counts()[class],
+            budget,
+            coverages.iter().copied(),
+            &sorted_observed,
+            &logs,
+        )
+    };
     for class in 0..mined.n_classes() {
-        let coverages: Vec<usize> = mined
+        let mut coverages: Vec<usize> = mined
             .rules()
             .iter()
             .filter(|r| r.class as usize == class)
             .map(|r| r.coverage)
             .collect();
-        let table = SharedPValueTable::build(
-            mined.n_records(),
-            mined.class_counts()[class],
-            16 * 1024 * 1024,
-            40,
-            coverages.iter().copied(),
-            &logs,
-        );
+        coverages.sort_unstable();
+        coverages.dedup();
+        if coverages.is_empty() {
+            continue;
+        }
+        let table = build(class, &coverages, 16 * 1024 * 1024);
+        assert_eq!(table.n_buffers(), coverages.len());
+        let stored: usize = coverages
+            .iter()
+            .map(|&cov| {
+                let entry = table.get(cov).expect("every rule coverage is held");
+                assert_eq!(entry.ranks().len(), entry.buffer().len());
+                for k in entry.buffer().lower()..=entry.buffer().upper() {
+                    let p = entry.buffer().p_value(k);
+                    let rank = sorted_observed.partition_point(|&x| x < p);
+                    assert_eq!(entry.lookup(k), (p, rank), "cov={cov} k={k}");
+                }
+                entry.size_bytes()
+            })
+            .sum();
+        assert!(stored <= 16 * 1024 * 1024);
+
+        // A budget of exactly the stored bytes still holds every coverage.
+        let exact = build(class, &coverages, stored);
+        assert_eq!(exact.n_buffers(), coverages.len());
         for &cov in &coverages {
-            if cov <= table.max_static_coverage() {
-                assert!(table.get(cov).is_some(), "coverage {cov} not prebuilt");
-            }
+            assert!(exact.get(cov).is_some(), "coverage {cov} not prebuilt");
+        }
+        // One byte less drops the largest coverage, and only it.
+        let short = build(class, &coverages, stored - 1);
+        let (largest, rest) = coverages.split_last().unwrap();
+        assert!(short.get(*largest).is_none());
+        for &cov in rest {
+            assert!(short.get(cov).is_some(), "coverage {cov} not prebuilt");
         }
     }
 }
