@@ -157,7 +157,8 @@ pub struct CommonOpts {
     pub seed: u64,
     /// Permutation count for the permutation approach.
     pub permutations: usize,
-    /// Worker threads for the permutation engine.
+    /// Worker threads for mining, the permutation null and the holdout
+    /// re-score.
     pub threads: Option<usize>,
     /// Output format.
     pub format: Format,

@@ -3,14 +3,16 @@
 use crate::args::{parse_correction, ArgMap, CommonOpts, UsageError};
 use crate::output::{method_summary_row, significant_rules_table, Report};
 use sigrule::cancel::CancelToken;
+use sigrule::correction::permutation::rayon_pool;
 use sigrule::engine::{Engine, Loader, Query};
-use sigrule::{CorrectionApproach, ErrorMetric, PipelineError};
+use sigrule::{CorrectionApproach, ErrorMetric, MinedRuleSet, PipelineError, RuleMiningConfig};
 use sigrule_data::{Dataset, InputFormat};
 use sigrule_eval::report::Table;
 use sigrule_server::coordinate::{self, DistributedNull, ShardSpec};
 use sigrule_server::json::ObjectBuilder;
 use sigrule_synth::{SyntheticGenerator, SyntheticParams};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A failed command: either a bad invocation (exit 2) or a runtime error
 /// (exit 1).
@@ -62,6 +64,23 @@ fn query_for(
         threads: opts.threads,
         cancel: CancelToken::none(),
     }
+}
+
+/// Mines (via the engine's cache) on `--threads` threads, as the queries
+/// that follow do: one thread mines on the calling thread.
+fn mine_on_threads(
+    engine: &Engine,
+    opts: &CommonOpts,
+    mining: &RuleMiningConfig,
+) -> Result<(Arc<MinedRuleSet>, Duration), CliError> {
+    let mine = || engine.mine(mining);
+    let (mined, elapsed, _cached) = match opts.threads {
+        Some(n) => rayon_pool(n)
+            .map_err(|e| CliError::Runtime(format!("thread pool: {e}")))?
+            .install(mine),
+        None => mine(),
+    };
+    Ok((mined, elapsed))
 }
 
 /// Fails the command when `--strict` was given and the loader produced
@@ -273,7 +292,7 @@ pub fn correct(args: &ArgMap) -> Result<Report, CliError> {
     // permutation rows (the engine's null cache keys on (mining, N, seed),
     // not on the metric).
     let engine = Engine::new(dataset);
-    let (mined, mine_time, _) = engine.mine(&opts.mining_config(n_records));
+    let (mined, mine_time) = mine_on_threads(&engine, &opts, &opts.mining_config(n_records))?;
     let mine_ms = millis(mine_time);
     if let Some(workers_spec) = args.get("workers") {
         warnings.extend(distribute_null(&engine, &opts, workers_spec)?);
@@ -364,7 +383,7 @@ pub fn bench(args: &ArgMap) -> Result<Report, CliError> {
     ]);
 
     let mining = opts.mining_config(n_records);
-    let (mined, mine_time, _) = engine.mine(&mining);
+    let (mined, mine_time) = mine_on_threads(&engine, &opts, &mining)?;
     table.push_row(vec![
         "mine".into(),
         format!("min_sup {}", mining.min_sup),

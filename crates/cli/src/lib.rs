@@ -99,7 +99,8 @@ SHARED:
   --alpha <f>           significance level (default 0.05)
   --permutations <n>    permutation count (default 1000)
   --seed <n>            RNG seed for permutation/holdout (default 17)
-  --threads <n>         worker threads for the permutation engine
+  --threads <n>         worker threads for mining, the permutation null and
+                        the holdout re-score (1: all on the calling thread)
   --workers <list>      correct: scatter the cold permutation null across
                         remote `sigrule serve` processes (comma list of
                         tcp:HOST:PORT|unix:PATH); statistics stay

@@ -13,7 +13,8 @@
 //! * a request line over the 1 MiB cap is answered with `invalid_request`
 //!   and skipped, without closing the connection;
 //! * a long multi-byte string line is parsed in linear time, while other
-//!   connections keep answering.
+//!   connections keep answering;
+//! * a seed of `u64::MAX` crosses the socket and the worker wire exactly.
 //!
 //! Every client read carries a hard timeout, so a hung accept loop or a
 //! lost response fails the test in seconds instead of stalling CI (the CI
@@ -545,5 +546,133 @@ fn client_subcommand_pipes_a_session() {
         .map(|r| r.get("id").and_then(Json::as_str).unwrap())
         .collect();
     assert_eq!(ids, vec!["load", "q", "r", "bye"]);
+    served.assert_clean_exit();
+}
+
+/// `sigrule correct --format json` run in-process; the report's rows by
+/// method name.
+fn cli_rows(extra: &[&str]) -> (Json, String) {
+    let input = fixture();
+    let mut argv: Vec<String> = [
+        "correct",
+        "--input",
+        input.to_str().unwrap(),
+        "--min-sup",
+        "8",
+        "--permutations",
+        "400",
+        "--seed",
+        "18446744073709551615",
+        "--threads",
+        "1",
+        "--format",
+        "json",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    argv.extend(extra.iter().map(|s| s.to_string()));
+    let run = sigrule_cli::run(&argv);
+    assert_eq!(run.exit_code, 0, "correct failed: {}", run.stderr);
+    let report = Json::parse(run.stdout.trim()).expect("report is JSON");
+    let rows = match report.get("tables") {
+        Some(Json::Array(tables)) => tables[0].get("rows").cloned().unwrap(),
+        other => panic!("no tables: {other:?}"),
+    };
+    (rows, run.stderr)
+}
+
+/// A seed above 2^53 (here `u64::MAX`) is exact end to end: served, it
+/// gives the one-shot CLI's permutation rows and is echoed back exactly;
+/// as a `--workers` run it reaches the worker's `perm_shard` intact, so
+/// the worker runs shards instead of refusing the seed.
+#[test]
+fn u64_max_seed_is_exact_over_the_socket_and_the_worker_wire() {
+    let served = ServedProcess::spawn("tcp:127.0.0.1:0", &[]);
+    let mut client = served.connect();
+    let path = fixture();
+    assert_ok(
+        &client
+            .request(&format!(
+                r#"{{"cmd":"load","path":"{}"}}"#,
+                path.to_str().unwrap()
+            ))
+            .unwrap(),
+    );
+
+    let (plain, _) = cli_rows(&[]);
+    let Json::Array(rows) = plain.clone() else {
+        panic!("rows should be an array")
+    };
+    for (metric, method) in [("fwer", "Perm_FWER"), ("fdr", "Perm_FDR")] {
+        let resp = client
+            .request(&format!(
+                r#"{{"cmd":"correct","min_sup":8,"correction":"permutation","metric":"{metric}","permutations":400,"seed":18446744073709551615,"threads":1,"top":0}}"#
+            ))
+            .unwrap();
+        assert_ok(&resp);
+        assert_eq!(resp.get("seed").and_then(Json::as_u64), Some(u64::MAX));
+        let row = rows
+            .iter()
+            .find(|row| matches!(row, Json::Array(cells) if cells[0].as_str() == Some(method)))
+            .unwrap_or_else(|| panic!("no {method} row"));
+        let Json::Array(cells) = row else {
+            unreachable!()
+        };
+        assert_eq!(
+            cells[4].as_str().map(str::to_string),
+            resp.get("significant")
+                .and_then(Json::as_u64)
+                .map(|n| n.to_string()),
+            "{method}: significant"
+        );
+        let cutoff = match resp.get("p_value_cutoff") {
+            Some(Json::Null) => "-".to_string(),
+            Some(value) => format!("{:.6e}", value.as_f64().unwrap()),
+            None => panic!("{method}: no cutoff"),
+        };
+        assert_eq!(cells[5].as_str(), Some(cutoff.as_str()), "{method}: cutoff");
+    }
+
+    // The same seed scattered to the served process as a worker.
+    let (distributed, stderr) = cli_rows(&["--workers", &served.addr.to_string()]);
+    let drop_time = |rows: Json| match rows {
+        Json::Array(rows) => rows
+            .into_iter()
+            .map(|row| match row {
+                Json::Array(mut cells) => {
+                    cells.pop();
+                    Json::Array(cells)
+                }
+                other => other,
+            })
+            .collect::<Vec<_>>(),
+        other => panic!("rows should be an array, got {other:?}"),
+    };
+    assert_eq!(drop_time(distributed), drop_time(plain));
+    assert!(
+        !stderr.contains("lost") && !stderr.contains("skipped"),
+        "the worker must accept the seed: {stderr}"
+    );
+    let stats = client.request(r#"{"cmd":"registry_stats"}"#).unwrap();
+    let Some(Json::Array(datasets)) = stats.get("datasets") else {
+        panic!("registry_stats lists datasets: {}", stats.render())
+    };
+    let shard_mines: u64 = datasets
+        .iter()
+        .filter(|d| {
+            d.get("name")
+                .and_then(Json::as_str)
+                .is_some_and(|n| n.starts_with("cli:"))
+        })
+        .filter_map(|d| d.get("mine_misses").and_then(Json::as_u64))
+        .sum();
+    assert!(
+        shard_mines >= 1,
+        "no shard ran on the worker: {}",
+        stats.render()
+    );
+
+    assert_ok(&client.request(r#"{"cmd":"shutdown"}"#).unwrap());
     served.assert_clean_exit();
 }

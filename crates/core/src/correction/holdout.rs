@@ -17,10 +17,12 @@
 //!    its exploratory p-value beside its evaluation coverage, support and
 //!    two-sided Fisher p-value.  This is the expensive, α-independent
 //!    artefact a resident [`Engine`](crate::engine::Engine) caches per
-//!    (mining configuration, seed).  Supports are counted on the evaluation
-//!    part's vertical view: a pattern's cover is the intersection of its
-//!    items' tid lists, and its support the cover's records of the rule's
-//!    class.
+//!    (mining configuration, seed).  The re-score walks the exploratory
+//!    forest depth-first on the evaluation part's vertical view: a node's
+//!    evaluation cover is its parent's cover intersected with the tid lists
+//!    of the items it adds, and each node is scored once (its coverage and
+//!    per-class supports) for every rule it backs.  Root subtrees are
+//!    independent and run on the current rayon pool.
 //! 2. [`HoldoutEvaluation::decide`] screens the rules at `α` (in mined
 //!    order) and applies Bonferroni or Benjamini–Hochberg over the
 //!    candidates.  It is cheap and exact for any α and either metric.
@@ -34,12 +36,13 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::correction::{CorrectionResult, ErrorMetric};
-use crate::miner::{mine_rules, mine_rules_cancellable};
+use crate::miner::{mine_rules, mine_rules_cancellable, MinedRuleSet};
 use crate::rule::ClassRule;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sigrule_data::{Dataset, Pattern, TidSet, VerticalDataset};
+use rayon::prelude::*;
+use sigrule_data::{Dataset, TidSet, VerticalDataset};
 use sigrule_stats::{
     benjamini_hochberg_threshold, bonferroni_threshold, FisherTest, RuleCounts, Tail,
 };
@@ -76,34 +79,7 @@ impl HoldoutEvaluation {
         let mined = mine_rules_cancellable(exploratory, &vertical, mining, cancel)?;
         cancel.check()?;
 
-        let evaluation_view = VerticalDataset::from_dataset(evaluation);
-        let n_eval = evaluation.n_records();
-        let eval_class_counts = evaluation.class_counts();
-        let fisher = FisherTest::new(n_eval);
-        let rules = mined
-            .rules()
-            .iter()
-            .map(|rule| {
-                let cover = evaluation_cover(&evaluation_view, &rule.pattern);
-                let coverage = cover.len();
-                let support = cover.count_class(evaluation_view.labels(), rule.class);
-                let n_c = eval_class_counts.count(rule.class);
-                let p_value = if n_eval == 0 {
-                    1.0
-                } else {
-                    let counts = RuleCounts::new(n_eval, n_c, coverage, support)
-                        .expect("counts measured on the evaluation dataset are consistent");
-                    fisher.p_value(&counts, Tail::TwoSided)
-                };
-                ClassRule {
-                    pattern: rule.pattern.clone(),
-                    class: rule.class,
-                    coverage,
-                    support,
-                    p_value,
-                }
-            })
-            .collect();
+        let rules = Rescore::new(&mined, &VerticalDataset::from_dataset(evaluation)).run();
         Ok(HoldoutEvaluation {
             exploratory_p: mined.rules().iter().map(|r| r.p_value).collect(),
             rules,
@@ -169,22 +145,157 @@ impl HoldoutEvaluation {
     }
 }
 
-/// The evaluation records `pattern` covers: the intersection of its items'
-/// tid lists.  An item outside the evaluation part's item space (parts
-/// loaded separately) covers no record.
-fn evaluation_cover(vertical: &VerticalDataset, pattern: &Pattern) -> TidSet {
-    let absent = TidSet::empty();
-    let mut item_tids = pattern.items().iter().map(|&item| {
-        if (item as usize) < vertical.n_items() {
-            vertical.item_tids(item)
-        } else {
-            &absent
+/// The re-scoring of an exploratory rule set on the evaluation part, by a
+/// depth-first walk of the exploratory forest.
+struct Rescore<'a> {
+    mined: &'a MinedRuleSet,
+    evaluation: &'a VerticalDataset,
+    /// The forest nodes without a parent, in node order.
+    roots: Vec<usize>,
+    /// The children of each forest node, in node order.
+    children: Vec<Vec<usize>>,
+    /// The rules (indices into `mined.rules()`) each forest node backs.
+    node_rules: Vec<Vec<usize>>,
+    class_counts: Vec<usize>,
+    fisher: FisherTest,
+    /// Stands in for the tid list of an item outside the evaluation part's
+    /// item space (parts loaded separately): it covers no record.
+    absent: TidSet,
+}
+
+impl<'a> Rescore<'a> {
+    fn new(mined: &'a MinedRuleSet, evaluation: &'a VerticalDataset) -> Self {
+        let nodes = mined.forest().nodes();
+        let mut roots = Vec::new();
+        let mut children = vec![Vec::new(); nodes.len()];
+        for (i, node) in nodes.iter().enumerate() {
+            match node.parent {
+                Some(parent) => children[parent].push(i),
+                None => roots.push(i),
+            }
         }
-    });
-    let first = item_tids
-        .next()
-        .expect("a mined pattern has at least one item");
-    item_tids.fold(first.clone(), |cover, tids| cover.intersect(tids))
+        let mut node_rules = vec![Vec::new(); nodes.len()];
+        for i in 0..mined.rules().len() {
+            node_rules[mined.rule_node(i)].push(i);
+        }
+        Rescore {
+            mined,
+            evaluation,
+            roots,
+            children,
+            node_rules,
+            class_counts: evaluation.class_counts(),
+            fisher: FisherTest::new(evaluation.n_records()),
+            absent: TidSet::empty(),
+        }
+    }
+
+    /// Every rule re-scored on the evaluation part, in mined order.  Root
+    /// subtrees run on the current rayon pool; results land by rule index.
+    fn run(&self) -> Vec<ClassRule> {
+        let scored: Vec<Vec<(usize, ClassRule)>> = self
+            .roots
+            .par_iter()
+            .map(|&root| {
+                let mut out = Vec::new();
+                self.walk(root, None, &mut out);
+                out
+            })
+            .collect();
+        let mut rules: Vec<Option<ClassRule>> = vec![None; self.mined.rules().len()];
+        for (i, rule) in scored.into_iter().flatten() {
+            rules[i] = Some(rule);
+        }
+        rules
+            .into_iter()
+            .map(|rule| rule.expect("every rule's node lies in some root subtree"))
+            .collect()
+    }
+
+    /// Scores `node` and its subtree, given its parent's evaluation cover
+    /// (`None` for a root: every record).  Only the covers of the open path
+    /// are alive at any time.
+    fn walk(&self, node: usize, parent: Option<&TidSet>, out: &mut Vec<(usize, ClassRule)>) {
+        let cover = self.cover(node, parent);
+        self.score(node, &cover, out);
+        for &child in &self.children[node] {
+            self.walk(child, Some(&cover), out);
+        }
+    }
+
+    /// The evaluation records `node` covers: its parent's cover intersected
+    /// with the tid lists of the items the node adds, smallest first.
+    fn cover(&self, node: usize, parent: Option<&TidSet>) -> TidSet {
+        let nodes = self.mined.forest().nodes();
+        let pattern = &nodes[node].pattern;
+        let parent_pattern = nodes[node].parent.map(|p| &nodes[p].pattern);
+        let mut lists: Vec<&TidSet> = pattern
+            .items()
+            .iter()
+            .filter(|&&item| parent_pattern.is_none_or(|p| !p.contains(item)))
+            .map(|&item| {
+                if (item as usize) < self.evaluation.n_items() {
+                    self.evaluation.item_tids(item)
+                } else {
+                    &self.absent
+                }
+            })
+            .chain(parent)
+            .collect();
+        lists.sort_by_key(|tids| tids.len());
+        let mut lists = lists.into_iter();
+        let first = lists
+            .next()
+            .expect("a node adds an item or has a parent cover");
+        let mut cover = match lists.next() {
+            Some(second) => first.intersect(second),
+            None => first.clone(),
+        };
+        for tids in lists {
+            if cover.is_empty() {
+                break;
+            }
+            cover = cover.intersect(tids);
+        }
+        cover
+    }
+
+    /// Appends every rule `node` backs, scored on its evaluation `cover`.
+    fn score(&self, node: usize, cover: &TidSet, out: &mut Vec<(usize, ClassRule)>) {
+        let rules = &self.node_rules[node];
+        if rules.is_empty() {
+            return;
+        }
+        let labels = self.evaluation.labels();
+        let mut supports = vec![0usize; self.class_counts.len()];
+        for &t in cover.tids() {
+            supports[labels[t as usize] as usize] += 1;
+        }
+        let n_eval = self.evaluation.n_records();
+        let coverage = cover.len();
+        for &i in rules {
+            let rule = &self.mined.rules()[i];
+            let support = supports[rule.class as usize];
+            let n_c = self.class_counts[rule.class as usize];
+            let p_value = if n_eval == 0 {
+                1.0
+            } else {
+                let counts = RuleCounts::new(n_eval, n_c, coverage, support)
+                    .expect("counts measured on the evaluation dataset are consistent");
+                self.fisher.p_value(&counts, Tail::TwoSided)
+            };
+            out.push((
+                i,
+                ClassRule {
+                    pattern: rule.pattern.clone(),
+                    class: rule.class,
+                    coverage,
+                    support,
+                    p_value,
+                },
+            ));
+        }
+    }
 }
 
 /// Runs the holdout procedure on an existing exploratory/evaluation split:

@@ -442,8 +442,9 @@ pub struct Query {
     pub n_permutations: usize,
     /// Seed of the permutation shuffler / holdout partitioner.
     pub seed: u64,
-    /// Worker-thread count for the permutation engine (`None`: rayon's
-    /// default pool).
+    /// Worker-thread count for the whole query: mining, the permutation
+    /// null and the holdout re-score (`None`: rayon's default pool).  One
+    /// thread runs them all on the calling thread.
     pub threads: Option<usize>,
     /// Cancellation token checked between permutation chunks and mining
     /// phases; deliberately **not** part of any cache key (a cancelled and a
@@ -492,7 +493,7 @@ impl Query {
         self
     }
 
-    /// Pins the permutation engine to `n` worker threads.
+    /// Pins the query (mining, null and holdout) to `n` worker threads.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -984,7 +985,14 @@ impl Engine {
     pub fn query(&self, query: &Query) -> Result<QueryOutcome, PipelineError> {
         query.validate()?;
         self.counters.queries.fetch_add(1, Relaxed);
-        let outcome = self.query_inner(query);
+        // One pool around the whole query: mining, the null and the holdout
+        // re-score all run on the query's threads.
+        let outcome = match query.threads {
+            Some(n) => rayon_pool(n)
+                .map_err(|e| PipelineError::Config(format!("thread pool: {e}")))
+                .and_then(|pool| pool.install(|| self.query_inner(query))),
+            None => self.query_inner(query),
+        };
         if matches!(outcome, Err(PipelineError::Cancelled(_))) {
             self.counters.cancelled_queries.fetch_add(1, Relaxed);
         }
@@ -1050,8 +1058,7 @@ impl Engine {
         let dataset = self.shared.dataset();
         let ctx = CorrectionContext::fresh(dataset, &entry.mined, query.metric, query.alpha);
 
-        // Null stage: look the cacheable null up, collecting it on a miss
-        // (under a pinned thread pool when the query asks for one).
+        // Null stage: look the cacheable null up, collecting it on a miss.
         let null = match query.null_key() {
             None => None,
             Some(key) => Some(self.null_stats(&entry, key, cancel, |tables| {
@@ -1059,18 +1066,9 @@ impl Engine {
                     tables: Some(tables),
                     ..ctx
                 };
-                let collect = || {
-                    correction
-                        .collect_null(&ctx, cancel)
-                        .map(|stats| stats.expect("a correction with a null key collects a null"))
-                };
-                match query.threads {
-                    Some(n) => rayon_pool(n)
-                        .map_err(|e| PipelineError::Config(format!("thread pool: {e}")))?
-                        .install(collect),
-                    None => collect(),
-                }
-                .map_err(PipelineError::from)
+                correction
+                    .collect_null(&ctx, cancel)
+                    .map(|stats| stats.expect("a correction with a null key collects a null"))
             })?),
         };
 

@@ -5,8 +5,9 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::rule::ClassRule;
+use rayon::prelude::*;
 use sigrule_data::{ClassId, Dataset, ItemSpace, VerticalDataset};
-use sigrule_mining::{mine_closed_forest, EclatMiner, MinerConfig, PatternForest};
+use sigrule_mining::{ClosedSplit, EclatMiner, MinerConfig, PatternForest};
 use sigrule_stats::{LogFactorialTable, PValueCache};
 
 /// Default byte budget of the static p-value buffer (the paper's best
@@ -52,7 +53,8 @@ impl MinedRuleSet {
     /// by every permutation).  Every node is a tested pattern: with
     /// `closed_only` (the default) the forest holds only the closed nodes,
     /// each parented on its nearest closed ancestor, mined directly by
-    /// [`mine_closed_forest`] (or, under a length cap, Eclat's forest
+    /// [`mine_closed_forest`](sigrule_mining::mine_closed_forest) (or, under
+    /// a length cap, Eclat's forest
     /// compacted by [`PatternForest::into_closed`]); otherwise it is the
     /// full Eclat forest.
     pub fn forest(&self) -> &PatternForest {
@@ -161,9 +163,11 @@ pub fn mine_rules_with_vertical(
 /// With `closed_only` set the forest holds closed nodes only, so the rule
 /// set, the engine cache and every permutation sweep hold rule nodes only.
 /// Without a length cap the closed patterns are mined directly
-/// ([`mine_closed_forest`], LCM); with `max_length` the full Eclat forest is
-/// mined and then compacted ([`PatternForest::into_closed`]) unless every
-/// node is already closed.  Both give the same forest when the cap never
+/// ([`mine_closed_forest`](sigrule_mining::mine_closed_forest), LCM), one
+/// top-level subtree per item of the current rayon pool's work queue (a
+/// one-thread pool mines on the calling thread); with `max_length` the full
+/// Eclat forest is mined and then compacted
+/// ([`PatternForest::into_closed`]) unless every node is already closed.  Both give the same forest when the cap never
 /// binds.  `--all-patterns` (`closed_only` off) keeps the full Eclat forest.
 /// The main mine, the holdout's exploratory mine and remote shard workers
 /// all mine through here.
@@ -184,7 +188,15 @@ pub fn mine_rules_cancellable(
     // Every node of the forest is a rule LHS.  Closed sets without a length
     // cap are mined directly; under a cap, Eclat's full forest is compacted.
     let forest = if config.closed_only && config.max_length.is_none() {
-        mine_closed_forest(vertical, config.min_sup, config.use_diffsets)
+        // The top-level LCM subtrees are independent: mine them on the
+        // current pool and assemble them in position order, which gives
+        // `mine_closed_forest`'s forest node for node.
+        let split = ClosedSplit::new(vertical, config.min_sup, config.use_diffsets);
+        let subtrees = (0..split.len())
+            .into_par_iter()
+            .map(|pos| split.subtree(pos))
+            .collect();
+        split.assemble(subtrees)
     } else {
         let miner = EclatMiner {
             use_diffsets: config.use_diffsets,

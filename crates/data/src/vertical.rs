@@ -36,6 +36,13 @@ use crate::item::{ClassId, ItemId};
 use crate::kernel;
 use serde::{Deserialize, Serialize};
 
+/// The length ratio from which [`TidSet::intersect`] gallops through the
+/// longer set instead of merging.  Measured on the holdout re-score: pure
+/// galloping lost about a fifth on dense attribute rows, where covers and
+/// item lists have similar lengths, and pure merging lost about a fifth on
+/// sparse baskets.
+const GALLOP_RATIO: usize = 8;
+
 /// A sorted set of record ids (tids).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TidSet {
@@ -84,19 +91,42 @@ impl TidSet {
         self.tids.binary_search(&tid).is_ok()
     }
 
-    /// Set intersection `self ∩ other` (both sorted, linear merge).
+    /// Set intersection `self ∩ other`.
+    ///
+    /// When one set is at least eight times longer than the other, walks the
+    /// shorter set and gallops through the longer one (exponential then
+    /// binary search from the last position), as
+    /// [`is_subset`](TidSet::is_subset) does: `O(|short| log |long|)` instead
+    /// of `O(|short| + |long|)`.  Closer sizes take the branch-free merge of
+    /// [`intersect_min`](TidSet::intersect_min), which is faster there.
     pub fn intersect(&self, other: &TidSet) -> TidSet {
-        let mut out = Vec::with_capacity(self.len().min(other.len()));
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < self.tids.len() && b < other.tids.len() {
-            match self.tids[a].cmp(&other.tids[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.tids[a]);
-                    a += 1;
-                    b += 1;
+        let (short, long) = if self.len() <= other.len() {
+            (&self.tids, &other.tids)
+        } else {
+            (&other.tids, &self.tids)
+        };
+        if long.len() < GALLOP_RATIO * short.len() {
+            return self
+                .intersect_min(other, 0)
+                .expect("every intersection holds at least 0 ids");
+        }
+        let mut out = Vec::with_capacity(short.len());
+        let mut rest = long.as_slice();
+        for &t in short {
+            let mut step = 1;
+            while step < rest.len() && rest[step] < t {
+                step *= 2;
+            }
+            let window = &rest[..rest.len().min(step + 1)];
+            match window.binary_search(&t) {
+                Ok(pos) => {
+                    out.push(t);
+                    rest = &rest[pos + 1..];
                 }
+                Err(pos) => rest = &rest[pos..],
+            }
+            if rest.is_empty() {
+                break;
             }
         }
         TidSet { tids: out }

@@ -10,8 +10,9 @@
 //! * [`mine_closed_forest`] mines the closed patterns directly, by LCM's
 //!   prefix-preserving closure extension (Uno, Kiyomi & Arimura, FIMI 2004),
 //!   and never visits a pattern that is not closed.  The rule miner uses it
-//!   whenever patterns have no length cap.  This goes beyond the paper, which
-//!   mines every frequent pattern first.
+//!   whenever patterns have no length cap, through [`ClosedSplit`], which
+//!   lets it mine the independent top-level subtrees on its thread pool.
+//!   This goes beyond the paper, which mines every frequent pattern first.
 //! * Eclat's full forest compacted by
 //!   [`PatternForest::closed_indices`](crate::forest::PatternForest::closed_indices)
 //!   and [`PatternForest::into_closed`](crate::forest::PatternForest::into_closed),
@@ -32,7 +33,8 @@ use sigrule_data::{Cover, ItemId, Pattern, TidSet, VerticalDataset};
 use std::collections::HashMap;
 
 /// Mines the closed frequent patterns of `vertical` (support at least
-/// `min_sup`, no length cap) straight into their closed-only forest.
+/// `min_sup`, no length cap) straight into their closed-only forest, on the
+/// calling thread.
 ///
 /// The result equals, node for node, Eclat's forest compacted to its closed
 /// nodes: `EclatMiner { use_diffsets }.mine_forest_vertical(..)` followed by
@@ -60,56 +62,160 @@ use std::collections::HashMap;
 /// so `Q`'s longest closed proper prefix is `P` when `P` has no item ranked
 /// above `i`, and otherwise `P`'s parent.  Each node therefore gets its final
 /// cover at once and no full tid-set outlives the walk.
+///
+/// The subtree below each top-level extension reads nothing but the
+/// immutable candidate list, so the walk splits there: this function is
+/// [`ClosedSplit`]'s subtrees mined one after another.  The rule miner runs
+/// the same subtrees on its thread pool and assembles the same forest.
 pub fn mine_closed_forest(
     vertical: &VerticalDataset,
     min_sup: usize,
     use_diffsets: bool,
 ) -> PatternForest {
-    let min_sup = min_sup.max(1);
-    let n_records = vertical.n_records();
-    let items = ranked_items(vertical, min_sup);
-    let full = TidSet::full(n_records);
-    let mut walk = ClosedWalk {
-        items: &items,
-        min_sup,
-        use_diffsets,
-        full: &full,
-        ranks: Vec::new(),
-        rank_ends: Vec::new(),
-        nodes: Vec::new(),
-    };
+    let split = ClosedSplit::new(vertical, min_sup, use_diffsets);
+    let subtrees = (0..split.len()).map(|pos| split.subtree(pos)).collect();
+    split.assemble(subtrees)
+}
 
-    // The closure of the empty pattern: the items in every record.
-    let root: Vec<u32> = (0..items.len() as u32)
-        .filter(|&r| vertical.item_support(items[r as usize]) == n_records)
-        .collect();
-    let candidates: Vec<(u32, &TidSet)> = (0..items.len() as u32)
-        .filter(|r| !root.contains(r))
-        .map(|r| (r, vertical.item_tids(items[r as usize])))
-        .collect();
-    let this = (!root.is_empty()).then(|| (walk.push(&root, &full, None), &full));
-    walk.extend(&root, this, None, &candidates, &[]);
+/// [`mine_closed_forest`] cut at its top level: the closure of the empty
+/// pattern and the top-level extension candidates, from which the subtree
+/// of every candidate position can be mined independently (on any thread)
+/// and the forest assembled from the subtrees in position order.
+#[derive(Debug)]
+pub struct ClosedSplit<'v> {
+    /// Item id of each rank.
+    items: Vec<ItemId>,
+    min_sup: usize,
+    use_diffsets: bool,
+    n_records: usize,
+    /// Every record: the tid-set of the empty pattern.
+    full: TidSet,
+    /// The closure of the empty pattern: the ranks of the items in every
+    /// record.
+    root: Vec<u32>,
+    /// Each other frequent item's rank and tid-set, in ascending rank order.
+    candidates: Vec<(u32, &'v TidSet)>,
+}
 
-    // Into depth-first order, in place: parents precede children, since a
-    // prefix sorts before its extensions.
-    let mut order: Vec<usize> = (0..walk.nodes.len()).collect();
-    order.sort_unstable_by(|&a, &b| walk.ranks_of(a).cmp(walk.ranks_of(b)));
-    let mut nodes = walk.nodes;
-    let mut position = vec![0; order.len()];
-    for (pos, &mined) in order.iter().enumerate() {
-        position[mined] = pos;
-    }
-    for node in &mut nodes {
-        node.parent = node.parent.map(|p| position[p]);
-    }
-    for i in 0..nodes.len() {
-        while position[i] != i {
-            let j = position[i];
-            nodes.swap(i, j);
-            position.swap(i, j);
+/// The closed sets of one top-level subtree of a [`ClosedSplit`], in mining
+/// order.
+#[derive(Debug)]
+pub struct ClosedSubtree {
+    ranks: Vec<u32>,
+    rank_ends: Vec<usize>,
+    nodes: Vec<PatternNode>,
+}
+
+/// The index a subtree's nodes use for the closure of the empty pattern,
+/// which [`ClosedSplit::assemble`] puts first.
+const ROOT_CLOSURE: usize = usize::MAX;
+
+impl<'v> ClosedSplit<'v> {
+    /// Ranks the frequent items of `vertical` and closes the empty pattern.
+    pub fn new(vertical: &'v VerticalDataset, min_sup: usize, use_diffsets: bool) -> Self {
+        let min_sup = min_sup.max(1);
+        let n_records = vertical.n_records();
+        let items = ranked_items(vertical, min_sup);
+        let root: Vec<u32> = (0..items.len() as u32)
+            .filter(|&r| vertical.item_support(items[r as usize]) == n_records)
+            .collect();
+        let candidates = (0..items.len() as u32)
+            .filter(|r| !root.contains(r))
+            .map(|r| (r, vertical.item_tids(items[r as usize])))
+            .collect();
+        ClosedSplit {
+            items,
+            min_sup,
+            use_diffsets,
+            n_records,
+            full: TidSet::full(n_records),
+            root,
+            candidates,
         }
     }
-    PatternForest::new(nodes, n_records)
+
+    /// The number of top-level subtrees (candidate positions).
+    pub fn len(&self) -> usize {
+        self.candidates.len()
+    }
+
+    /// True when there is no top-level subtree.
+    pub fn is_empty(&self) -> bool {
+        self.candidates.is_empty()
+    }
+
+    fn walk(&self) -> ClosedWalk<'_> {
+        ClosedWalk {
+            items: &self.items,
+            min_sup: self.min_sup,
+            use_diffsets: self.use_diffsets,
+            full: &self.full,
+            ranks: Vec::new(),
+            rank_ends: Vec::new(),
+            nodes: Vec::new(),
+        }
+    }
+
+    /// Mines the subtree of top-level candidate position `pos`.
+    pub fn subtree(&self, pos: usize) -> ClosedSubtree {
+        let mut walk = self.walk();
+        let this = (!self.root.is_empty()).then_some((ROOT_CLOSURE, &self.full));
+        walk.extend_at(pos, &self.root, this, None, &self.candidates, &[]);
+        ClosedSubtree {
+            ranks: walk.ranks,
+            rank_ends: walk.rank_ends,
+            nodes: walk.nodes,
+        }
+    }
+
+    /// The forest from every position's subtree, given in position order:
+    /// the root closure first, then the subtrees concatenated (which is the
+    /// serial walk's mining order), sorted by rank sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subtrees` does not hold one subtree per position.
+    pub fn assemble(self, subtrees: Vec<ClosedSubtree>) -> PatternForest {
+        assert_eq!(subtrees.len(), self.len(), "one subtree per position");
+        let mut walk = self.walk();
+        if !self.root.is_empty() {
+            walk.push(&self.root, &self.full, None);
+        }
+        for subtree in subtrees {
+            let offset = walk.nodes.len();
+            let rank_offset = walk.ranks.len();
+            walk.ranks.extend_from_slice(&subtree.ranks);
+            walk.rank_ends
+                .extend(subtree.rank_ends.iter().map(|end| end + rank_offset));
+            walk.nodes.extend(subtree.nodes.into_iter().map(|mut node| {
+                node.parent = node
+                    .parent
+                    .map(|p| if p == ROOT_CLOSURE { 0 } else { p + offset });
+                node
+            }));
+        }
+
+        // Into depth-first order, in place: parents precede children, since a
+        // prefix sorts before its extensions.
+        let mut order: Vec<usize> = (0..walk.nodes.len()).collect();
+        order.sort_unstable_by(|&a, &b| walk.ranks_of(a).cmp(walk.ranks_of(b)));
+        let mut nodes = walk.nodes;
+        let mut position = vec![0; order.len()];
+        for (pos, &mined) in order.iter().enumerate() {
+            position[mined] = pos;
+        }
+        for node in &mut nodes {
+            node.parent = node.parent.map(|p| position[p]);
+        }
+        for i in 0..nodes.len() {
+            while position[i] != i {
+                let j = position[i];
+                nodes.swap(i, j);
+                position.swap(i, j);
+            }
+        }
+        PatternForest::new(nodes, self.n_records)
+    }
 }
 
 /// A closed set found by [`ClosedWalk`]: its index in mining order and its
@@ -179,36 +285,52 @@ impl ClosedWalk<'_> {
         candidates: &[(u32, &'t TidSet)],
         earlier: &[&'t TidSet],
     ) {
-        for (pos, &(item, tids)) in candidates.iter().enumerate() {
-            let mut before = earlier
-                .iter()
-                .chain(candidates[..pos].iter().map(|(_, t)| t));
-            if before.any(|t| tids.is_subset(t)) {
-                continue;
+        for pos in 0..candidates.len() {
+            self.extend_at(pos, pattern, this, parent, candidates, earlier);
+        }
+    }
+
+    /// The part of [`extend`](ClosedWalk::extend) that extends `pattern` by
+    /// `candidates[pos]`: that closed set, if the extension preserves the
+    /// prefix, and everything reached from it.
+    fn extend_at<'t>(
+        &mut self,
+        pos: usize,
+        pattern: &[u32],
+        this: Found<'t>,
+        parent: Found<'t>,
+        candidates: &[(u32, &'t TidSet)],
+        earlier: &[&'t TidSet],
+    ) {
+        let (item, tids) = candidates[pos];
+        let mut before = earlier
+            .iter()
+            .chain(candidates[..pos].iter().map(|(_, t)| t));
+        if before.any(|t| tids.is_subset(t)) {
+            return;
+        }
+        let mut closed = pattern.to_vec();
+        closed.push(item);
+        let mut next = Vec::new();
+        for &(other, other_tids) in &candidates[pos + 1..] {
+            match tids.intersect_min(other_tids, self.min_sup) {
+                Some(joined) if joined.len() == tids.len() => closed.push(other),
+                Some(joined) => next.push((other, joined)),
+                None => {}
             }
-            let mut closed = pattern.to_vec();
-            closed.push(item);
-            let mut next = Vec::new();
-            for &(other, other_tids) in &candidates[pos + 1..] {
-                match tids.intersect_min(other_tids, self.min_sup) {
-                    Some(joined) if joined.len() == tids.len() => closed.push(other),
-                    Some(joined) => next.push((other, joined)),
-                    None => {}
-                }
-            }
-            closed.sort_unstable();
-            let up = if pattern.last().is_none_or(|&r| r < item) {
-                this
-            } else {
-                parent
-            };
-            let index = self.push(&closed, tids, up);
-            if !next.is_empty() {
-                let next: Vec<(u32, &TidSet)> = next.iter().map(|(r, t)| (*r, t)).collect();
-                let mut earlier_next = earlier.to_vec();
-                earlier_next.extend(candidates[..pos].iter().map(|&(_, t)| t));
-                self.extend(&closed, Some((index, tids)), up, &next, &earlier_next);
-            }
+        }
+        closed.sort_unstable();
+        let up = if pattern.last().is_none_or(|&r| r < item) {
+            this
+        } else {
+            parent
+        };
+        let index = self.push(&closed, tids, up);
+        if !next.is_empty() {
+            let next: Vec<(u32, &TidSet)> = next.iter().map(|(r, t)| (*r, t)).collect();
+            let mut earlier_next = earlier.to_vec();
+            earlier_next.extend(candidates[..pos].iter().map(|&(_, t)| t));
+            self.extend(&closed, Some((index, tids)), up, &next, &earlier_next);
         }
     }
 }

@@ -51,7 +51,7 @@ pub mod forest;
 pub mod miner;
 
 pub use apriori::AprioriMiner;
-pub use closed::{closed_flags, mine_closed_forest};
+pub use closed::{closed_flags, mine_closed_forest, ClosedSplit, ClosedSubtree};
 pub use eclat::EclatMiner;
 pub use forest::{PatternForest, PatternNode, SupportBackend, SupportPlan};
 pub use miner::{FrequentPattern, FrequentPatternMiner, MinerConfig, MinerKind};

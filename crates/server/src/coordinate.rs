@@ -158,7 +158,7 @@ impl ShardSpec {
             .number("min_conf", self.mining.min_conf)
             .boolean("all_patterns", !self.mining.closed_only)
             .number("permutations", self.n_permutations as f64)
-            .number("seed", self.seed as f64)
+            .integer("seed", self.seed)
             .number("start", start as f64)
             .number("end", end as f64);
         if let Some(len) = self.mining.max_length {

@@ -18,7 +18,11 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (stored as `f64`, ample for protocol fields).
+    /// A number written as an integer (digits with an optional leading
+    /// minus, no fraction or exponent), kept exact: every `u64` and `i64`
+    /// round-trips.
+    Integer(i128),
+    /// Any other JSON number (stored as `f64`, ample for protocol fields).
     Number(f64),
     /// A string.
     String(String),
@@ -76,21 +80,26 @@ impl Json {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (an integer converted to
+    /// the nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Integer(n) => Some(*n as f64),
             Json::Number(x) => Some(*x),
             _ => None,
         }
     }
 
-    /// The numeric payload as a non-negative integer, if `f64` represents it
-    /// exactly.  Values above 2⁵³ are rejected rather than silently rounded:
-    /// a seed the protocol cannot carry faithfully must error, not produce
-    /// results that differ from the same seed given to the one-shot CLI.
+    /// The numeric payload as a non-negative integer: any integer lexeme in
+    /// `u64`'s range, or another number `f64` holds exactly (`1e3`).  A
+    /// non-integer lexeme above 2⁵³ is rejected rather than silently
+    /// rounded: a seed the protocol cannot carry faithfully must error, not
+    /// produce results that differ from the same seed given to the one-shot
+    /// CLI.
     pub fn as_u64(&self) -> Option<u64> {
         const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
         match self {
+            Json::Integer(n) => u64::try_from(*n).ok(),
             Json::Number(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= MAX_EXACT => Some(*x as u64),
             _ => None,
         }
@@ -109,6 +118,7 @@ impl Json {
         match self {
             Json::Null => "null".to_string(),
             Json::Bool(b) => b.to_string(),
+            Json::Integer(n) => n.to_string(),
             Json::Number(x) => render_number(*x),
             Json::String(s) => json_string(s),
             Json::Array(items) => {
@@ -209,6 +219,13 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits are UTF-8");
+    let digits = text.strip_prefix('-').unwrap_or(text);
+    if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
+        // Past `i128` (39 digits) an integer lexeme falls back to `f64`.
+        if let Ok(n) = text.parse::<i128>() {
+            return Ok(Json::Integer(n));
+        }
+    }
     text.parse::<f64>()
         .map(Json::Number)
         .map_err(|_| error(start, format!("malformed number {text:?}")))
@@ -368,6 +385,12 @@ impl ObjectBuilder {
         self.raw(key, render_number(value))
     }
 
+    /// Appends an integer field, exact over all of `u64` (where
+    /// [`number`](ObjectBuilder::number) rounds above 2⁵³).
+    pub fn integer(&mut self, key: &str, value: u64) -> &mut Self {
+        self.raw(key, value.to_string())
+    }
+
     /// Appends a boolean field.
     pub fn boolean(&mut self, key: &str, value: bool) -> &mut Self {
         self.raw(key, value.to_string())
@@ -427,7 +450,7 @@ mod tests {
         assert_eq!(
             parsed.get("tags"),
             Some(&Json::Array(vec![
-                Json::Number(1.0),
+                Json::Integer(1),
                 Json::Number(-2.5),
                 Json::Null
             ]))
@@ -521,6 +544,41 @@ mod tests {
             Some(1 << 53)
         );
         assert_eq!(Json::Number(9.3e15).as_u64(), None);
+    }
+
+    #[test]
+    fn integer_lexemes_keep_every_u64() {
+        let seed = |text: &str| Json::parse(&format!("{{\"seed\":{text}}}")).unwrap();
+        for n in [0, 1, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let parsed = seed(&n.to_string());
+            assert_eq!(parsed.get("seed").and_then(Json::as_u64), Some(n));
+            assert_eq!(parsed.render(), format!("{{\"seed\":{n}}}"));
+        }
+        // Negative or past u64: exact, but not a u64.
+        assert_eq!(seed("-1").get("seed"), Some(&Json::Integer(-1)));
+        assert_eq!(
+            seed("18446744073709551616").get("seed").unwrap().as_u64(),
+            None
+        );
+        // Fractions and exponents stay f64, with the 2^53 guard.
+        assert_eq!(seed("1e3").get("seed").and_then(Json::as_u64), Some(1000));
+        assert_eq!(seed("2.5").get("seed").and_then(Json::as_u64), None);
+        assert_eq!(seed("1e19").get("seed").and_then(Json::as_u64), None);
+        // Longer than i128: an f64, as before.
+        let huge = "9".repeat(60);
+        assert!(matches!(seed(&huge).get("seed"), Some(Json::Number(_))));
+        for bad in ["-", "--1", "1-"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        // Below 1e15 an integer renders the same through either setter.
+        let mut b = ObjectBuilder::new();
+        b.integer("a", 999_999_999_999_999)
+            .number("b", 999_999_999_999_999.0)
+            .integer("c", u64::MAX);
+        assert_eq!(
+            b.finish(),
+            r#"{"a":999999999999999,"b":999999999999999,"c":18446744073709551615}"#
+        );
     }
 
     #[test]

@@ -545,7 +545,15 @@ fn handle_correct(
             load_line: state.load_line_for(&name),
             spec,
         };
-        let filled = crate::coordinate::fill_engine_null(&engine, &plan, cancel);
+        // A cold mine inside the fill runs on the query's threads, as the
+        // query itself does.
+        let fill = || crate::coordinate::fill_engine_null(&engine, &plan, cancel);
+        let filled = match query.threads {
+            Some(threads) => sigrule::correction::permutation::rayon_pool(threads)
+                .map_err(|e| format!("could not build a {threads}-thread pool: {e}"))?
+                .install(fill),
+            None => fill(),
+        };
         state.registry.enforce_budget();
         filled?;
     }
@@ -580,7 +588,7 @@ fn handle_correct(
     };
     if approach == CorrectionApproach::Permutation {
         resp.number("permutations", query.n_permutations as f64)
-            .number("seed", query.seed as f64);
+            .integer("seed", query.seed);
     }
     resp.number("mine_ms", millis(outcome.timings.mine))
         .number("null_ms", millis(outcome.timings.null))
@@ -633,25 +641,27 @@ fn handle_perm_shard(
 
     sigrule::fault::point("shard.run");
     let began = Instant::now();
-    // Enforce the budget on the error path too: a cancelled shard may still
-    // have filled the mine cache before aborting.
-    let mine_outcome = engine.mined_with_tables(&mining, cancel);
-    state.registry.enforce_budget();
-    let (mined, tables) = mine_outcome?;
     let correction = PermutationCorrection::new(n_permutations).with_seed(seed);
-    let collect = || correction.collect_stats_range(&mined, Some(&tables), cancel, start, end);
-    let collected = match get_threads(req)? {
+    // The mine (on a cache miss) and the range run on the shard's threads.
+    let run = || -> Result<_, ServerError> {
+        // Enforce the budget on the error path too: a cancelled shard may
+        // still have filled the mine cache before aborting.
+        let mine_outcome = engine.mined_with_tables(&mining, cancel);
+        state.registry.enforce_budget();
+        let (mined, tables) = mine_outcome?;
+        Ok(correction.collect_stats_range(&mined, Some(&tables), cancel, start, end)?)
+    };
+    let partial = match get_threads(req)? {
         Some(threads) if threads > 0 => sigrule::correction::permutation::rayon_pool(threads)
             .map_err(|e| format!("could not build a {threads}-thread pool: {e}"))?
-            .install(collect),
-        _ => collect(),
-    };
-    let partial = collected?;
+            .install(run),
+        _ => run(),
+    }?;
 
     let mut resp = ObjectBuilder::new();
     resp.string("dataset", &name)
         .number("permutations", n_permutations as f64)
-        .number("seed", seed as f64)
+        .integer("seed", seed)
         .number("start", partial.start() as f64)
         .number("end", partial.end() as f64)
         .number("n_rules", partial.n_rules() as f64)

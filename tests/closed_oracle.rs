@@ -326,4 +326,27 @@ proptest! {
             mine_rules(&dataset, &RuleMiningConfig::new(min_sup).with_diffsets(use_diffsets));
         prop_assert_eq!(mined.forest(), &direct);
     }
+
+    /// (e) The rule miner mines the direct forest's top-level subtrees on
+    /// its thread pool: under one-, two- and three-thread pools the forest
+    /// is still the compacted Eclat forest, node for node.
+    #[test]
+    fn direct_closed_forest_is_the_same_at_every_thread_count(
+        (dataset, min_sup, _) in mining_case(),
+        use_diffsets in 0u8..2,
+    ) {
+        let use_diffsets = use_diffsets == 1;
+        let vertical = VerticalDataset::from_dataset(&dataset);
+        let eclat = EclatMiner { use_diffsets }
+            .mine_forest_vertical(&vertical, &MinerConfig::new(min_sup));
+        let closed = eclat.closed_indices();
+        let compacted = eclat.into_closed(&closed, use_diffsets);
+        let config = RuleMiningConfig::new(min_sup).with_diffsets(use_diffsets);
+        for threads in 1..=3 {
+            let mined = rayon_pool(threads)
+                .unwrap()
+                .install(|| mine_rules(&dataset, &config));
+            prop_assert_eq!(mined.forest(), &compacted, "threads {}", threads);
+        }
+    }
 }

@@ -8,8 +8,9 @@
 //! and support by scanning every evaluation record, re-test it with Fisher's
 //! exact test, then correct over the candidates.  Every entry point —
 //! `holdout_from_parts`, `random_holdout`, and a cold and a warm
-//! `Engine::query` — must return a result equal to the oracle's, with every
-//! float compared by its bits.
+//! `Engine::query` on the default pool and at one, two and three threads —
+//! must return a result equal to the oracle's, with every float compared by
+//! its bits, on closed, all-pattern and length-capped forests alike.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -147,28 +148,48 @@ fn baskets(seed: u64, classes: usize, wide: bool) -> Dataset {
 /// Checks every entry point against the oracle on one dataset, for both
 /// metrics at `alpha`.
 fn check_all_entry_points(data: &Dataset, min_sup: usize, split_seed: u64, alpha: f64) {
-    let mining = RuleMiningConfig::new(min_sup);
-    let explore = RandomHoldout::from_mining(split_seed, &mining).exploratory;
+    check_mining(data, &RuleMiningConfig::new(min_sup), split_seed, alpha);
+}
+
+/// [`check_all_entry_points`] under any mining configuration.  The engine
+/// is queried on the default pool and pinned to one, two and three
+/// threads, a fresh engine each, so every thread count mines and re-scores
+/// its own split.  Returns the number of candidates.
+fn check_mining(data: &Dataset, mining: &RuleMiningConfig, split_seed: u64, alpha: f64) -> usize {
+    let explore = RandomHoldout::from_mining(split_seed, mining).exploratory;
     let (exploratory, evaluation) = oracle_split(data, split_seed);
-    let engine = Engine::new(data.clone());
-    for metric in [ErrorMetric::Fwer, ErrorMetric::Fdr] {
-        let want = oracle_from_parts(&exploratory, &evaluation, &explore, metric, alpha, "RH");
-        let parts = holdout_from_parts(&exploratory, &evaluation, &explore, metric, alpha, "RH");
-        assert_bits_eq(&parts, &want, "holdout_from_parts");
-        let random = random_holdout(data, split_seed, &explore, metric, alpha);
-        assert_bits_eq(&random, &want, "random_holdout");
-        let query = Query::new(mining.clone())
-            .with_correction(CorrectionApproach::Holdout, metric)
-            .with_seed(split_seed)
-            .with_alpha(alpha);
-        // The first query of the loop fills the cache; every other one hits.
-        for pass in ["first", "repeat"] {
-            let outcome = engine.query(&query).unwrap();
-            assert_bits_eq(&outcome.result, &want, &format!("engine {metric:?} {pass}"));
-        }
+    let wants: Vec<(ErrorMetric, CorrectionResult)> = [ErrorMetric::Fwer, ErrorMetric::Fdr]
+        .into_iter()
+        .map(|metric| {
+            let want = oracle_from_parts(&exploratory, &evaluation, &explore, metric, alpha, "RH");
+            (metric, want)
+        })
+        .collect();
+    for (metric, want) in &wants {
+        let parts = holdout_from_parts(&exploratory, &evaluation, &explore, *metric, alpha, "RH");
+        assert_bits_eq(&parts, want, "holdout_from_parts");
+        let random = random_holdout(data, split_seed, &explore, *metric, alpha);
+        assert_bits_eq(&random, want, "random_holdout");
     }
-    let stats = engine.stats();
-    assert_eq!((stats.holdout_misses, stats.holdout_hits), (1, 3));
+    for threads in [None, Some(1), Some(2), Some(3)] {
+        let engine = Engine::new(data.clone());
+        for (metric, want) in &wants {
+            let mut query = Query::new(mining.clone())
+                .with_correction(CorrectionApproach::Holdout, *metric)
+                .with_seed(split_seed)
+                .with_alpha(alpha);
+            query.threads = threads;
+            // The first query fills the cache; every other one hits.
+            for pass in ["first", "repeat"] {
+                let outcome = engine.query(&query).unwrap();
+                let what = format!("engine {metric:?} {pass} threads {threads:?}");
+                assert_bits_eq(&outcome.result, want, &what);
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.holdout_misses, stats.holdout_hits), (1, 3));
+    }
+    wants[0].1.n_tests
 }
 
 proptest! {
@@ -196,6 +217,24 @@ proptest! {
 fn wide_sparse_baskets_with_three_classes_match_the_oracle() {
     for seed in 0..3 {
         check_all_entry_points(&baskets(seed, 3, true), 8, 100 + seed, 0.2);
+    }
+}
+
+/// Forests whose parents are not LCM prefixes: the full Eclat forest
+/// (every frequent pattern, parented on its set-enumeration parent) and a
+/// length-capped forest compacted onto its closed ancestors.
+#[test]
+fn all_pattern_and_length_capped_forests_match_the_oracle() {
+    for seed in 0..2 {
+        for (data, min_sup) in [(rows(seed, 240), 30), (baskets(seed, 3, true), 8)] {
+            let mining = RuleMiningConfig::new(min_sup);
+            let all = mining.clone().with_closed_only(false);
+            assert!(check_mining(&data, &all, 40 + seed, 0.3) > 0);
+            for cap in [1, 2] {
+                let capped = mining.clone().with_max_length(cap);
+                assert!(check_mining(&data, &capped, 50 + seed, 0.3) > 0);
+            }
+        }
     }
 }
 

@@ -78,6 +78,65 @@ fn tid_pair_strategy() -> impl Strategy<Value = (TidSet, TidSet, usize)> {
         })
 }
 
+/// The textbook two-pointer merge: the reference both intersections must
+/// equal.
+fn plain_intersection(a: &TidSet, b: &TidSet) -> TidSet {
+    let (a, b) = (a.tids(), b.tids());
+    let (mut i, mut j, mut out) = (0, 0, Vec::new());
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    TidSet::from_tids(out)
+}
+
+/// `TidSet::intersect` merges sets of similar length and gallops from the
+/// shorter into a much longer one; both paths equal the plain merge on
+/// empty, disjoint, equal and 1:1000-skewed sets, either way round.
+#[test]
+fn galloping_intersect_matches_a_plain_merge() {
+    let long = TidSet::from_tids((0..20_000).map(|t| 3 * t + 1));
+    let cases = [
+        (TidSet::empty(), TidSet::empty()),
+        (TidSet::empty(), long.clone()),
+        (
+            TidSet::from_tids((0..500).map(|t| 2 * t)),
+            TidSet::from_tids((0..500).map(|t| 2 * t + 1)),
+        ),
+        // Disjoint and skewed: the gallop runs off the end.
+        (TidSet::from_tids([0, 2, 3]), long.clone()),
+        (TidSet::from_tids([70_000, 80_000]), long.clone()),
+        (long.clone(), long.clone()),
+        // 1:1000 skew: 20 ids, some present (3t + 1), some not, one at each
+        // end of the long set.
+        (
+            TidSet::from_tids((0..20).map(|k| 3_000 * k + 1 + (k % 2)).chain([59_998])),
+            long.clone(),
+        ),
+        // Just below and at the gallop threshold.
+        (
+            TidSet::from_tids((0..2_600).map(|t| 23 * t + 1)),
+            long.clone(),
+        ),
+        (
+            TidSet::from_tids((0..2_400).map(|t| 25 * t + 1)),
+            long.clone(),
+        ),
+    ];
+    for (a, b) in &cases {
+        let want = plain_intersection(a, b);
+        assert_eq!(a.intersect(b), want, "|a| {} |b| {}", a.len(), b.len());
+        assert_eq!(b.intersect(a), want, "|b| {} |a| {}", b.len(), a.len());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -87,9 +146,22 @@ proptest! {
     fn intersect_min_is_intersect_filtered_by_length((a, b, min_len) in tid_pair_strategy()) {
         let empty = TidSet::empty();
         for (x, y) in [(&a, &b), (&b, &a), (&a, &a), (&a, &empty), (&empty, &b)] {
-            let full = x.intersect(y);
+            let full = plain_intersection(x, y);
             let want = (full.len() >= min_len).then_some(full);
             prop_assert_eq!(x.intersect_min(y, min_len), want);
+        }
+    }
+
+    /// `TidSet::intersect` equals the plain merge, a short list against a
+    /// long one included (the galloping path).
+    #[test]
+    fn intersect_matches_a_plain_merge(
+        (a, b, _) in tid_pair_strategy(),
+        long in prop::collection::vec(0u32..2_000, 0..=1_500),
+    ) {
+        let long = TidSet::from_tids(long);
+        for (x, y) in [(&a, &b), (&a, &long), (&long, &b), (&long, &long)] {
+            prop_assert_eq!(x.intersect(y), plain_intersection(x, y));
         }
     }
 
