@@ -2,7 +2,10 @@
 //! p-values, with and without the p-value buffer.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sigrule_stats::{FisherTest, LogFactorialTable, PValueBuffer, PValueCache, RuleCounts, Tail};
+use sigrule_stats::{
+    FisherTest, LogFactorialTable, PValueBuffer, PValueTable, RuleCounts, SharedPValueTable, Tail,
+};
+use std::sync::Arc;
 
 fn bench_fisher_direct(c: &mut Criterion) {
     let test = FisherTest::new(2000);
@@ -21,13 +24,15 @@ fn bench_pvalue_buffer_build(c: &mut Criterion) {
     });
 }
 
-fn bench_pvalue_cache_lookup(c: &mut Criterion) {
+fn bench_pvalue_table_lookup(c: &mut Criterion) {
     let logs = LogFactorialTable::new(2000);
-    let mut cache = PValueCache::new(2000, 1000, 16 << 20, 100);
-    // Warm the cache so the benchmark measures the lookup path of §4.2.3.
-    let _ = cache.p_value(400, 200, &logs);
-    c.bench_function("pvalue_cache_lookup_warm", |b| {
-        b.iter(|| black_box(cache.p_value(400, black_box(260), &logs)))
+    // A static table holding coverage 400, ranked against a few observed
+    // p-values: the lookup path of §4.2.3 a permuted rule takes.
+    let mut p_values = PValueTable::new(2000, 1000, 16 << 20);
+    p_values.offer(PValueBuffer::build(2000, 1000, 400, &logs));
+    let table = SharedPValueTable::build(&Arc::new(p_values), 16 << 20, &[1e-9, 1e-3, 0.5]);
+    c.bench_function("pvalue_table_lookup", |b| {
+        b.iter(|| black_box(table.get(black_box(400)).unwrap().lookup(black_box(260))))
     });
 }
 
@@ -40,6 +45,6 @@ fn bench_log_factorial_table(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_fisher_direct, bench_pvalue_buffer_build, bench_pvalue_cache_lookup, bench_log_factorial_table
+    targets = bench_fisher_direct, bench_pvalue_buffer_build, bench_pvalue_table_lookup, bench_log_factorial_table
 }
 criterion_main!(benches);

@@ -277,15 +277,18 @@ impl CommonOpts {
         self.min_sup.unwrap_or_else(|| (n_records / 100).max(2))
     }
 
-    /// The mining configuration these flags describe.
-    pub fn mining_config(&self, n_records: usize) -> RuleMiningConfig {
+    /// The mining configuration these flags describe, rejected as a usage
+    /// error when a threshold is out of range
+    /// ([`RuleMiningConfig::validate`]).
+    pub fn mining_config(&self, n_records: usize) -> Result<RuleMiningConfig, UsageError> {
         let mut config = RuleMiningConfig::new(self.effective_min_sup(n_records))
             .with_min_conf(self.min_conf)
             .with_closed_only(!self.all_patterns);
         if let Some(len) = self.max_length {
             config = config.with_max_length(len);
         }
-        config
+        config.validate().map_err(UsageError)?;
+        Ok(config)
     }
 }
 
@@ -373,7 +376,7 @@ mod tests {
         let opts = CommonOpts::from_args(&ArgMap::default()).unwrap();
         assert_eq!(opts.effective_min_sup(5000), 50);
         assert_eq!(opts.effective_min_sup(50), 2);
-        assert_eq!(opts.mining_config(5000).min_sup, 50);
-        assert!(opts.mining_config(5000).closed_only);
+        assert_eq!(opts.mining_config(5000).unwrap().min_sup, 50);
+        assert!(opts.mining_config(5000).unwrap().closed_only);
     }
 }

@@ -53,9 +53,9 @@ fn query_for(
     n_records: usize,
     approach: CorrectionApproach,
     metric: ErrorMetric,
-) -> Query {
-    Query {
-        mining: opts.mining_config(n_records),
+) -> Result<Query, UsageError> {
+    Ok(Query {
+        mining: opts.mining_config(n_records)?,
         approach,
         metric,
         alpha: opts.alpha,
@@ -63,7 +63,7 @@ fn query_for(
         seed: opts.seed,
         threads: opts.threads,
         cancel: CancelToken::none(),
-    }
+    })
 }
 
 /// Mines (via the engine's cache) on `--threads` threads, as the queries
@@ -163,7 +163,7 @@ pub fn mine(args: &ArgMap) -> Result<Report, CliError> {
     let (approach, metric) = parse_correction(args)?;
 
     let (dataset, warnings, format, load_ms) = load_input(&opts)?;
-    let query = query_for(&opts, dataset.n_records(), approach, metric);
+    let query = query_for(&opts, dataset.n_records(), approach, metric)?;
     let engine = Engine::new(dataset);
     let run = engine.query(&query)?;
 
@@ -260,7 +260,7 @@ fn distribute_null(
     };
     let mut spec = ShardSpec::new(
         &name,
-        &opts.mining_config(n_records),
+        &opts.mining_config(n_records)?,
         opts.permutations,
         opts.seed,
     );
@@ -292,7 +292,7 @@ pub fn correct(args: &ArgMap) -> Result<Report, CliError> {
     // permutation rows (the engine's null cache keys on (mining, N, seed),
     // not on the metric).
     let engine = Engine::new(dataset);
-    let (mined, mine_time) = mine_on_threads(&engine, &opts, &opts.mining_config(n_records))?;
+    let (mined, mine_time) = mine_on_threads(&engine, &opts, &opts.mining_config(n_records)?)?;
     let mine_ms = millis(mine_time);
     if let Some(workers_spec) = args.get("workers") {
         warnings.extend(distribute_null(&engine, &opts, workers_spec)?);
@@ -311,7 +311,7 @@ pub fn correct(args: &ArgMap) -> Result<Report, CliError> {
         ],
     );
     for (approach, metric) in method_roster() {
-        let outcome = engine.query(&query_for(&opts, n_records, approach, metric))?;
+        let outcome = engine.query(&query_for(&opts, n_records, approach, metric)?)?;
         table.push_row(method_summary_row(
             &outcome.result,
             millis(outcome.timings.null + outcome.timings.correct),
@@ -382,7 +382,7 @@ pub fn bench(args: &ArgMap) -> Result<Report, CliError> {
         format!("{n_records} records"),
     ]);
 
-    let mining = opts.mining_config(n_records);
+    let mining = opts.mining_config(n_records)?;
     let (mined, mine_time) = mine_on_threads(&engine, &opts, &mining)?;
     table.push_row(vec![
         "mine".into(),
@@ -395,7 +395,7 @@ pub fn bench(args: &ArgMap) -> Result<Report, CliError> {
         if approach == CorrectionApproach::None {
             continue;
         }
-        let outcome = engine.query(&query_for(&opts, n_records, approach, metric))?;
+        let outcome = engine.query(&query_for(&opts, n_records, approach, metric)?)?;
         table.push_row(vec![
             "correct".into(),
             format!("{} ({})", outcome.result.method, metric.label()),

@@ -185,6 +185,36 @@ fn usage_errors_exit_2() {
     assert_eq!(output.status.code(), Some(2));
 }
 
+/// Out-of-range mining thresholds are usage errors on every mining
+/// subcommand, not a silent run with no rules.
+#[test]
+fn out_of_range_mining_thresholds_exit_2() {
+    let fixture = basket_fixture();
+    for (flag, value, field) in [
+        ("--min-conf", "1.5", "min_conf"),
+        ("--min-conf", "-3", "min_conf"),
+        ("--min-conf", "NaN", "min_conf"),
+        ("--max-length", "0", "max_length"),
+        ("--min-sup", "0", "min_sup"),
+    ] {
+        for command in ["correct", "mine"] {
+            let output = sigrule(&[
+                command,
+                "--input",
+                fixture.to_str().unwrap(),
+                "--permutations",
+                "10",
+                flag,
+                value,
+            ]);
+            assert_eq!(output.status.code(), Some(2), "{command} {flag} {value}");
+            assert!(output.stdout.is_empty(), "{command} {flag} {value}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(stderr.contains(field), "{command} {flag} {value}: {stderr}");
+        }
+    }
+}
+
 /// The checked-in basket fixture (see `tests/fixtures.rs` at the workspace
 /// root, which guards it against drift).
 fn basket_fixture() -> PathBuf {

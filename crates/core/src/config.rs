@@ -58,6 +58,26 @@ impl RuleMiningConfig {
         self.use_diffsets = use_diffsets;
         self
     }
+
+    /// Checks the thresholds: `min_sup` at least 1, `min_conf` a number in
+    /// [0, 1], and a `max_length` cap of at least 1.  Every front end (the
+    /// CLI, served `mine`/`correct`/`perm_shard` requests, engine queries)
+    /// rejects a configuration that fails this before mining.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.min_sup == 0 {
+            return Err("\"min_sup\" must be at least 1".to_string());
+        }
+        if !(0.0..=1.0).contains(&self.min_conf) {
+            return Err(format!(
+                "\"min_conf\" must be a number in [0, 1], got {}",
+                self.min_conf
+            ));
+        }
+        if self.max_length == Some(0) {
+            return Err("\"max_length\" must be at least 1".to_string());
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -85,5 +105,25 @@ mod tests {
         assert_eq!(c.max_length, Some(4));
         assert!(!c.closed_only);
         assert!(!c.use_diffsets);
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_thresholds() {
+        assert!(RuleMiningConfig::new(1).validate().is_ok());
+        let ok = RuleMiningConfig::new(5)
+            .with_min_conf(1.0)
+            .with_max_length(1);
+        assert!(ok.validate().is_ok());
+        let bad = [
+            (RuleMiningConfig::new(0), "min_sup"),
+            (RuleMiningConfig::new(5).with_min_conf(1.5), "min_conf"),
+            (RuleMiningConfig::new(5).with_min_conf(-3.0), "min_conf"),
+            (RuleMiningConfig::new(5).with_min_conf(f64::NAN), "min_conf"),
+            (RuleMiningConfig::new(5).with_max_length(0), "max_length"),
+        ];
+        for (config, field) in bad {
+            let err = config.validate().unwrap_err();
+            assert!(err.contains(field), "{config:?}: {err}");
+        }
     }
 }

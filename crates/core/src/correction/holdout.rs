@@ -36,7 +36,7 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::correction::{CorrectionResult, ErrorMetric};
-use crate::miner::{mine_rules, mine_rules_cancellable, MinedRuleSet};
+use crate::miner::{mine_rules, mine_rules_keeping, MinedRuleSet};
 use crate::rule::ClassRule;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -76,7 +76,9 @@ impl HoldoutEvaluation {
     ) -> Result<HoldoutEvaluation, Cancelled> {
         cancel.check()?;
         let vertical = VerticalDataset::from_dataset(exploratory);
-        let mined = mine_rules_cancellable(exploratory, &vertical, mining, cancel)?;
+        // No permutation null reads the exploratory rule set, so it keeps
+        // no p-value tables.
+        let mined = mine_rules_keeping(exploratory, &vertical, mining, cancel, 0)?;
         cancel.check()?;
 
         let rules = Rescore::new(&mined, &VerticalDataset::from_dataset(evaluation)).run();

@@ -54,13 +54,12 @@
 //!   depend on the backend.
 //!
 //! The p-value buffers are split to match the fan-out: the static buffer is
-//! built **once, up front**, for the distinct coverages the rules actually
-//! use, and shared immutably by every worker
-//! ([`SharedPValueTable`]); only the small single-slot
-//! dynamic buffer ([`DynamicBuffer`])
-//! is per-worker state.  A class → rules index built once maps each distinct
-//! class to the rules testing it, so the inner loop never scans for its
-//! support vector.
+//! built **once**, by mining, for the distinct coverages the rules actually
+//! use ([`MinedRuleSet::p_value_tables`]), ranked once up front and shared
+//! immutably by every worker ([`SharedPValueTable`]); only the small
+//! single-slot dynamic buffer ([`DynamicBuffer`]) is per-worker state.  A
+//! class → rules index built once maps each distinct class to the rules
+//! testing it, so the inner loop never scans for its support vector.
 //!
 //! Two more savings keep the per-rule work to one table load:
 //!
@@ -71,7 +70,9 @@
 //!   entry when the table is built, so a permuted rule is scored without a
 //!   binary search.  The byte budget is spent on the rule set's distinct
 //!   coverages in ascending order (p-values plus ranks); a coverage past it
-//!   falls to the per-worker dynamic buffer and a binary search.
+//!   falls to the per-worker dynamic buffer and a binary search.  The
+//!   p-values are the mined rule set's own buffers; the table adds only the
+//!   ranks.
 //! * **One sweep fewer.**  Every record carries exactly one class, so
 //!   `supp(X ⇒ c_last) = supp(X) − Σ supp(X ⇒ c)` over the other classes.
 //!   When every class of the dataset has rules, each chunk sweeps the forest
@@ -107,8 +108,9 @@ pub enum BufferStrategy {
     /// seen coverage ("dynamic buf").  One buffer per worker thread.
     DynamicOnly,
     /// Static buffer for coverages up to the byte budget plus the dynamic
-    /// buffer for the rest ("16M static buf+…").  The static buffer is built
-    /// once up front and shared read-only across worker threads.
+    /// buffer for the rest ("16M static buf+…").  The static buffer is the
+    /// p-value table mining built, ranked once up front and shared read-only
+    /// across worker threads.
     StaticAndDynamic,
 }
 
@@ -123,8 +125,11 @@ pub struct PermutationCorrection {
     pub seed: u64,
     /// P-value buffering strategy.
     pub buffer: BufferStrategy,
-    /// Byte budget of the static buffer (only used by
-    /// [`BufferStrategy::StaticAndDynamic`]).
+    /// Byte budget of each class slot's static table (only used by
+    /// [`BufferStrategy::StaticAndDynamic`]): the null ranks the longest
+    /// prefix of the mined p-value table that fits it.  Mining keeps at most
+    /// [`DEFAULT_STATIC_BUFFER_BYTES`] per slot, so a larger value holds no
+    /// more coverages than the default.
     pub static_buffer_bytes: usize,
     /// Support-counting kernel selection (tid-lists, bitmaps, or per-node
     /// auto-selection by density).
@@ -519,7 +524,11 @@ impl PermutationCorrection {
         self
     }
 
-    /// Overrides the static buffer byte budget.
+    /// Caps the static table's byte budget per class slot.  The cap takes
+    /// effect up to mining's own budget, [`DEFAULT_STATIC_BUFFER_BYTES`]:
+    /// the null ranks a prefix of the table mining kept, so a smaller value
+    /// sends the largest coverages to the per-worker dynamic buffer and a
+    /// larger one changes nothing.
     pub fn with_static_buffer_bytes(mut self, bytes: usize) -> Self {
         self.static_buffer_bytes = bytes;
         self
@@ -735,29 +744,21 @@ impl PermutationCorrection {
     /// Builds the static p-value tables (one [`SharedPValueTable`] per class
     /// slot) for a mined rule set, exactly as a
     /// [`BufferStrategy::StaticAndDynamic`] run would build them internally.
-    /// A resident engine calls this once per mined rule set, keeps the
-    /// returned [`SharedTableSet`], and passes it to
+    /// Each slot ranks the longest prefix of the mined set's own p-value
+    /// table ([`MinedRuleSet::p_value_tables`]) that fits
+    /// [`static_buffer_bytes`](Self::static_buffer_bytes); the p-values are
+    /// shared, not rebuilt.  A resident engine calls this once per mined
+    /// rule set, keeps the returned [`SharedTableSet`], and passes it to
     /// [`collect_stats_range`](Self::collect_stats_range) on every subsequent
     /// request.
     pub fn build_shared_tables(&self, mined: &MinedRuleSet) -> SharedTableSet {
-        let rules = mined.rules();
-        let n = mined.n_records();
-        let logs = LogFactorialTable::new(n);
-        let (classes, class_rules) = class_index(mined);
         let sorted_observed = sorted_observed(mined);
         SharedTableSet::new(
-            classes
+            mined
+                .p_value_tables()
                 .iter()
-                .zip(class_rules.iter())
-                .map(|(&class, rule_idxs)| {
-                    SharedPValueTable::build(
-                        n,
-                        mined.class_counts()[class as usize],
-                        self.static_buffer_bytes,
-                        rule_idxs.iter().map(|&i| rules[i].coverage),
-                        &sorted_observed,
-                        &logs,
-                    )
+                .map(|p_values| {
+                    SharedPValueTable::build(p_values, self.static_buffer_bytes, &sorted_observed)
                 })
                 .collect(),
         )

@@ -16,8 +16,9 @@
 //! * the loaded dataset and its vertical (tid-set) index — shared via
 //!   [`SharedDataset`], built lazily, once;
 //! * mined rule sets — cached per mining configuration ([`MiningKey`]);
-//! * the static p-value tables of the permutation engine — built once per
-//!   mined rule set and shared across runs ([`SharedTableSet`]);
+//! * the static p-value tables of the permutation engine — the p-values
+//!   are built by mining and kept with the rule set, their ranks are added
+//!   once per mined rule set and shared across runs ([`SharedTableSet`]);
 //! * permutation null distributions ([`PermutationStats`]) — cached per
 //!   (mining configuration, permutation count, seed), so a warm query at a
 //!   new α never re-permutes;
@@ -267,17 +268,18 @@ struct MineEntry {
 }
 
 impl MineEntry {
-    /// The rule set's static p-value tables, built on first use.  They
-    /// depend only on the rules and the static buffer budget, whose default
-    /// is the same for every permutation count and seed, so every null and
-    /// shard against this rule set shares one build.
+    /// The rule set's static p-value tables, ranked on first use over the
+    /// rule set's own p-value buffers.  They depend only on the rules and
+    /// the static buffer budget, whose default is the same for every
+    /// permutation count and seed, so every null and shard against this rule
+    /// set shares one build.
     fn tables(&self) -> &SharedTableSet {
         self.tables
             .get_or_init(|| PermutationCorrection::default().build_shared_tables(&self.mined))
     }
 
-    /// Approximate resident bytes of the built static p-value tables (zero
-    /// until they exist).
+    /// Approximate bytes the built static tables add to the rule set's
+    /// p-values — ranks and index (zero until they exist).
     fn tables_bytes(&self) -> usize {
         match self.tables.get() {
             Some(tables) => *self.table_bytes.get_or_init(|| tables.resident_bytes()),
@@ -516,9 +518,7 @@ impl Query {
                 self.alpha
             )));
         }
-        if self.mining.min_sup == 0 {
-            return Err(PipelineError::Config("min_sup must be at least 1".into()));
-        }
+        self.mining.validate().map_err(PipelineError::Config)?;
         if self.approach == CorrectionApproach::Permutation && self.n_permutations == 0 {
             return Err(PipelineError::Config(
                 "the permutation approach needs at least 1 permutation".into(),
@@ -622,10 +622,13 @@ pub struct EngineStats {
     pub cached_rule_sets: usize,
     /// Null distributions currently resident.
     pub cached_nulls: usize,
-    /// Bytes held by the resident static p-value tables.
+    /// Bytes the resident permutation nulls' static tables add to the
+    /// mined p-values: one rank per p-value plus a coverage index.  The
+    /// p-values themselves are the rule sets' (`rule_set_bytes`).
     pub table_bytes: usize,
-    /// Approximate bytes held by the resident mined rule sets (forests,
-    /// rules, labels — excluding their p-value tables, counted separately).
+    /// Approximate bytes held by the resident mined rule sets: forests,
+    /// rules, labels and the p-value tables mining scored the rules from
+    /// (which a null's static tables share rather than copy).
     pub rule_set_bytes: usize,
     /// Approximate bytes held by the resident permutation nulls.
     pub null_bytes: usize,

@@ -8,20 +8,28 @@ use crate::rule::ClassRule;
 use rayon::prelude::*;
 use sigrule_data::{ClassId, Dataset, ItemSpace, VerticalDataset};
 use sigrule_mining::{ClosedSplit, EclatMiner, MinerConfig, PatternForest};
-use sigrule_stats::{LogFactorialTable, PValueCache};
+use sigrule_stats::{LogFactorialTable, PValueBuffer, PValueTable};
+use std::sync::Arc;
 
-/// Default byte budget of the static p-value buffer (the paper's best
-/// configuration uses a 16 MB static buffer, §5.3).
+/// Byte budget of each class slot's static p-value table (the paper's best
+/// configuration uses a 16 MB static buffer, §5.3).  Mining keeps every
+/// slot's buffers while their p-values plus the ranks the permutation null
+/// adds fit it; the null ranks that table in place under a budget no larger
+/// than this one.
 pub const DEFAULT_STATIC_BUFFER_BYTES: usize = 16 * 1024 * 1024;
 
 /// The outcome of the rule-mining step: the rules tested on the original
 /// dataset plus everything the correction approaches need to re-score them
-/// (the pattern forest, the label vector and the class counts).
+/// (the pattern forest, the label vector, the class counts and the p-value
+/// tables the rules were scored from).
 #[derive(Debug, Clone)]
 pub struct MinedRuleSet {
     rules: Vec<ClassRule>,
     /// Forest node index backing each rule (parallel to `rules`).
     rule_nodes: Vec<usize>,
+    /// One static p-value table per class slot: the distinct rule classes in
+    /// ascending order.
+    p_tables: Vec<Arc<PValueTable>>,
     forest: PatternForest,
     labels: Vec<ClassId>,
     class_counts: Vec<usize>,
@@ -97,10 +105,21 @@ impl MinedRuleSet {
         &self.config
     }
 
+    /// The static p-value tables the rules were scored from, one per class
+    /// slot: the distinct rule classes in ascending order.  Slot `s` holds
+    /// the [`PValueBuffer`] of each distinct coverage of that class's rules,
+    /// smallest first, up to [`DEFAULT_STATIC_BUFFER_BYTES`] (none for the
+    /// holdout's exploratory half).  The permutation null ranks these same
+    /// allocations.
+    pub fn p_value_tables(&self) -> &[Arc<PValueTable>] {
+        &self.p_tables
+    }
+
     /// Approximate resident bytes of the rule set: rules (with their pattern
-    /// items), the backing forest, the label vector and the class counts.
-    /// An estimate (allocator overhead is not counted) used by the
-    /// byte-budget cache eviction of the engine and registry layers.
+    /// items), the backing forest, the label vector, the class counts and
+    /// the p-value tables.  An estimate (allocator overhead is not counted)
+    /// used by the byte-budget cache eviction of the engine and registry
+    /// layers.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let rules = self.rules.len() * size_of::<ClassRule>()
@@ -114,22 +133,11 @@ impl MinedRuleSet {
             + self.forest.approx_bytes()
             + self.labels.len() * size_of::<ClassId>()
             + self.class_counts.len() * size_of::<usize>()
-    }
-
-    /// Builds one p-value cache per class, sized for this dataset, to be used
-    /// when re-scoring the rules under permuted labels.
-    pub fn build_caches(
-        &self,
-        static_budget_bytes: usize,
-    ) -> (LogFactorialTable, Vec<PValueCache>) {
-        let n = self.n_records();
-        let logs = LogFactorialTable::new(n);
-        let caches = self
-            .class_counts
-            .iter()
-            .map(|&n_c| PValueCache::new(n, n_c, static_budget_bytes, self.config.min_sup.max(1)))
-            .collect();
-        (logs, caches)
+            + self
+                .p_tables
+                .iter()
+                .map(|t| t.resident_bytes())
+                .sum::<usize>()
     }
 }
 
@@ -169,8 +177,11 @@ pub fn mine_rules_with_vertical(
 /// Eclat forest is mined and then compacted
 /// ([`PatternForest::into_closed`]) unless every node is already closed.  Both give the same forest when the cap never
 /// binds.  `--all-patterns` (`closed_only` off) keeps the full Eclat forest.
-/// The main mine, the holdout's exploratory mine and remote shard workers
-/// all mine through here.
+/// The main mine, the holdout's exploratory mine (keeping no p-value
+/// tables) and remote shard workers all mine through here.
+///
+/// Rules are scored from one static p-value table per class slot
+/// ([`MinedRuleSet::p_value_tables`]), each buffer built once.
 ///
 /// The token is checked between the mining phases (pattern forest, closed
 /// compaction, per-class supports, and p-value scoring), so a fired token
@@ -183,6 +194,26 @@ pub fn mine_rules_cancellable(
     vertical: &VerticalDataset,
     config: &RuleMiningConfig,
     cancel: &CancelToken,
+) -> Result<MinedRuleSet, Cancelled> {
+    mine_rules_keeping(
+        dataset,
+        vertical,
+        config,
+        cancel,
+        DEFAULT_STATIC_BUFFER_BYTES,
+    )
+}
+
+/// [`mine_rules_cancellable`] keeping each class slot's p-value buffers only
+/// while their bytes fit `table_bytes`.  The holdout's exploratory half,
+/// which no permutation null reads, keeps none (`0`): every buffer scores its
+/// rules and is dropped, with the same p-values.
+pub(crate) fn mine_rules_keeping(
+    dataset: &Dataset,
+    vertical: &VerticalDataset,
+    config: &RuleMiningConfig,
+    cancel: &CancelToken,
+    table_bytes: usize,
 ) -> Result<MinedRuleSet, Cancelled> {
     cancel.check()?;
     // Every node of the forest is a rule LHS.  Closed sets without a length
@@ -229,53 +260,38 @@ pub fn mine_rules_cancellable(
     }
     cancel.check()?;
 
-    let logs = LogFactorialTable::new(n);
-    let mut caches: Vec<PValueCache> = class_counts
-        .iter()
-        .map(|&n_c| PValueCache::new(n, n_c, DEFAULT_STATIC_BUFFER_BYTES, config.min_sup.max(1)))
-        .collect();
-
+    // Each pattern's rules, in forest order: the class the pattern is
+    // positively associated with on two-class data, every class otherwise.
+    // Confidence needs no p-value, so `min_conf` filters first.
     let mut rules = Vec::new();
     let mut rule_nodes = Vec::new();
     for (node_idx, node) in forest.nodes().iter().enumerate() {
         let coverage = node.support;
-        if n_classes == 2 {
-            // One rule per pattern: the class the pattern is positively
-            // associated with (observed support above its expectation).
+        let classes = if n_classes == 2 {
+            // Observed support at or above its expectation.
             let expected0 = coverage as f64 * class_counts[0] as f64 / n as f64;
             let support0 = per_class_supports[0][node_idx];
             let class: ClassId = if (support0 as f64) >= expected0 { 0 } else { 1 };
-            let support = per_class_supports[class as usize][node_idx];
-            let p_value = caches[class as usize].p_value(coverage, support, &logs);
+            class..class + 1
+        } else {
+            0..n_classes as ClassId
+        };
+        for class in classes {
             let rule = ClassRule {
                 pattern: node.pattern.clone(),
                 class,
                 coverage,
-                support,
-                p_value,
+                support: per_class_supports[class as usize][node_idx],
+                p_value: f64::NAN,
             };
             if rule.confidence() >= config.min_conf {
                 rules.push(rule);
                 rule_nodes.push(node_idx);
             }
-        } else {
-            for class in 0..n_classes {
-                let support = per_class_supports[class][node_idx];
-                let p_value = caches[class].p_value(coverage, support, &logs);
-                let rule = ClassRule {
-                    pattern: node.pattern.clone(),
-                    class: class as ClassId,
-                    coverage,
-                    support,
-                    p_value,
-                };
-                if rule.confidence() >= config.min_conf {
-                    rules.push(rule);
-                    rule_nodes.push(node_idx);
-                }
-            }
         }
     }
+    cancel.check()?;
+    let p_tables = score_rules(&mut rules, n, &class_counts, table_bytes);
 
     let tests_per_pattern = if n_classes == 2 { 1 } else { n_classes };
     let n_tests = forest.len() * tests_per_pattern;
@@ -283,6 +299,7 @@ pub fn mine_rules_cancellable(
     Ok(MinedRuleSet {
         rules,
         rule_nodes,
+        p_tables,
         forest,
         labels,
         class_counts,
@@ -290,6 +307,41 @@ pub fn mine_rules_cancellable(
         n_tests,
         config: config.clone(),
     })
+}
+
+/// Sets every rule's two-tailed Fisher p-value and returns the static
+/// p-value table of each class slot (the distinct rule classes, ascending).
+///
+/// Each slot walks its distinct rule coverages in ascending order: it builds
+/// the coverage's [`PValueBuffer`] once, scores that coverage's rules from
+/// it, and offers it to the slot's table, which keeps it while the bytes the
+/// permutation null would store fit `budget_bytes`.  Past that cut-off the
+/// buffer scores its rules and is dropped.  Rules keep their order.
+fn score_rules(
+    rules: &mut [ClassRule],
+    n: usize,
+    class_counts: &[usize],
+    budget_bytes: usize,
+) -> Vec<Arc<PValueTable>> {
+    let logs = LogFactorialTable::new(n);
+    let keys: Vec<(ClassId, usize)> = rules.iter().map(|r| (r.class, r.coverage)).collect();
+    let mut order: Vec<usize> = (0..rules.len()).collect();
+    order.sort_by_key(|&i| keys[i]);
+    order
+        .chunk_by(|&a, &b| keys[a].0 == keys[b].0)
+        .map(|slot| {
+            let n_c = class_counts[keys[slot[0]].0 as usize];
+            let mut table = PValueTable::new(n, n_c, budget_bytes);
+            for same in slot.chunk_by(|&a, &b| keys[a] == keys[b]) {
+                let buffer = PValueBuffer::build(n, n_c, keys[same[0]].1, &logs);
+                for &i in same {
+                    rules[i].p_value = buffer.p_value(rules[i].support);
+                }
+                table.offer(buffer);
+            }
+            Arc::new(table)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -307,6 +359,85 @@ mod tests {
             .with_confidence(confidence, confidence);
         let (d, mut rules) = SyntheticGenerator::new(params).unwrap().generate(seed);
         (d, rules.remove(0))
+    }
+
+    /// Asserts every rule's p-value is bit-equal to a freshly built buffer's.
+    fn assert_bit_equal_to_buffers(mined: &MinedRuleSet, rules: &[ClassRule]) {
+        let n = mined.n_records();
+        let logs = LogFactorialTable::new(n);
+        for rule in rules {
+            let n_c = mined.class_counts()[rule.class as usize];
+            let p = PValueBuffer::build(n, n_c, rule.coverage, &logs).p_value(rule.support);
+            assert_eq!(
+                rule.p_value.to_bits(),
+                p.to_bits(),
+                "rule {:?}",
+                rule.pattern
+            );
+        }
+    }
+
+    #[test]
+    fn rules_are_scored_bit_equal_from_their_slot_tables() {
+        let (two, _) = one_rule_dataset(0.8, 29);
+        let mut params = sigrule_synth::BasketParams::default()
+            .with_transactions(400)
+            .with_items(14)
+            .with_basket_size(2, 6)
+            .with_rules(1)
+            .with_coverage(80, 100)
+            .with_confidence(0.8, 0.9);
+        params.n_classes = 3;
+        let (three, _) = sigrule_synth::BasketGenerator::new(params)
+            .unwrap()
+            .generate(5);
+        assert_eq!(three.n_classes(), 3);
+        for (dataset, min_sup) in [(&two, 60), (&three, 20)] {
+            for min_conf in [0.0, 0.6] {
+                let mined = mine_rules(
+                    dataset,
+                    &RuleMiningConfig::new(min_sup).with_min_conf(min_conf),
+                );
+                assert!(!mined.rules().is_empty());
+                assert_bit_equal_to_buffers(&mined, mined.rules());
+
+                // One table per rule class, ascending, holding every distinct
+                // coverage of that class's rules (they fit the default budget).
+                let mut classes: Vec<ClassId> = mined.rules().iter().map(|r| r.class).collect();
+                classes.sort_unstable();
+                classes.dedup();
+                assert_eq!(mined.p_value_tables().len(), classes.len());
+                for (table, &class) in mined.p_value_tables().iter().zip(&classes) {
+                    assert_eq!(table.n_c(), mined.class_counts()[class as usize]);
+                    let mut coverages: Vec<usize> = mined
+                        .rules()
+                        .iter()
+                        .filter(|r| r.class == class)
+                        .map(|r| r.coverage)
+                        .collect();
+                    coverages.sort_unstable();
+                    coverages.dedup();
+                    let held: Vec<usize> = table.buffers().iter().map(|b| b.coverage()).collect();
+                    assert_eq!(held, coverages);
+                }
+
+                // A budget of a few buffers or none: the larger coverages are
+                // scored by buffers that are then dropped, with the same bits.
+                for budget in [0, 1500] {
+                    let mut rules = mined.rules().to_vec();
+                    for rule in &mut rules {
+                        rule.p_value = f64::NAN;
+                    }
+                    let tables =
+                        score_rules(&mut rules, mined.n_records(), mined.class_counts(), budget);
+                    assert_bit_equal_to_buffers(&mined, &rules);
+                    for (small, full) in tables.iter().zip(mined.p_value_tables()) {
+                        assert!(small.buffers().len() < full.buffers().len());
+                        assert_eq!(small.buffers().is_empty(), budget == 0);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -411,8 +542,13 @@ mod tests {
                 mined.rules()[i].pattern
             );
         }
-        let (logs, caches) = mined.build_caches(1 << 20);
-        assert_eq!(caches.len(), 2);
-        assert_eq!(logs.n_max(), 600);
+        let tables = mined.p_value_tables();
+        assert!(!tables.is_empty() && tables.len() <= 2);
+        for table in tables {
+            assert_eq!(table.n(), 600);
+        }
+        let tables_bytes: usize = tables.iter().map(|t| t.resident_bytes()).sum();
+        assert!(tables_bytes > 0);
+        assert!(mined.approx_bytes() > tables_bytes);
     }
 }

@@ -241,15 +241,13 @@ fn reject_unknown_fields(req: &Json, allowed: &[&str]) -> Result<(), String> {
 /// (min_sup: 1% of records, at least 2).
 fn mining_config(req: &Json, n_records: usize) -> Result<RuleMiningConfig, String> {
     let min_sup = get_usize(req, "min_sup")?.unwrap_or_else(|| (n_records / 100).max(2));
-    if min_sup == 0 {
-        return Err("\"min_sup\" must be at least 1".to_string());
-    }
     let mut config = RuleMiningConfig::new(min_sup)
         .with_min_conf(get_f64(req, "min_conf")?.unwrap_or(0.0))
         .with_closed_only(!get_bool(req, "all_patterns")?);
     if let Some(len) = get_usize(req, "max_length")? {
         config = config.with_max_length(len);
     }
+    config.validate()?;
     Ok(config)
 }
 
@@ -1199,6 +1197,24 @@ pub(crate) mod tests {
         for cmd in ["mine", "correct"] {
             let (resp, _) = handle_line(&state, &format!(r#"{{"cmd":"{cmd}","min_sup":0}}"#));
             assert!(err(&resp).contains("min_sup"), "{cmd}");
+        }
+
+        // So are an out-of-range min_conf and a zero max_length, by every
+        // command that mines, as invalid requests.
+        for cmd in ["mine", "correct", "perm_shard"] {
+            for (field, value) in [("min_conf", "1.5"), ("min_conf", "-3"), ("max_length", "0")] {
+                let line = format!(
+                    r#"{{"cmd":"{cmd}","{field}":{value},"permutations":8,"start":0,"end":8}}"#
+                );
+                let (resp, _) = handle_line(&state, &line);
+                assert!(err(&resp).contains(field), "{line}");
+                let code = Json::parse(&resp)
+                    .unwrap()
+                    .get("code")
+                    .and_then(Json::as_str)
+                    .map(str::to_string);
+                assert_eq!(code.as_deref(), Some("invalid_request"), "{line}");
+            }
         }
 
         // An empty dataset name on load is rejected.

@@ -4,35 +4,34 @@
 //! p-values (one per rule per permutation, plus the original dataset).  The
 //! key observation of the paper is that the *coverage* of a rule does not
 //! change across permutations — only its support does — so all p-values a rule
-//! can ever take are determined by its coverage and can be computed once and
-//! cached:
+//! can ever take are determined by its coverage and can be computed once:
 //!
 //! * [`PValueBuffer`] is the per-coverage buffer `B_supp(X)` of Figure 2: for a
 //!   fixed `(n, n_c, supp(X))` it stores the two-tailed p-value for every
 //!   possible support value `k ∈ [L, U]`, built with the two-ends-inward
 //!   summation described in the paper.
-//! * [`PValueCache`] is the static + dynamic buffer arrangement: coverages up
-//!   to `max_sup` (determined by a byte budget) live permanently in the static
-//!   buffer; larger coverages share a single dynamic slot that is overwritten
-//!   whenever a rule with a different large coverage is evaluated.
+//! * [`PValueTable`] is the static buffer of one class: the buffers of the
+//!   distinct coverages a rule set uses, smallest first, for as long as their
+//!   bytes fit a budget.  Mining builds one per class slot while it scores
+//!   the observed rules, and keeps it with the rule set, so every buffer is
+//!   built exactly once.
+//! * [`SharedPValueTable`] is what the permutation null reads: a prefix of
+//!   one slot's [`PValueTable`], shared behind an [`Arc`] rather than copied,
+//!   plus every p-value's insertion rank among the observed p-values
+//!   ([`RankedBuffer`]), so a permuted rule is scored with one lookup.  It is
+//!   immutable (`&self`, `Sync`), so one table serves every worker thread.
+//! * [`DynamicBuffer`] is the dynamic half of §4.2.3: one single-slot buffer
+//!   per permutation worker for the coverages past the budget, rebuilt
+//!   whenever a different coverage is requested.
 //!
-//! [`PValueCache`] fills lazily behind `&mut self`, which forces every
-//! permutation worker to own a full cache.  The parallel engine instead uses
-//! the split arrangement:
-//!
-//! * [`SharedPValueTable`] — the static buffer built **once, up front**, for
-//!   exactly the distinct coverages the mined rules use (coverages never
-//!   change across permutations), then shared immutably (`&self`, `Sync`)
-//!   by every worker thread.  Each entry ([`RankedBuffer`]) also stores every
-//!   p-value's insertion rank among the observed p-values, so a permuted
-//!   rule is scored with one lookup; the byte budget counts the p-values and
-//!   ranks of those coverages only, not the worst case over every coverage;
-//! * [`DynamicBuffer`] — the per-worker single-slot dynamic buffer for
-//!   coverages the byte budget excluded from the static table.
+//! Both budgets count the bytes the null's table stores per coverage
+//! (p-values plus ranks), so under equal budgets the null's table holds the
+//! whole mined table.
 
 use crate::fisher::two_tailed_from_pmf;
 use crate::hypergeom::Hypergeometric;
 use crate::logfact::LogFactorialTable;
+use std::sync::Arc;
 
 /// The p-value buffer `B_supp(X)` for one coverage value: two-tailed Fisher
 /// exact p-values for every possible support `k ∈ [L, U]`.
@@ -114,258 +113,147 @@ impl PValueBuffer {
         self.values.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Approximate memory footprint in bytes (used by the static buffer's
-    /// byte budget).
+    /// Memory footprint in bytes: the p-values and the buffer header.
     pub fn size_bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<f64>() + std::mem::size_of::<Self>()
     }
 }
 
-/// Statistics describing how a [`PValueCache`] was used; useful for the
-/// ablation benchmarks that reproduce Figure 4.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the static buffer.
-    pub static_hits: u64,
-    /// Lookups answered from the dynamic buffer without rebuilding it.
-    pub dynamic_hits: u64,
-    /// Buffers built and inserted into the static buffer.
-    pub static_builds: u64,
-    /// Buffers built into the dynamic slot (evicting the previous one).
-    pub dynamic_builds: u64,
+/// Bytes the null's table stores for one coverage with `len` supports: one
+/// `f64` p-value and one `u32` rank per support, plus the buffer header and
+/// the rank vector header.  [`PValueTable::offer`],
+/// [`SharedPValueTable::build`] and [`RankedBuffer::size_bytes`] all use it,
+/// so a budget counts exactly the bytes kept.
+fn ranked_entry_bytes(len: usize) -> usize {
+    len * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
+        + std::mem::size_of::<PValueBuffer>()
+        + std::mem::size_of::<Vec<u32>>()
 }
 
-impl CacheStats {
-    /// Total number of lookups served.
-    pub fn lookups(&self) -> u64 {
-        self.static_hits + self.dynamic_hits + self.static_builds + self.dynamic_builds
-    }
-}
-
-/// The static + dynamic p-value buffer cache of §4.2.3.
+/// The static buffer of one class (§4.2.3): the [`PValueBuffer`] of each
+/// distinct coverage a rule set uses, in ascending coverage order, for as
+/// long as their bytes fit a budget.
 ///
-/// * Coverages `min_sup ..= max_sup` are cached permanently ("static buffer");
-///   `max_sup` is derived from a byte budget (16 MB in the paper's best
-///   configuration).
-/// * Coverages above `max_sup` share one "dynamic buffer" slot remembered by
-///   coverage value (`sup_d` in the paper), rebuilt whenever a different large
-///   coverage is requested.
+/// Mining offers every coverage of a class slot, smallest first, and scores
+/// that coverage's rules from the buffer it just built; the table keeps the
+/// buffers up to the first one that no longer fits and drops that one and
+/// every larger one, so it always holds a prefix of the slot's coverages.
+/// The rule set keeps the table behind an [`Arc`] and the permutation null
+/// ranks it in place ([`SharedPValueTable`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use sigrule_stats::{LogFactorialTable, PValueCache};
+/// use sigrule_stats::{LogFactorialTable, PValueBuffer, PValueTable};
 ///
 /// let logs = LogFactorialTable::new(1000);
-/// let mut cache = PValueCache::new(1000, 500, 16 * 1024 * 1024, 10);
-/// let p = cache.p_value(100, 80, &logs); // coverage 100, support 80
-/// assert!(p < 1e-8);
-/// // Second lookup with the same coverage is a cache hit.
-/// let p2 = cache.p_value(100, 60, &logs);
-/// assert!(p2 > p);
+/// let mut table = PValueTable::new(1000, 500, 16 * 1024 * 1024);
+/// for coverage in [40, 100] {
+///     let buffer = PValueBuffer::build(1000, 500, coverage, &logs);
+///     assert!(table.offer(buffer));
+/// }
+/// // Coverage 100, support 80: far above the expected 50.
+/// assert!(table.buffers()[1].p_value(80) < 1e-8);
 /// ```
 #[derive(Debug, Clone)]
-pub struct PValueCache {
+pub struct PValueTable {
     n: usize,
     n_c: usize,
-    /// Smallest coverage that will ever be requested (the minimum support
-    /// threshold); used only to size the static buffer index.
-    min_sup: usize,
-    /// Largest coverage stored in the static buffer.
-    max_sup: usize,
-    /// `static_buffers[cov − min_sup]`, present once that coverage was seen.
-    static_buffers: Vec<Option<PValueBuffer>>,
-    /// The single dynamic slot for coverages above `max_sup`.
-    dynamic: Option<PValueBuffer>,
-    stats: CacheStats,
+    /// Bytes the budget still admits; `None` once a buffer was dropped, so
+    /// every larger coverage is dropped too.
+    room: Option<usize>,
+    /// The kept buffers, in ascending coverage order.
+    buffers: Vec<PValueBuffer>,
 }
 
-impl PValueCache {
-    /// Creates a cache for a dataset with `n` records, `n_c` of the class of
-    /// interest, a static-buffer byte budget and the minimum support
-    /// threshold used for mining.
+impl PValueTable {
+    /// An empty table for a dataset with `n` records of which `n_c` carry
+    /// the class, admitting buffers while their stored bytes (p-values plus
+    /// the null's ranks) fit `budget_bytes`.
+    pub fn new(n: usize, n_c: usize, budget_bytes: usize) -> Self {
+        PValueTable {
+            n,
+            n_c,
+            room: Some(budget_bytes),
+            buffers: Vec::new(),
+        }
+    }
+
+    /// Offers the buffer of the next larger coverage.  Returns whether the
+    /// table kept it: it does while the buffer's bytes fit what is left of
+    /// the budget, and never again once one did not.
     ///
-    /// The largest coverage kept in the static buffer (`max_sup`) is chosen so
-    /// that the worst-case total size of all buffers between `min_sup` and
-    /// `max_sup` stays within `budget_bytes`, mirroring the paper's "the value
-    /// of max_sup is decided by the size of the static buffer".
-    pub fn new(n: usize, n_c: usize, budget_bytes: usize, min_sup: usize) -> Self {
-        let min_sup = min_sup.max(1).min(n);
-        let max_sup = static_max_coverage(n, n_c, budget_bytes, min_sup);
-        let slots = if max_sup >= min_sup {
-            max_sup - min_sup + 1
-        } else {
-            0
-        };
-        PValueCache {
-            n,
-            n_c,
-            min_sup,
-            max_sup,
-            static_buffers: vec![None; slots],
-            dynamic: None,
-            stats: CacheStats::default(),
+    /// # Panics
+    ///
+    /// Panics when the coverage is not larger than the last one offered and
+    /// kept — the table is indexed by ascending coverage.
+    pub fn offer(&mut self, buffer: PValueBuffer) -> bool {
+        if let Some(last) = self.buffers.last() {
+            assert!(
+                buffer.coverage > last.coverage,
+                "coverage {} offered after coverage {}",
+                buffer.coverage,
+                last.coverage
+            );
+        }
+        let bytes = ranked_entry_bytes(buffer.len());
+        match self.room {
+            Some(room) if bytes <= room => {
+                self.room = Some(room - bytes);
+                self.buffers.push(buffer);
+                true
+            }
+            _ => {
+                self.room = None;
+                false
+            }
         }
     }
 
-    /// Creates a cache with no static buffer at all: every coverage goes
-    /// through the single dynamic slot.  This is the paper's "dynamic buffer"
-    /// configuration in Figure 4.
-    pub fn dynamic_only(n: usize, n_c: usize) -> Self {
-        PValueCache {
-            n,
-            n_c,
-            min_sup: 1,
-            max_sup: 0,
-            static_buffers: Vec::new(),
-            dynamic: None,
-            stats: CacheStats::default(),
-        }
+    /// The kept buffers, in ascending coverage order.
+    pub fn buffers(&self) -> &[PValueBuffer] {
+        &self.buffers
     }
 
-    /// Number of records the cache was built for.
+    /// Number of records the table was built for.
     pub fn n(&self) -> usize {
         self.n
     }
 
-    /// Class count the cache was built for.
+    /// Class count the table was built for.
     pub fn n_c(&self) -> usize {
         self.n_c
     }
 
-    /// Largest coverage held in the static buffer (0 when there is none).
-    pub fn max_static_coverage(&self) -> usize {
-        self.max_sup
-    }
-
-    /// Usage counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Returns the p-value of a rule with the given coverage and support,
-    /// building and caching the per-coverage buffer if necessary.
-    pub fn p_value(&mut self, supp_x: usize, supp_r: usize, logs: &LogFactorialTable) -> f64 {
-        self.buffer_for(supp_x, logs).p_value(supp_r)
-    }
-
-    /// Returns the smallest p-value achievable at the given coverage; used by
-    /// pruning heuristics (a rule whose best-case p-value is above the cut-off
-    /// can be skipped entirely).
-    pub fn min_p_value(&mut self, supp_x: usize, logs: &LogFactorialTable) -> f64 {
-        self.buffer_for(supp_x, logs).min_p_value()
-    }
-
-    /// Borrows (building if necessary) the buffer for a coverage value.
-    pub fn buffer_for(&mut self, supp_x: usize, logs: &LogFactorialTable) -> &PValueBuffer {
-        assert!(
-            supp_x <= self.n,
-            "coverage {supp_x} exceeds dataset size {}",
-            self.n
-        );
-        if supp_x >= self.min_sup && supp_x <= self.max_sup {
-            let idx = supp_x - self.min_sup;
-            if self.static_buffers[idx].is_none() {
-                self.stats.static_builds += 1;
-                self.static_buffers[idx] =
-                    Some(PValueBuffer::build(self.n, self.n_c, supp_x, logs));
-            } else {
-                self.stats.static_hits += 1;
-            }
-            self.static_buffers[idx].as_ref().expect("just inserted")
-        } else {
-            let rebuild = match &self.dynamic {
-                Some(buf) => buf.coverage() != supp_x,
-                None => true,
-            };
-            if rebuild {
-                self.stats.dynamic_builds += 1;
-                self.dynamic = Some(PValueBuffer::build(self.n, self.n_c, supp_x, logs));
-            } else {
-                self.stats.dynamic_hits += 1;
-            }
-            self.dynamic.as_ref().expect("just inserted")
-        }
-    }
-
-    /// Total bytes currently held by cached buffers.
+    /// Bytes held by the kept buffers (their p-values and headers).
     pub fn resident_bytes(&self) -> usize {
-        let stat: usize = self
-            .static_buffers
-            .iter()
-            .flatten()
-            .map(PValueBuffer::size_bytes)
-            .sum();
-        stat + self.dynamic.as_ref().map_or(0, PValueBuffer::size_bytes)
+        self.buffers.iter().map(PValueBuffer::size_bytes).sum()
     }
 }
 
-/// The largest coverage whose buffer still fits a byte budget when every
-/// coverage from `min_sup` up is stored: the paper's "the value of max_sup is
-/// decided by the size of the static buffer" rule for the lazily filled
-/// [`PValueCache`], which cannot know in advance which coverages it will see.
-fn static_max_coverage(n: usize, n_c: usize, budget_bytes: usize, min_sup: usize) -> usize {
-    let mut max_sup = min_sup.saturating_sub(1);
-    let mut used = 0usize;
-    for cov in min_sup..=n {
-        // Worst-case buffer length for this coverage.
-        let lower = (n_c + cov).saturating_sub(n);
-        let upper = n_c.min(cov);
-        let entry = (upper - lower + 1) * std::mem::size_of::<f64>() + 64;
-        if used + entry > budget_bytes {
-            break;
-        }
-        used += entry;
-        max_sup = cov;
-    }
-    max_sup
-}
-
-/// One entry of a [`SharedPValueTable`]: the p-value buffer of one coverage
-/// plus, for every support `k ∈ [L, U]`, the **insertion rank** of that
-/// p-value among the rule set's observed p-values — the number of observed
-/// p-values strictly below it.  The permutation engine's pooled-null
-/// histogram is keyed by exactly that rank, so a permuted rule is scored with
-/// one lookup instead of a lookup plus a binary search.
-///
-/// The ranks are a parallel `u32` vector, so the p-values are stored once.
-#[derive(Debug, Clone)]
-pub struct RankedBuffer {
-    buffer: PValueBuffer,
+/// One entry of a [`SharedPValueTable`], borrowed from it: the p-value
+/// buffer of one coverage plus, for every support `k ∈ [L, U]`, the
+/// **insertion rank** of that p-value among the rule set's observed p-values
+/// — the number of observed p-values strictly below it.  The permutation
+/// engine's pooled-null histogram is keyed by exactly that rank, so a
+/// permuted rule is scored with one lookup instead of a lookup plus a binary
+/// search.
+#[derive(Debug, Clone, Copy)]
+pub struct RankedBuffer<'a> {
+    buffer: &'a PValueBuffer,
     /// `ranks[k − L]` = `sorted_observed.partition_point(|x| x < p(k))`.
-    ranks: Vec<u32>,
+    ranks: &'a [u32],
 }
 
-impl RankedBuffer {
-    /// Builds the buffer of coverage `supp_x` and ranks each of its p-values
-    /// against `sorted_observed` (ascending).
-    fn build(
-        n: usize,
-        n_c: usize,
-        supp_x: usize,
-        sorted_observed: &[f64],
-        logs: &LogFactorialTable,
-    ) -> Self {
-        let buffer = PValueBuffer::build(n, n_c, supp_x, logs);
-        let ranks = buffer
-            .values
-            .iter()
-            .map(|&p| {
-                u32::try_from(sorted_observed.partition_point(|&x| x < p))
-                    .expect("fewer than 2^32 observed p-values")
-            })
-            .collect();
-        RankedBuffer { buffer, ranks }
-    }
-
+impl<'a> RankedBuffer<'a> {
     /// The p-value buffer this entry ranks.
-    pub fn buffer(&self) -> &PValueBuffer {
-        &self.buffer
+    pub fn buffer(&self) -> &'a PValueBuffer {
+        self.buffer
     }
 
     /// The insertion ranks, parallel to the buffer's supports `L..=U`.
-    pub fn ranks(&self) -> &[u32] {
-        &self.ranks
+    pub fn ranks(&self) -> &'a [u32] {
+        self.ranks
     }
 
     /// P-value and insertion rank of a rule with support `supp_r`.
@@ -379,156 +267,157 @@ impl RankedBuffer {
         (self.buffer.values[i], self.ranks[i] as usize)
     }
 
-    /// Memory footprint in bytes: the p-values, their ranks and the entry
-    /// itself.
+    /// Bytes the entry stores: its p-values, their ranks and both headers.
     pub fn size_bytes(&self) -> usize {
         ranked_entry_bytes(self.ranks.len())
     }
 }
 
-/// Bytes of a [`RankedBuffer`] with `len` supports: one `f64` and one `u32`
-/// per support plus the fixed header.  Both the budget of
-/// [`SharedPValueTable::build`] and [`RankedBuffer::size_bytes`] use it, so
-/// the budget counts exactly the bytes the table keeps.
-fn ranked_entry_bytes(len: usize) -> usize {
-    len * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
-        + std::mem::size_of::<RankedBuffer>()
-}
-
 /// Marks a coverage the table does not hold in [`SharedPValueTable`]'s index.
 const ABSENT: u32 = u32::MAX;
 
-/// The static half of §4.2.3 rebuilt for parallel permutation workers: a
-/// [`RankedBuffer`] for every **distinct rule coverage** within the byte
-/// budget, built once up front and then only read (`&self`), so a single
+/// The static half of §4.2.3 as the parallel permutation workers read it:
+/// the longest prefix of one class slot's [`PValueTable`] that fits the
+/// null's byte budget, with every p-value's insertion rank, behind a dense
+/// coverage index.  Built once and then only read (`&self`), so a single
 /// table is shared by every worker thread.
 ///
-/// The budget is spent on the coverages the rules actually use, in ascending
-/// order, counting the bytes each entry stores (p-values plus ranks); the
-/// first coverage that no longer fits and every larger one
-/// (above [`SharedPValueTable::max_static_coverage`]) are served by each
+/// The p-values are the mined rule set's own allocation (an [`Arc`] clone);
+/// this table adds only the ranks and the index.  A coverage past the prefix
+/// (above [`SharedPValueTable::max_static_coverage`]) is served by each
 /// worker's own [`DynamicBuffer`].
 #[derive(Debug, Clone)]
 pub struct SharedPValueTable {
-    n: usize,
-    n_c: usize,
+    p_values: Arc<PValueTable>,
     /// Smallest held coverage (0 when the table is empty).
     first: usize,
-    /// `index[cov − first]` = position of `cov` in `entries`, or [`ABSENT`].
+    /// `index[cov − first]` = position of `cov` in the held prefix, or
+    /// [`ABSENT`].
     index: Vec<u32>,
-    /// The held entries, in ascending coverage order.
-    entries: Vec<RankedBuffer>,
+    /// `ranks[i]` ranks `p_values.buffers()[i]`; one vector per held buffer.
+    ranks: Vec<Vec<u32>>,
 }
 
 impl SharedPValueTable {
-    /// Builds the table for a dataset with `n` records of which `n_c` carry
-    /// the class: one [`RankedBuffer`] per distinct value in `coverages`,
-    /// smallest first, while the stored bytes fit `budget_bytes`.  Ranks are
-    /// taken against `sorted_observed`, the rule set's observed p-values in
-    /// ascending order.
+    /// Ranks the longest prefix of `p_values` whose stored bytes (p-values
+    /// plus ranks) fit `budget_bytes` against `sorted_observed`, the rule
+    /// set's observed p-values in ascending order.  The p-values are shared,
+    /// not copied.
     pub fn build(
-        n: usize,
-        n_c: usize,
+        p_values: &Arc<PValueTable>,
         budget_bytes: usize,
-        coverages: impl IntoIterator<Item = usize>,
         sorted_observed: &[f64],
-        logs: &LogFactorialTable,
     ) -> Self {
-        let mut wanted: Vec<usize> = coverages.into_iter().collect();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let mut entries = Vec::new();
         let mut used = 0usize;
-        for cov in wanted {
-            // Buffer length for this coverage: U − L + 1.
-            let len = n_c.min(cov) - (n_c + cov).saturating_sub(n) + 1;
-            let bytes = ranked_entry_bytes(len);
-            if used + bytes > budget_bytes {
-                break;
-            }
-            used += bytes;
-            entries.push(RankedBuffer::build(n, n_c, cov, sorted_observed, logs));
-        }
-        let (first, index) = match (entries.first(), entries.last()) {
+        let ranks: Vec<Vec<u32>> = p_values
+            .buffers
+            .iter()
+            .map_while(|buffer| {
+                used += ranked_entry_bytes(buffer.len());
+                (used <= budget_bytes).then(|| {
+                    buffer
+                        .values
+                        .iter()
+                        .map(|&p| {
+                            u32::try_from(sorted_observed.partition_point(|&x| x < p))
+                                .expect("fewer than 2^32 observed p-values")
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        let held = &p_values.buffers[..ranks.len()];
+        let (first, index) = match (held.first(), held.last()) {
             (Some(lo), Some(hi)) => {
-                let first = lo.buffer.coverage;
-                let mut index = vec![ABSENT; hi.buffer.coverage - first + 1];
-                for (i, entry) in entries.iter().enumerate() {
-                    index[entry.buffer.coverage - first] = i as u32;
+                let mut index = vec![ABSENT; hi.coverage - lo.coverage + 1];
+                for (i, buffer) in held.iter().enumerate() {
+                    index[buffer.coverage - lo.coverage] = i as u32;
                 }
-                (first, index)
+                (lo.coverage, index)
             }
             _ => (0, Vec::new()),
         };
         SharedPValueTable {
-            n,
-            n_c,
+            p_values: Arc::clone(p_values),
             first,
             index,
-            entries,
+            ranks,
         }
     }
 
     /// The entry for a coverage, if the table holds it.  Immutable — safe to
     /// call from any number of threads at once.
     #[inline]
-    pub fn get(&self, supp_x: usize) -> Option<&RankedBuffer> {
+    pub fn get(&self, supp_x: usize) -> Option<RankedBuffer<'_>> {
         match self.index.get(supp_x.wrapping_sub(self.first)) {
-            Some(&i) if i != ABSENT => Some(&self.entries[i as usize]),
+            Some(&i) if i != ABSENT => Some(RankedBuffer {
+                buffer: &self.p_values.buffers[i as usize],
+                ranks: &self.ranks[i as usize],
+            }),
             _ => None,
         }
+    }
+
+    /// The p-value table this one ranks (the rule set's allocation).
+    pub fn p_values(&self) -> &Arc<PValueTable> {
+        &self.p_values
     }
 
     /// Largest coverage the table holds (0 when it holds none).  Every
     /// requested coverage up to it is held.
     pub fn max_static_coverage(&self) -> usize {
-        self.entries.last().map_or(0, |e| e.buffer.coverage)
+        match self.ranks.len() {
+            0 => 0,
+            held => self.p_values.buffers[held - 1].coverage,
+        }
     }
 
     /// Number of records the table was built for.
     pub fn n(&self) -> usize {
-        self.n
+        self.p_values.n
     }
 
     /// Class count the table was built for.
     pub fn n_c(&self) -> usize {
-        self.n_c
+        self.p_values.n_c
     }
 
     /// Number of coverages resident in the table.
     pub fn n_buffers(&self) -> usize {
-        self.entries.len()
+        self.ranks.len()
     }
 
-    /// Total bytes held by the resident entries (p-values and ranks) and
-    /// the coverage index.
+    /// Bytes this table adds to the p-values it shares: the ranks (with
+    /// their vector headers) and the coverage index.  The p-values are
+    /// counted with the rule set that owns them
+    /// ([`PValueTable::resident_bytes`]).
     pub fn resident_bytes(&self) -> usize {
-        self.entries
+        self.ranks
             .iter()
-            .map(RankedBuffer::size_bytes)
+            .map(|r| std::mem::size_of_val(r.as_slice()) + std::mem::size_of::<Vec<u32>>())
             .sum::<usize>()
             + self.index.len() * std::mem::size_of::<u32>()
     }
 }
 
 /// A full static-buffer arrangement for one mined rule set — one
-/// [`SharedPValueTable`] per class slot — behind an [`Arc`](std::sync::Arc)
-/// so a resident engine can build the tables **once** and reuse them across
-/// any number of requests (different permutation counts, seeds, or α) instead
-/// of rebuilding them per run.
+/// [`SharedPValueTable`] per class slot — behind an [`Arc`] so a resident
+/// engine can rank the tables **once** and reuse them across any number of
+/// requests (different permutation counts, seeds, or α) instead of
+/// re-ranking them per run.
 ///
 /// The tables are immutable after construction, so cloning a set is a
 /// reference-count bump and sharing one across worker threads is free.
 #[derive(Debug, Clone)]
 pub struct SharedTableSet {
-    tables: std::sync::Arc<Vec<SharedPValueTable>>,
+    tables: Arc<Vec<SharedPValueTable>>,
 }
 
 impl SharedTableSet {
     /// Wraps per-class-slot tables (in the caller's slot order) for sharing.
     pub fn new(tables: Vec<SharedPValueTable>) -> Self {
         SharedTableSet {
-            tables: std::sync::Arc::new(tables),
+            tables: Arc::new(tables),
         }
     }
 
@@ -552,7 +441,8 @@ impl SharedTableSet {
         self.tables.is_empty()
     }
 
-    /// Total bytes held by every resident buffer across the slots.
+    /// Bytes the slots add to the shared p-values: ranks and indexes
+    /// ([`SharedPValueTable::resident_bytes`]).
     pub fn resident_bytes(&self) -> usize {
         self.tables
             .iter()
@@ -563,14 +453,14 @@ impl SharedTableSet {
     /// True when `other` is the same underlying allocation (i.e. a clone of
     /// this set, not merely an equal rebuild).
     pub fn same_allocation(&self, other: &SharedTableSet) -> bool {
-        std::sync::Arc::ptr_eq(&self.tables, &other.tables)
+        Arc::ptr_eq(&self.tables, &other.tables)
     }
 }
 
 /// A single-slot per-coverage buffer owned by one permutation worker: the
 /// dynamic half of §4.2.3, rebuilt whenever a different (large) coverage is
-/// requested.  Unlike [`PValueCache`] it carries no static part, so one
-/// exists per thread while the static table is shared.
+/// requested.  It carries no static part, so one exists per thread while the
+/// static table is shared.
 #[derive(Debug, Clone)]
 pub struct DynamicBuffer {
     n: usize,
@@ -678,62 +568,34 @@ mod tests {
         let _ = buf.p_value(0);
     }
 
-    #[test]
-    fn cache_static_and_dynamic_paths() {
-        let logs = LogFactorialTable::new(200);
-        // Tiny budget so only a few coverages fit in the static buffer.
-        let mut cache = PValueCache::new(200, 100, 4000, 10);
-        let max_static = cache.max_static_coverage();
-        assert!(
-            max_static >= 10,
-            "budget should admit at least one coverage"
-        );
-
-        // A static-range coverage: first call builds, second hits.
-        let p1 = cache.p_value(10, 9, &logs);
-        let p2 = cache.p_value(10, 9, &logs);
-        assert_eq!(p1, p2);
-        assert_eq!(cache.stats().static_builds, 1);
-        assert_eq!(cache.stats().static_hits, 1);
-
-        // A coverage above max_sup exercises the dynamic slot.
-        let big = max_static + 20;
-        let _ = cache.p_value(big, big / 2, &logs);
-        let _ = cache.p_value(big, big / 2 + 1, &logs);
-        assert_eq!(cache.stats().dynamic_builds, 1);
-        assert_eq!(cache.stats().dynamic_hits, 1);
-
-        // A different large coverage evicts the dynamic buffer.
-        let _ = cache.p_value(big + 5, big / 2, &logs);
-        assert_eq!(cache.stats().dynamic_builds, 2);
-    }
-
-    #[test]
-    fn dynamic_only_cache_always_uses_dynamic_slot() {
-        let logs = LogFactorialTable::new(100);
-        let mut cache = PValueCache::dynamic_only(100, 50);
-        assert_eq!(cache.max_static_coverage(), 0);
-        let _ = cache.p_value(20, 15, &logs);
-        let _ = cache.p_value(20, 10, &logs);
-        let _ = cache.p_value(30, 10, &logs);
-        let s = cache.stats();
-        assert_eq!(s.static_builds, 0);
-        assert_eq!(s.static_hits, 0);
-        assert_eq!(s.dynamic_builds, 2);
-        assert_eq!(s.dynamic_hits, 1);
+    /// A table of `coverages` (ascending) under `budget`, as mining builds
+    /// one.
+    fn mined_table(
+        n: usize,
+        n_c: usize,
+        budget: usize,
+        coverages: impl IntoIterator<Item = usize>,
+        logs: &LogFactorialTable,
+    ) -> Arc<PValueTable> {
+        let mut table = PValueTable::new(n, n_c, budget);
+        for cov in coverages {
+            table.offer(PValueBuffer::build(n, n_c, cov, logs));
+        }
+        Arc::new(table)
     }
 
     #[test]
     fn cache_values_agree_with_uncached_fisher() {
         let logs = LogFactorialTable::new(400);
         let test = FisherTest::with_table(logs.clone());
-        let mut cache = PValueCache::new(400, 170, 1 << 20, 5);
-        for (supp_x, supp_r) in [(5, 5), (40, 30), (170, 120), (399, 169)] {
-            let cached = cache.p_value(supp_x, supp_r, &logs);
+        let table = mined_table(400, 170, 1 << 20, [5, 40, 170, 399], &logs);
+        assert_eq!(table.buffers().len(), 4);
+        for (buffer, supp_r) in table.buffers().iter().zip([5, 30, 120, 169]) {
+            let supp_x = buffer.coverage();
             let counts = RuleCounts::new(400, 170, supp_x, supp_r).unwrap();
             let direct = test.p_value(&counts, Tail::TwoSided);
             assert!(
-                (cached - direct).abs() < 1e-9,
+                (buffer.p_value(supp_r) - direct).abs() < 1e-9,
                 "supp_x={supp_x} supp_r={supp_r}"
             );
         }
@@ -741,35 +603,63 @@ mod tests {
 
     #[test]
     fn resident_bytes_grows_with_usage() {
-        let logs = LogFactorialTable::new(300);
-        let mut cache = PValueCache::new(300, 150, 1 << 20, 10);
-        let before = cache.resident_bytes();
-        let _ = cache.p_value(50, 30, &logs);
-        let _ = cache.p_value(60, 30, &logs);
-        assert!(cache.resident_bytes() > before);
+        let logs = LogFactorialTable::new(200);
+        let budget = 4000;
+        let mut table = PValueTable::new(200, 100, budget);
+        assert_eq!(table.resident_bytes(), 0);
+        // Each kept buffer adds its p-values; the budget counts the ranks
+        // the null adds too.
+        let mut cov = 10;
+        while table.offer(PValueBuffer::build(200, 100, cov, &logs)) {
+            assert_eq!(table.resident_bytes() % 8, 0);
+            cov += 1;
+        }
+        let kept = table.buffers().len();
+        assert!(kept >= 1, "the budget admits at least one coverage");
+        assert_eq!(table.buffers().last().unwrap().coverage(), cov - 1);
+        let values: usize = table.buffers().iter().map(PValueBuffer::len).sum();
+        assert_eq!(
+            table.resident_bytes(),
+            values * 8 + std::mem::size_of_val(table.buffers())
+        );
+        // Once a coverage is dropped, every larger one is dropped too, even
+        // one whose buffer is short enough to fit what is left.
+        assert!(!table.offer(PValueBuffer::build(200, 100, 199, &logs)));
+        assert_eq!(table.buffers().len(), kept);
     }
 
     #[test]
-    fn shared_table_matches_cache_and_is_prebuilt() {
+    #[should_panic(expected = "offered after coverage")]
+    fn table_rejects_coverages_out_of_order() {
+        let logs = LogFactorialTable::new(100);
+        let mut table = PValueTable::new(100, 50, 1 << 20);
+        table.offer(PValueBuffer::build(100, 50, 20, &logs));
+        table.offer(PValueBuffer::build(100, 50, 20, &logs));
+    }
+
+    #[test]
+    fn shared_table_matches_buffers_and_is_prebuilt() {
         let logs = LogFactorialTable::new(300);
-        let coverages = [20usize, 45, 45, 90];
         let observed = [1e-6, 0.01, 0.01, 0.2, 0.5];
-        let table = SharedPValueTable::build(300, 120, 1 << 20, coverages, &observed, &logs);
+        let p_values = mined_table(300, 120, 1 << 20, [20, 45, 90], &logs);
+        let table = SharedPValueTable::build(&p_values, 1 << 20, &observed);
         assert_eq!(table.n(), 300);
         assert_eq!(table.n_c(), 120);
-        // Every requested coverage is resident, once.
+        // Every coverage of the p-value table is ranked, and the p-values
+        // are the table's own allocation.
         assert_eq!(table.n_buffers(), 3);
         assert_eq!(table.max_static_coverage(), 90);
         assert!(table.resident_bytes() > 0);
-        let mut cache = PValueCache::new(300, 120, 1 << 20, 10);
+        assert!(Arc::ptr_eq(table.p_values(), &p_values));
         for cov in [20usize, 45, 90] {
             let entry = table.get(cov).expect("coverage was requested up front");
             let buf = entry.buffer();
             assert_eq!(buf.coverage(), cov);
             assert_eq!(entry.ranks().len(), buf.len());
+            let reference = PValueBuffer::build(300, 120, cov, &logs);
             for k in buf.lower()..=buf.upper() {
-                let p = cache.p_value(cov, k, &logs);
-                assert_eq!(buf.p_value(k), p, "cov={cov} k={k}");
+                let p = reference.p_value(k);
+                assert_eq!(buf.p_value(k).to_bits(), p.to_bits(), "cov={cov} k={k}");
                 let rank = observed.partition_point(|&x| x < p);
                 assert_eq!(entry.lookup(k), (p, rank), "cov={cov} k={k}");
             }
@@ -785,10 +675,13 @@ mod tests {
     fn shared_table_budget_counts_stored_bytes() {
         let logs = LogFactorialTable::new(200);
         let budget = 4000;
-        let table = SharedPValueTable::build(200, 100, budget, 10..=200, &[0.5], &logs);
+        let mined = mined_table(200, 100, budget, 10..=200, &logs);
+        let table = SharedPValueTable::build(&mined, budget, &[0.5]);
         let max = table.max_static_coverage();
         assert!(max >= 10, "the budget admits at least one coverage");
-        // Every coverage up to the cut-off is held, none above it.
+        // The null ranks every coverage the mined table kept under the same
+        // budget, and none above it.
+        assert_eq!(table.n_buffers(), mined.buffers().len());
         for cov in 10..=200 {
             assert_eq!(table.get(cov).is_some(), cov <= max, "cov={cov}");
         }
@@ -798,12 +691,25 @@ mod tests {
         assert!(held <= budget);
         let next = PValueBuffer::build(200, 100, max + 1, &logs).len();
         assert!(held + ranked_entry_bytes(next) > budget);
-        assert_eq!(table.resident_bytes(), held + (max - 10 + 1) * 4);
+        // The p-values belong to the mined table; the ranked table adds the
+        // ranks and the index, and together they are the stored bytes.
+        assert_eq!(
+            table.resident_bytes(),
+            held - mined.resident_bytes() + (max - 10 + 1) * 4
+        );
+        // A smaller budget ranks a prefix of the same allocation.
+        let half = SharedPValueTable::build(&mined, budget / 2, &[0.5]);
+        assert!(half.n_buffers() < table.n_buffers());
+        assert!(half.max_static_coverage() < max);
+        assert!(Arc::ptr_eq(half.p_values(), table.p_values()));
         // Only the coverages the rules use are paid for: a sparse rule set
-        // reaches far past the worst-case cut-off of the lazy cache.
-        let cache = PValueCache::new(200, 100, budget, 10);
-        let sparse = SharedPValueTable::build(200, 100, budget, [10, 150, 190], &[0.5], &logs);
-        assert!(cache.max_static_coverage() < 150);
+        // reaches coverages far past the dense cut-off.
+        let sparse = SharedPValueTable::build(
+            &mined_table(200, 100, budget, [10, 150, 190], &logs),
+            budget,
+            &[0.5],
+        );
+        assert!(max < 150);
         assert_eq!(sparse.max_static_coverage(), 190);
         assert_eq!(sparse.n_buffers(), 3);
     }
@@ -811,31 +717,31 @@ mod tests {
     #[test]
     fn shared_table_set_is_one_allocation() {
         let logs = LogFactorialTable::new(200);
-        let build = |n_c: usize| {
-            SharedPValueTable::build(200, n_c, 1 << 20, [10usize, 20], &[0.01, 0.3], &logs)
-        };
-        let set = SharedTableSet::new(vec![build(80), build(120)]);
+        let p_values = |n_c: usize| mined_table(200, n_c, 1 << 20, [10usize, 20], &logs);
+        let (p80, p120) = (p_values(80), p_values(120));
+        let build = |p: &Arc<PValueTable>| SharedPValueTable::build(p, 1 << 20, &[0.01, 0.3]);
+        let set = SharedTableSet::new(vec![build(&p80), build(&p120)]);
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
-        assert!(set.resident_bytes() > 0);
-        // The ranks are counted: one u32 per support of every entry.
+        // The set counts the ranks (one u32 per support of every entry) and
+        // the index, not the shared p-values.
         let ranks: usize = set
             .tables()
             .iter()
             .flat_map(|t| [10usize, 20].map(|c| t.get(c).unwrap().ranks().len()))
             .sum();
-        let values: usize = set
-            .tables()
-            .iter()
-            .flat_map(|t| [10usize, 20].map(|c| t.get(c).unwrap().buffer().len()))
-            .sum();
-        assert!(set.resident_bytes() >= values * 8 + ranks * 4);
+        let index = 2 * (20 - 10 + 1);
+        assert_eq!(
+            set.resident_bytes(),
+            ranks * 4 + 4 * std::mem::size_of::<Vec<u32>>() + index * 4
+        );
         let clone = set.clone();
         assert!(set.same_allocation(&clone));
         // A rebuild with identical inputs is equal in content but distinct in
-        // allocation — reuse is observable.
-        let rebuilt = SharedTableSet::new(vec![build(80), build(120)]);
+        // allocation — reuse is observable — while the p-values stay shared.
+        let rebuilt = SharedTableSet::new(vec![build(&p80), build(&p120)]);
         assert!(!set.same_allocation(&rebuilt));
+        assert!(Arc::ptr_eq(rebuilt.slot(0).p_values(), &p80));
         assert_eq!(set.slot(0).n_c(), 80);
         assert_eq!(set.tables().len(), 2);
     }
@@ -853,15 +759,5 @@ mod tests {
         assert_eq!(dynamic.hits(), 1);
         let _ = dynamic.p_value(30, 10, &logs);
         assert_eq!(dynamic.builds(), 2);
-    }
-
-    #[test]
-    fn cache_stats_lookups_totals() {
-        let logs = LogFactorialTable::new(100);
-        let mut cache = PValueCache::new(100, 40, 1 << 20, 5);
-        for _ in 0..3 {
-            let _ = cache.p_value(10, 5, &logs);
-        }
-        assert_eq!(cache.stats().lookups(), 3);
     }
 }

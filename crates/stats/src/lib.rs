@@ -11,8 +11,9 @@
 //!   class association rule `X ⇒ c` (§2.2),
 //! * Pearson's χ² test of independence ([`chisq`]) as the alternative test
 //!   mentioned in the paper's related work,
-//! * the per-coverage p-value buffer and the static/dynamic buffer cache
-//!   ([`buffer`]) that make permutation testing tractable (§4.2.3),
+//! * the per-coverage p-value buffers, the per-class static tables built
+//!   from them and the per-worker dynamic buffer ([`buffer`]) that make
+//!   permutation testing tractable (§4.2.3),
 //! * classical multiple-testing corrections ([`adjust`]): Bonferroni, Šidák,
 //!   Holm, Benjamini–Hochberg and Benjamini–Yekutieli,
 //! * permutation-based (empirical-null) corrections ([`empirical`]):
@@ -56,8 +57,7 @@ pub use adjust::{
     bonferroni, bonferroni_threshold, holm, sidak, AdjustMethod,
 };
 pub use buffer::{
-    CacheStats, DynamicBuffer, PValueBuffer, PValueCache, RankedBuffer, SharedPValueTable,
-    SharedTableSet,
+    DynamicBuffer, PValueBuffer, PValueTable, RankedBuffer, SharedPValueTable, SharedTableSet,
 };
 pub use chisq::{chi_square_independence, chi_square_p_value, ChiSquareResult};
 pub use empirical::{empirical_fdr_adjust, min_p_threshold, EmpiricalNull, PooledNull};

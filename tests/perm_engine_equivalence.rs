@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use sigrule_repro::prelude::*;
-use sigrule_repro::stats::SharedPValueTable;
+use std::sync::Arc;
 
 /// Strategy: a small synthetic dataset spec (records, attributes, embedded-
 /// rule confidence, generator seed) plus a permutation count and shuffle
@@ -231,11 +231,12 @@ proptest! {
     }
 }
 
-/// The shared static table prebuilds exactly the coverages the rules use, so
-/// parallel workers never mutate shared cache state.  Its budget counts the
-/// bytes it stores (p-values plus ranks) for those coverages only: every
-/// coverage is held whenever their total fits, and one byte less drops
-/// exactly the largest coverage to the dynamic buffer.
+/// The shared static table holds exactly the coverages the rules use, so
+/// parallel workers never mutate shared cache state, and its p-values are
+/// the mined rule set's own buffers: the null only adds ranks.  Its budget
+/// counts the bytes it stores (p-values plus ranks) for those coverages
+/// only: every coverage is held whenever their total fits, and one byte
+/// less drops exactly the largest coverage to the dynamic buffer.
 #[test]
 fn shared_static_table_covers_all_rule_coverages() {
     let params = SyntheticParams::default()
@@ -245,62 +246,71 @@ fn shared_static_table_covers_all_rule_coverages() {
         .with_coverage(80, 80)
         .with_confidence(0.9, 0.9);
     let (dataset, _) = SyntheticGenerator::new(params).unwrap().generate(11);
-    let mined = mine_rules(&dataset, &RuleMiningConfig::new(40));
-    assert!(!mined.rules().is_empty());
-    let logs = sigrule_repro::stats::LogFactorialTable::new(mined.n_records());
-    let mut sorted_observed = mined.p_values();
-    sorted_observed.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let build = |class: usize, coverages: &[usize], budget: usize| {
-        SharedPValueTable::build(
-            mined.n_records(),
-            mined.class_counts()[class],
-            budget,
-            coverages.iter().copied(),
-            &sorted_observed,
-            &logs,
-        )
-    };
-    for class in 0..mined.n_classes() {
-        let mut coverages: Vec<usize> = mined
-            .rules()
-            .iter()
-            .filter(|r| r.class as usize == class)
-            .map(|r| r.coverage)
-            .collect();
-        coverages.sort_unstable();
-        coverages.dedup();
-        if coverages.is_empty() {
-            continue;
-        }
-        let table = build(class, &coverages, 16 * 1024 * 1024);
-        assert_eq!(table.n_buffers(), coverages.len());
-        let stored: usize = coverages
-            .iter()
-            .map(|&cov| {
-                let entry = table.get(cov).expect("every rule coverage is held");
-                assert_eq!(entry.ranks().len(), entry.buffer().len());
-                for k in entry.buffer().lower()..=entry.buffer().upper() {
-                    let p = entry.buffer().p_value(k);
-                    let rank = sorted_observed.partition_point(|&x| x < p);
-                    assert_eq!(entry.lookup(k), (p, rank), "cov={cov} k={k}");
-                }
-                entry.size_bytes()
-            })
-            .sum();
-        assert!(stored <= 16 * 1024 * 1024);
+    for min_conf in [0.0, 0.6] {
+        let mined = mine_rules(&dataset, &RuleMiningConfig::new(40).with_min_conf(min_conf));
+        assert!(!mined.rules().is_empty());
+        let mut sorted_observed = mined.p_values();
+        sorted_observed.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let build = |budget: usize| {
+            PermutationCorrection::default()
+                .with_static_buffer_bytes(budget)
+                .build_shared_tables(&mined)
+        };
+        let tables = build(16 * 1024 * 1024);
+        let mut classes: Vec<_> = mined.rules().iter().map(|r| r.class).collect();
+        classes.sort_unstable();
+        classes.dedup();
+        assert_eq!(tables.len(), classes.len());
+        for (slot, &class) in classes.iter().enumerate() {
+            let mut coverages: Vec<usize> = mined
+                .rules()
+                .iter()
+                .filter(|r| r.class == class)
+                .map(|r| r.coverage)
+                .collect();
+            coverages.sort_unstable();
+            coverages.dedup();
+            let table = tables.slot(slot);
+            assert_eq!(table.n_c(), mined.class_counts()[class as usize]);
+            assert_eq!(table.n_buffers(), coverages.len());
+            assert_eq!(table.max_static_coverage(), *coverages.last().unwrap());
+            // The p-value entries are the mined set's allocation.
+            assert!(Arc::ptr_eq(table.p_values(), &mined.p_value_tables()[slot]));
+            let stored: usize = coverages
+                .iter()
+                .map(|&cov| {
+                    let entry = table.get(cov).expect("every rule coverage is held");
+                    assert_eq!(entry.ranks().len(), entry.buffer().len());
+                    for k in entry.buffer().lower()..=entry.buffer().upper() {
+                        let p = entry.buffer().p_value(k);
+                        let rank = sorted_observed.partition_point(|&x| x < p);
+                        assert_eq!(entry.lookup(k), (p, rank), "cov={cov} k={k}");
+                    }
+                    entry.size_bytes()
+                })
+                .sum();
+            assert!(stored <= 16 * 1024 * 1024);
 
-        // A budget of exactly the stored bytes still holds every coverage.
-        let exact = build(class, &coverages, stored);
-        assert_eq!(exact.n_buffers(), coverages.len());
-        for &cov in &coverages {
-            assert!(exact.get(cov).is_some(), "coverage {cov} not prebuilt");
-        }
-        // One byte less drops the largest coverage, and only it.
-        let short = build(class, &coverages, stored - 1);
-        let (largest, rest) = coverages.split_last().unwrap();
-        assert!(short.get(*largest).is_none());
-        for &cov in rest {
-            assert!(short.get(cov).is_some(), "coverage {cov} not prebuilt");
+            // A budget of exactly the stored bytes still holds every coverage.
+            let exact = build(stored);
+            assert_eq!(exact.slot(slot).n_buffers(), coverages.len());
+            for &cov in &coverages {
+                assert!(
+                    exact.slot(slot).get(cov).is_some(),
+                    "coverage {cov} not held"
+                );
+            }
+            // One byte less drops the largest coverage, and only it.
+            let short = build(stored - 1);
+            let (largest, rest) = coverages.split_last().unwrap();
+            assert!(short.slot(slot).get(*largest).is_none());
+            for &cov in rest {
+                assert!(
+                    short.slot(slot).get(cov).is_some(),
+                    "coverage {cov} not held"
+                );
+            }
+            assert!(Arc::ptr_eq(short.slot(slot).p_values(), table.p_values()));
         }
     }
 }
