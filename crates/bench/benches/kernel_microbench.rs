@@ -1,13 +1,7 @@
-//! Support-kernel microbenchmarks: `and_count` and the batched
-//! `and_count_many` across bitmap widths and densities, pinned to each
-//! kernel implementation (scalar baseline vs. the runtime-dispatched SIMD
-//! path) and to the batched lane-block sweep.
-//!
-//! The headline comparison BENCH_perm.json's `kernel_microbench` axis
-//! records: at engine-realistic widths (2k–128k records) the AVX2 path beats
-//! the unrolled scalar sweep on single intersections, and the batched
-//! 8-lane sweep amortises the cover loads so one batched pass beats eight
-//! separate `and_count` calls per word of cover.
+//! Support-kernel microbenchmarks: `and_count` across bitmap widths and
+//! densities, and the positional count the permutation engine runs per
+//! forest node across id-list lengths, pinned to each kernel implementation
+//! (scalar baseline vs. the runtime-dispatched SIMD path).
 //!
 //! Forcing a kernel kind is safe here because every kind computes identical
 //! counts (tests/kernel_equivalence.rs) — the force hook exists exactly for
@@ -15,10 +9,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sigrule_data::kernel::{self, KernelKind};
-use sigrule_data::{Bitmap, LaneBlock, TidSet};
-
-/// Lanes per batched sweep: matches the engine's `PERMS_PER_CHUNK`.
-const LANES: usize = 8;
+use sigrule_data::{Bitmap, TidSet};
 
 /// Deterministic bitmap with roughly one set bit per `stride` records.
 fn striped_bitmap(n_bits: usize, stride: usize, phase: usize) -> Bitmap {
@@ -53,47 +44,28 @@ fn bench_and_count(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_and_count_many(c: &mut Criterion) {
-    let mut group = c.benchmark_group("and_count_many");
-    for &n_bits in &[2_000usize, 16_384, 131_072] {
-        let cover = striped_bitmap(n_bits, 2, 0);
-        let others: Vec<Bitmap> = (0..LANES)
-            .map(|lane| striped_bitmap(n_bits, 3 + lane % 3, lane))
+fn bench_positional_count(c: &mut Criterion) {
+    // One class's label words over 10k records, every lane live, counted
+    // over stored id lists of growing length.
+    let n_records = 10_000usize;
+    let words: Vec<u64> = (0..n_records as u64)
+        .map(|t| t.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect();
+    let mut group = c.benchmark_group("positional_count");
+    for &n_ids in &[16usize, 256, 4_096] {
+        let ids: Vec<u32> = (0..n_records as u32)
+            .step_by(n_records / n_ids)
+            .take(n_ids)
             .collect();
-        let mut block = LaneBlock::zeros(LANES, n_bits);
-        for (lane, other) in others.iter().enumerate() {
-            block.copy_lane_from(lane, other);
-        }
-        let mut acc = vec![0u32; LANES];
+        let mut acc = [0u32; kernel::LANES];
         for kind in kinds() {
             kernel::force(Some(kind));
-            // One batched 8-lane sweep over a pre-packed block (the engine's
-            // steady state: the block is filled once per chunk).
-            group.bench_with_input(
-                BenchmarkId::new(format!("batched/{}", kind.name()), n_bits),
-                &n_bits,
-                |bench, _| {
-                    bench.iter(|| {
-                        block.and_count_per_lane(black_box(&cover), &mut acc);
-                        black_box(acc[LANES - 1])
-                    })
-                },
-            );
-            // The same work as 8 separate and_count calls (the per-
-            // permutation engine's cost for one cover and one chunk).
-            group.bench_with_input(
-                BenchmarkId::new(format!("separate/{}", kind.name()), n_bits),
-                &n_bits,
-                |bench, _| {
-                    bench.iter(|| {
-                        let mut last = 0usize;
-                        for other in &others {
-                            last = black_box(&cover).and_count(other);
-                        }
-                        black_box(last)
-                    })
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(kind.name(), n_ids), &n_ids, |bench, _| {
+                bench.iter(|| {
+                    kernel::positional_count(black_box(&ids), &words, &mut acc);
+                    black_box(acc[kernel::LANES - 1])
+                })
+            });
         }
         kernel::force(None);
     }
@@ -124,7 +96,7 @@ fn bench_density_sweep(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_and_count,
-    bench_and_count_many,
+    bench_positional_count,
     bench_density_sweep
 );
 criterion_main!(kernels);

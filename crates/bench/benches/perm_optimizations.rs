@@ -1,14 +1,11 @@
 //! Figure 4 as a Criterion benchmark: the permutation approach at the four
 //! optimisation levels (mine-once only, + dynamic buffer, + Diffsets, + 16 MB
 //! static buffer) on the D2kA20R5 synthetic dataset — extended with the
-//! engine axes this reproduction adds on top of the paper: one thread vs.
-//! the rayon fan-out over every core, and tid-list vs. bitmap vs.
-//! density-auto support counting.
+//! engine axis this reproduction adds on top of the paper: one thread vs.
+//! the rayon fan-out over every core.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use sigrule::correction::permutation::{
-    rayon_pool, BufferStrategy, PermutationCorrection, SupportBackend,
-};
+use sigrule::correction::permutation::{rayon_pool, BufferStrategy, PermutationCorrection};
 use sigrule::{mine_rules, MinedRuleSet, RuleMiningConfig};
 use sigrule_synth::{SyntheticGenerator, SyntheticParams};
 
@@ -22,8 +19,8 @@ fn d2k_a20_r5_mined(min_sup: usize, diffsets: bool) -> MinedRuleSet {
     )
 }
 
-/// The paper's Figure 4 ablation: buffering levels on the tid-list engine
-/// pinned to one thread (the configuration the paper describes).
+/// The paper's Figure 4 ablation: buffering levels on the engine pinned to
+/// one thread (the configuration the paper describes).
 fn bench_optimization_levels(c: &mut Criterion) {
     let min_sup = 100;
     let n_permutations = 50;
@@ -46,8 +43,7 @@ fn bench_optimization_levels(c: &mut Criterion) {
             b.iter(|| {
                 let correction = PermutationCorrection::new(n_permutations)
                     .with_seed(3)
-                    .with_buffer(buffer)
-                    .with_backend(SupportBackend::TidLists);
+                    .with_buffer(buffer);
                 black_box(one_thread.install(|| correction.collect_stats(mined)))
             })
         });
@@ -55,31 +51,22 @@ fn bench_optimization_levels(c: &mut Criterion) {
     group.finish();
 }
 
-/// The engine axes beyond the paper: thread count × support backend at the
-/// paper's best buffer configuration (Diffsets + 16 MB static buffer).
-/// `serial_*` runs a one-thread pool, `parallel_*` the default pool.
+/// The engine axis beyond the paper: thread count at the paper's best
+/// buffer configuration (Diffsets + 16 MB static buffer).  `serial` runs a
+/// one-thread pool, `parallel` the default pool.
 fn bench_engine_axes(c: &mut Criterion) {
     let min_sup = 100;
     let n_permutations = 50;
     let mined = d2k_a20_r5_mined(min_sup, true);
     // Thread count 0 keeps the default pool (every available core).
-    let axes: Vec<(&str, usize, SupportBackend)> = vec![
-        ("serial_tids", 1, SupportBackend::TidLists),
-        ("serial_bitmaps", 1, SupportBackend::Bitmaps),
-        ("serial_auto", 1, SupportBackend::Auto),
-        ("parallel_tids", 0, SupportBackend::TidLists),
-        ("parallel_bitmaps", 0, SupportBackend::Bitmaps),
-        ("parallel_auto", 0, SupportBackend::Auto),
-    ];
+    let axes: Vec<(&str, usize)> = vec![("serial", 1), ("parallel", 0)];
     let mut group = c.benchmark_group("engine_axes_D2kA20R5");
     group.sample_size(10);
-    for (label, threads, backend) in axes {
+    for (label, threads) in axes {
         let pool = rayon_pool(threads).expect("the pool builds");
         group.bench_with_input(BenchmarkId::from_parameter(label), &mined, |b, mined| {
             b.iter(|| {
-                let correction = PermutationCorrection::new(n_permutations)
-                    .with_seed(3)
-                    .with_backend(backend);
+                let correction = PermutationCorrection::new(n_permutations).with_seed(3);
                 black_box(pool.install(|| correction.collect_stats(mined)))
             })
         });

@@ -296,14 +296,18 @@ fn short_deadline_over_slow_chunks_aborts_promptly_and_leaves_cache_cold() {
     assert_ok(&client.request(&load_line(&fixture())).unwrap());
 
     let started = Instant::now();
+    // One thread: the 100 permutations are two 64-permutation chunks, and
+    // on more threads both would start before the deadline fires and the
+    // fill would complete.  On one, the second chunk's cancellation check
+    // comes after the first chunk's 150ms sleep.
     let tormented = client
-        .request(&correct_line("rushed", r#""timeout_ms":30,"#))
+        .request(&correct_line("rushed", r#""timeout_ms":30,"threads":1,"#))
         .unwrap();
     let elapsed = started.elapsed();
     assert_error(&tormented, "deadline_exceeded", "transient", "rushed query");
     // Prompt: chunks between cancellation checks sleep 150ms each, so an
-    // abort must beat the full 13-chunk run by a wide margin even on one
-    // core.  (The generous bound keeps slow CI machines green.)
+    // abort must come after one chunk and beat the full two-chunk run by a
+    // wide margin.  (The generous bound keeps slow CI machines green.)
     assert!(elapsed < Duration::from_secs(10), "abort took {elapsed:?}");
 
     // The engine counted the cancellation, and the null cell is cold: the

@@ -22,7 +22,9 @@
 //!    evaluation cover is its parent's cover intersected with the tid lists
 //!    of the items it adds, and each node is scored once (its coverage and
 //!    per-class supports) for every rule it backs.  Root subtrees are
-//!    independent and run on the current rayon pool.
+//!    independent and run on the current rayon pool.  A rule's Fisher
+//!    p-value depends only on its `(class, coverage, support)` triple, and
+//!    many rules repeat one, so each distinct triple is tested once.
 //! 2. [`HoldoutEvaluation::decide`] screens the rules at `α` (in mined
 //!    order) and applies Bonferroni or Benjamini–Hochberg over the
 //!    candidates.  It is cheap and exact for any α and either metric.
@@ -42,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use sigrule_data::{Dataset, TidSet, VerticalDataset};
+use sigrule_data::{ClassId, Dataset, TidSet, VerticalDataset};
 use sigrule_stats::{
     benjamini_hochberg_threshold, bonferroni_threshold, FisherTest, RuleCounts, Tail,
 };
@@ -208,10 +210,42 @@ impl<'a> Rescore<'a> {
         for (i, rule) in scored.into_iter().flatten() {
             rules[i] = Some(rule);
         }
-        rules
+        let mut rules: Vec<ClassRule> = rules
             .into_iter()
             .map(|rule| rule.expect("every rule's node lies in some root subtree"))
-            .collect()
+            .collect();
+        self.fill_p_values(&mut rules);
+        rules
+    }
+
+    /// Sets every rule's two-sided Fisher p-value on the evaluation part,
+    /// testing each distinct `(class, coverage, support)` triple once: the
+    /// p-value depends on nothing else.  The distinct triples are tested on
+    /// the current rayon pool.
+    fn fill_p_values(&self, rules: &mut [ClassRule]) {
+        let triple = |r: &ClassRule| (r.class, r.coverage, r.support);
+        let mut triples: Vec<(ClassId, usize, usize)> = rules.iter().map(triple).collect();
+        triples.sort_unstable();
+        triples.dedup();
+        let n_eval = self.evaluation.n_records();
+        let p_values: Vec<f64> = triples
+            .par_iter()
+            .map(|&(class, coverage, support)| {
+                if n_eval == 0 {
+                    return 1.0;
+                }
+                let n_c = self.class_counts[class as usize];
+                let counts = RuleCounts::new(n_eval, n_c, coverage, support)
+                    .expect("counts measured on the evaluation dataset are consistent");
+                self.fisher.p_value(&counts, Tail::TwoSided)
+            })
+            .collect();
+        for rule in rules {
+            let at = triples
+                .binary_search(&triple(rule))
+                .expect("every rule's triple is listed");
+            rule.p_value = p_values[at];
+        }
     }
 
     /// Scores `node` and its subtree, given its parent's evaluation cover
@@ -262,7 +296,9 @@ impl<'a> Rescore<'a> {
         cover
     }
 
-    /// Appends every rule `node` backs, scored on its evaluation `cover`.
+    /// Appends every rule `node` backs with its coverage and support on the
+    /// evaluation `cover`; [`fill_p_values`](Self::fill_p_values) sets the
+    /// p-values once every rule is counted.
     fn score(&self, node: usize, cover: &TidSet, out: &mut Vec<(usize, ClassRule)>) {
         let rules = &self.node_rules[node];
         if rules.is_empty() {
@@ -273,27 +309,16 @@ impl<'a> Rescore<'a> {
         for &t in cover.tids() {
             supports[labels[t as usize] as usize] += 1;
         }
-        let n_eval = self.evaluation.n_records();
-        let coverage = cover.len();
         for &i in rules {
             let rule = &self.mined.rules()[i];
-            let support = supports[rule.class as usize];
-            let n_c = self.class_counts[rule.class as usize];
-            let p_value = if n_eval == 0 {
-                1.0
-            } else {
-                let counts = RuleCounts::new(n_eval, n_c, coverage, support)
-                    .expect("counts measured on the evaluation dataset are consistent");
-                self.fisher.p_value(&counts, Tail::TwoSided)
-            };
             out.push((
                 i,
                 ClassRule {
                     pattern: rule.pattern.clone(),
                     class: rule.class,
-                    coverage,
-                    support,
-                    p_value,
+                    coverage: cover.len(),
+                    support: supports[rule.class as usize],
+                    p_value: f64::NAN,
                 },
             ));
         }

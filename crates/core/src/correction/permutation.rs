@@ -21,37 +21,41 @@
 //!    dynamic buffer only, and the static + dynamic arrangement (16 MB static
 //!    buffer by default, as in the paper's best configuration).
 //!
-//! # The parallel bitset engine
+//! # The parallel bit-sliced engine
 //!
 //! On top of the paper's optimisations this implementation adds two machine-
-//! level ones; the second is selected by [`PermutationCorrection::backend`]:
+//! level ones:
 //!
 //! * **Rayon fan-out across permutations.**  Permutations are grouped into
-//!   fixed-size chunks (the chunking does *not* depend on the worker count)
-//!   and the chunks are mapped over a rayon worker pool; run the engine
-//!   under [`rayon_pool`]`(n).install(..)` to pin it to `n` threads (one
-//!   thread runs every chunk inline on the caller).  Each permutation is
-//!   fully independent: its labels are a fresh copy of the original label
-//!   vector shuffled by an RNG seeded from `seed` and the permutation index
-//!   alone.  Workers reduce their chunk into a per-chunk minimum-p-value list
-//!   and insertion-point histogram, merged into the run's totals as soon as
-//!   the chunk finishes (so only the chunks in flight hold a histogram).
-//!   Minima are keyed by permutation index and histogram merging is integer
-//!   addition, so the collected [`PermutationStats`] are **bit-identical** at
-//!   any thread count and in any completion order.
+//!   fixed chunks of [`PERMS_PER_CHUNK`] = 64 (the chunking does *not*
+//!   depend on the worker count) and the chunks are mapped over a rayon
+//!   worker pool; run the engine under [`rayon_pool`]`(n).install(..)` to
+//!   pin it to `n` threads (one thread runs every chunk inline on the
+//!   caller).  Each permutation is fully independent: its labels are a
+//!   fresh copy of the original label vector shuffled by an RNG seeded from
+//!   `seed` and the permutation index alone.  Workers reduce their chunk
+//!   into a per-chunk minimum-p-value list and insertion-point histogram,
+//!   merged into the run's totals as soon as the chunk finishes (so only the
+//!   chunks in flight hold a histogram).  Minima are keyed by permutation
+//!   index and histogram merging is integer addition, so the collected
+//!   [`PermutationStats`] are **bit-identical** at any thread count, in any
+//!   completion order and whatever the chunk width.
 //!
-//! * **Batched popcount label counting.**  Each cover's stored id list is
-//!   packed into a [`Bitmap`](sigrule_data::Bitmap) once (covers never
-//!   change across permutations).  Each chunk shuffles all of its label
-//!   vectors up front and fills transposed per-class lane blocks from them
-//!   once, after which a rule support is a word-wise `AND` + `count_ones`
-//!   sweep over every permutation of the chunk at once, loading each cover
-//!   word once per chunk instead of once per permutation.
-//!   [`SupportBackend::Auto`] picks the bitmap kernel per node whenever the
-//!   stored list is denser than one id per 64 records and the tid-list
-//!   gather kernel below that, so sparse diffsets keep their §4.2.2
-//!   advantage.  Both kernels count identical sets, so the statistics do not
-//!   depend on the backend.
+//! * **Bit-sliced label counting.**  A chunk's 64 permutations share one
+//!   `u64` *label word* per record and class: bit `j` of `words[t]` is set
+//!   when record `t` carries the class under the chunk's permutation `j`.
+//!   Each lane shuffles one reused copy of the labels under its own seed and
+//!   ORs its bit in, so no per-lane label vector is kept.  A rule support on
+//!   every permutation of the chunk is then one walk over the node's stored
+//!   ids — tid list or diffset alike — summing the bits of each id's word
+//!   into 64 per-lane counts
+//!   ([`kernel::positional_count`],
+//!   scalar SWAR or AVX2, pinned by `SIGRULE_KERNEL`): one word load per id
+//!   per 64 permutations.  A root's per-lane class total is the class's
+//!   record count, which a permutation keeps.  Sparse diffsets keep their
+//!   §4.2.2 advantage, since only stored ids are touched.  The label words,
+//!   the label copy and the node-major support rows are per-worker buffers
+//!   reused from chunk to chunk.
 //!
 //! The p-value buffers are split to match the fan-out: the static buffer is
 //! built **once**, by mining, for the distinct coverages the rules actually
@@ -89,7 +93,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use sigrule_data::{kernel, ClassId};
+use sigrule_data::kernel::{self, LANES};
+use sigrule_data::ClassId;
+/// The retired support-backend selection, kept as a name for callers that
+/// still pass `SupportBackend::Auto`.
 pub use sigrule_mining::SupportBackend;
 use sigrule_stats::{
     benjamini_hochberg_threshold, DynamicBuffer, EmpiricalNull, FisherTest, LogFactorialTable,
@@ -131,9 +138,6 @@ pub struct PermutationCorrection {
     /// [`DEFAULT_STATIC_BUFFER_BYTES`] per slot, so a larger value holds no
     /// more coverages than the default.
     pub static_buffer_bytes: usize,
-    /// Support-counting kernel selection (tid-lists, bitmaps, or per-node
-    /// auto-selection by density).
-    pub backend: SupportBackend,
 }
 
 impl Default for PermutationCorrection {
@@ -143,7 +147,6 @@ impl Default for PermutationCorrection {
             seed: 0x5eed_cafe,
             buffer: BufferStrategy::StaticAndDynamic,
             static_buffer_bytes: DEFAULT_STATIC_BUFFER_BYTES,
-            backend: SupportBackend::default(),
         }
     }
 }
@@ -429,12 +432,14 @@ pub fn rayon_pool(threads: usize) -> Result<rayon::ThreadPool, rayon::ThreadPool
     rayon::ThreadPoolBuilder::new().num_threads(threads).build()
 }
 
-/// Permutations per work chunk.  Chunking is fixed — independent of the
-/// worker count — so the merge order, and therefore every statistic, is
-/// identical whatever parallelism the host offers.  Public so distributed
-/// coordinators can partition the permutation indices into chunk-aligned
-/// ranges (see [`PermutationCorrection::collect_stats_range`]).
-pub const PERMS_PER_CHUNK: usize = 8;
+/// Permutations per work chunk: one per bit of a label word.  Chunking is
+/// fixed — independent of the worker count — so a chunk's permutations are
+/// the same whatever parallelism the host offers (the statistics would not
+/// change under any other width either: minima are kept by index and the
+/// histogram adds integers).  Public so distributed coordinators can
+/// partition the permutation indices into chunk-aligned ranges (see
+/// [`PermutationCorrection::collect_stats_range`]).
+pub const PERMS_PER_CHUNK: usize = LANES;
 
 /// What one chunk of permutations reduces to.
 struct ChunkStats {
@@ -445,17 +450,31 @@ struct ChunkStats {
     cnt: Vec<u64>,
 }
 
+/// A worker's buffers, reused from chunk to chunk: taken from the run's free
+/// list when a chunk starts and returned when it ends.
+#[derive(Default)]
+struct ChunkScratch {
+    /// One shuffled copy of the labels, reused by every lane.
+    labels: Vec<ClassId>,
+    /// Label words, class-major: bit `j` of `words[c * n + t]` is set when
+    /// record `t` carries class `c` under the chunk's permutation `j`.
+    words: Vec<u64>,
+    /// Node-major support rows of the class being scored
+    /// (`supports[node * LANES + lane]`).
+    supports: Vec<u32>,
+    /// Σ of the swept classes' support rows, node-major like `supports`;
+    /// read by a derived last class when more than one class is swept.
+    swept_sum: Vec<u32>,
+}
+
 /// Everything the permutation loop needs that is built once and then only
-/// read: the class → rules index, the packed cover bitmaps, and the shared
-/// static p-value tables.
+/// read: the class → rules index and the shared static p-value tables.
 struct ScoringPlan<'a> {
     mined: &'a MinedRuleSet,
     /// Distinct rule classes, ascending.
     classes: Vec<ClassId>,
     /// `class_rules[slot]` = indices of the rules testing `classes[slot]`.
     class_rules: Vec<Vec<usize>>,
-    /// Per-node kernel selection + packed cover bitmaps.
-    support_plan: sigrule_mining::SupportPlan,
     /// The last class slot when every class of the dataset has rules: its
     /// supports are derived from the coverages instead of swept.
     derived_slot: Option<usize>,
@@ -515,12 +534,6 @@ impl PermutationCorrection {
     /// Overrides the buffering strategy.
     pub fn with_buffer(mut self, buffer: BufferStrategy) -> Self {
         self.buffer = buffer;
-        self
-    }
-
-    /// Overrides the support-counting kernel selection.
-    pub fn with_backend(mut self, backend: SupportBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -691,12 +704,19 @@ impl PermutationCorrection {
         // hold a histogram.  The merge is order-free: minima land at their
         // permutation index and histogram cells add exactly.
         let totals = Mutex::new((vec![f64::INFINITY; end - start], vec![0u64; n_rules + 1]));
+        let scratch = Mutex::new(Vec::<ChunkScratch>::new());
         let chunk_starts: Vec<usize> = (start..end).step_by(PERMS_PER_CHUNK).collect();
         chunk_starts
             .into_par_iter()
             .map(|chunk_start| {
                 cancel.check()?;
-                let chunk = self.run_chunk_batched(&plan, chunk_start);
+                let mut buffers = scratch
+                    .lock()
+                    .expect("scratch lock")
+                    .pop()
+                    .unwrap_or_default();
+                let chunk = self.run_chunk(&plan, chunk_start, &mut buffers);
+                scratch.lock().expect("scratch lock").push(buffers);
                 let mut totals = totals.lock().expect("chunk merge lock");
                 let (minima, cnt) = &mut *totals;
                 let at = chunk_start - start;
@@ -765,9 +785,8 @@ impl PermutationCorrection {
     }
 
     /// Builds the read-only state every worker shares: class → rules index,
-    /// per-node counting kernels with packed cover bitmaps, sorted observed
-    /// p-values, and the up-front static p-value tables (reused from `tables`
-    /// when the caller already holds a prebuilt set).
+    /// sorted observed p-values, and the up-front static p-value tables
+    /// (reused from `tables` when the caller already holds a prebuilt set).
     fn build_plan<'a>(
         &self,
         mined: &'a MinedRuleSet,
@@ -782,7 +801,6 @@ impl PermutationCorrection {
         // per used class and never scans for a rule's support vector.
         let (classes, class_rules) = class_index(mined);
 
-        let support_plan = mined.forest().support_plan(self.backend);
         let derived_slot =
             (classes.len() >= 2 && classes.len() == mined.n_classes()).then(|| classes.len() - 1);
 
@@ -801,7 +819,6 @@ impl PermutationCorrection {
             mined,
             classes,
             class_rules,
-            support_plan,
             derived_slot,
             sorted_observed: sorted_observed(mined),
             static_tables,
@@ -811,14 +828,13 @@ impl PermutationCorrection {
     }
 
     /// Runs permutations `start .. start + PERMS_PER_CHUNK` (clamped to `N`)
-    /// and reduces them to a [`ChunkStats`] through the lane-blocked engine:
-    /// all of the chunk's label vectors are generated up front (each from
-    /// its own `(seed, index)` stream), the per-class lane blocks are filled
-    /// once in one transposed pass, and every rule cover is then swept
-    /// against all permutations of the chunk at once — once per class slot,
-    /// except a derived last slot (`ScoringPlan::derived_slot`), whose
-    /// supports are the coverages less the swept slots' sum.  All mutable
-    /// state is chunk-local; everything shared is behind `&`.
+    /// and reduces them to a [`ChunkStats`]: each lane shuffles the labels
+    /// under its own `(seed, index)` stream and ORs its bit into the label
+    /// words, and every rule cover is then counted against all permutations
+    /// of the chunk at once — once per class slot, except a derived last
+    /// slot (`ScoringPlan::derived_slot`), whose supports are the coverages
+    /// less the swept slots' sum.  Mutable state is the worker's reused
+    /// `scratch` plus chunk-local reductions; everything shared is behind `&`.
     ///
     /// Every support is an exact integer and every p-value a deterministic
     /// function of `(coverage, support)`, and the chunk reductions —
@@ -826,36 +842,43 @@ impl PermutationCorrection {
     /// depend on the order rules and permutations are visited in, so the
     /// chunk's statistics equal a literal one-permutation-at-a-time recount
     /// (`tests/null_oracle.rs`).
-    fn run_chunk_batched(&self, plan: &ScoringPlan<'_>, start: usize) -> ChunkStats {
+    fn run_chunk(
+        &self,
+        plan: &ScoringPlan<'_>,
+        start: usize,
+        scratch: &mut ChunkScratch,
+    ) -> ChunkStats {
         crate::fault::point("perm.chunk");
         let mined = plan.mined;
         let rules = mined.rules();
         let n = mined.n_records();
         let end = (start + PERMS_PER_CHUNK).min(self.n_permutations);
         let lanes = end - start;
+        let ChunkScratch {
+            labels,
+            words,
+            supports,
+            swept_sum,
+        } = scratch;
 
-        // All of the chunk's shuffled label vectors, lane-major.  Each lane
-        // shuffles a fresh copy of the original labels under its own seed:
-        // permutation i's outcome depends on (seed, i) only, never on which
-        // permutations ran before or where.
-        let mut labels_flat: Vec<ClassId> = Vec::with_capacity(lanes * n);
-        for perm in start..end {
-            let base = labels_flat.len();
-            labels_flat.extend_from_slice(mined.labels());
+        // Permutation i's labels depend on (seed, i) only, never on which
+        // permutations ran before or where: each lane shuffles a fresh copy
+        // of the original labels.
+        words.clear();
+        words.resize(mined.n_classes() * n, 0);
+        for (lane, perm) in (start..end).enumerate() {
+            labels.clear();
+            labels.extend_from_slice(mined.labels());
             let mut rng = StdRng::seed_from_u64(
                 self.seed ^ (perm as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             );
-            labels_flat[base..].shuffle(&mut rng);
+            labels.shuffle(&mut rng);
+            let bit = 1u64 << lane;
+            for (t, &c) in labels.iter().enumerate() {
+                words[c as usize * n + t] |= bit;
+            }
         }
-        let mut blocks = plan
-            .support_plan
-            .make_class_lane_blocks(mined.n_classes(), lanes);
-        blocks.fill(&labels_flat);
 
-        let mut supports: Vec<u32> = Vec::with_capacity(mined.forest().len() * lanes);
-        // Σ of the swept classes' supports, node-major like `supports`; read
-        // by the derived last class only.
-        let mut swept_sum: Vec<u32> = Vec::new();
         let mut dynamics: Vec<DynamicBuffer> = match self.buffer {
             BufferStrategy::None => Vec::new(),
             _ => plan
@@ -867,24 +890,33 @@ impl PermutationCorrection {
 
         let mut perm_min = vec![f64::INFINITY; lanes];
         let mut cnt = vec![0u64; rules.len() + 1];
-        let mut lane_supports = [0u32; PERMS_PER_CHUNK];
+        let mut lane_supports = [0u32; LANES];
+        // With one swept slot its own rows are the sum the derived slot
+        // reads; only more swept slots need a separate running sum.
+        let n_swept = plan.classes.len() - usize::from(plan.derived_slot.is_some());
 
         for (slot, &class) in plan.classes.iter().enumerate() {
             let derived = plan.derived_slot == Some(slot);
             if !derived {
-                mined.forest().rule_supports_planned_block(
-                    &plan.support_plan,
-                    blocks.class(class),
-                    &mut supports,
+                let c = class as usize;
+                mined.forest().rule_supports_lanes(
+                    &words[c * n..(c + 1) * n],
+                    mined.class_counts()[c],
+                    supports,
                 );
             }
             let table = plan.static_tables.as_ref().map(|t| t.slot(slot));
             for &ri in &plan.class_rules[slot] {
                 let coverage = rules[ri].coverage;
-                let row = mined.rule_node(ri) * lanes;
+                let row = mined.rule_node(ri) * LANES;
                 let supp = &mut lane_supports[..lanes];
                 if derived {
-                    for (s, &swept) in supp.iter_mut().zip(&swept_sum[row..row + lanes]) {
+                    let sums = if n_swept == 1 {
+                        &*supports
+                    } else {
+                        &*swept_sum
+                    };
+                    for (s, &swept) in supp.iter_mut().zip(&sums[row..row + lanes]) {
                         *s = coverage as u32 - swept;
                     }
                 } else {
@@ -914,18 +946,18 @@ impl PermutationCorrection {
                     }
                 }
             }
-            if plan.derived_slot.is_some() && !derived {
-                if swept_sum.is_empty() {
-                    std::mem::swap(&mut swept_sum, &mut supports);
+            if plan.derived_slot.is_some() && !derived && n_swept > 1 {
+                // The swept slots precede the derived one.
+                if slot == 0 {
+                    swept_sum.clone_from(supports);
                 } else {
-                    for (total, &s) in swept_sum.iter_mut().zip(&supports) {
+                    for (total, &s) in swept_sum.iter_mut().zip(supports.iter()) {
                         *total += s;
                     }
                 }
             }
         }
-        let swept = plan.classes.len() - usize::from(plan.derived_slot.is_some());
-        kernel::note_batched_sweeps(swept as u64);
+        kernel::note_batched_sweeps(n_swept as u64);
 
         ChunkStats {
             minima: perm_min,
@@ -1261,18 +1293,21 @@ mod tests {
 
     #[test]
     fn backends_are_bit_identical() {
+        // The scalar and SIMD positional-count kernels count the same sets.
         let m = mined_with_rule(0.85, 12);
-        let tids = perm(30)
-            .with_backend(SupportBackend::TidLists)
-            .collect_stats(&m);
-        let bitmaps = perm(30)
-            .with_backend(SupportBackend::Bitmaps)
-            .collect_stats(&m);
-        let auto = perm(30)
-            .with_backend(SupportBackend::Auto)
-            .collect_stats(&m);
-        assert_eq!(tids, bitmaps);
-        assert_eq!(tids, auto);
+        let mut kinds = vec![kernel::KernelKind::Scalar];
+        kinds.extend(kernel::simd_kind());
+        let runs: Vec<PermutationStats> = kinds
+            .into_iter()
+            .map(|kind| {
+                kernel::force(Some(kind));
+                perm(130).collect_stats(&m)
+            })
+            .collect();
+        kernel::force(None);
+        for stats in &runs {
+            assert_eq!(stats, &runs[0]);
+        }
     }
 
     #[test]
@@ -1282,9 +1317,9 @@ mod tests {
         // assigns to those indices (the seed's in-place shuffle chained
         // permutation i's input to permutation i−1's output, breaking this).
         let m = mined_with_rule(0.9, 13);
-        let full = perm(24).collect_stats(&m);
-        let prefix = perm(9).collect_stats(&m);
-        assert_eq!(prefix.minima.as_slice(), &full.minima[..9]);
+        let full = perm(150).collect_stats(&m);
+        let prefix = perm(70).collect_stats(&m);
+        assert_eq!(prefix.minima.as_slice(), &full.minima[..70]);
     }
 
     #[test]
@@ -1404,9 +1439,9 @@ mod tests {
         // bit for bit.
         let m = mined_with_rule(0.9, 31);
         let none = CancelToken::none();
-        let c = perm(21);
+        let c = perm(150);
         let full = c.collect_stats(&m);
-        let ranges = [(8usize, 16usize), (0, 8), (16, 21)];
+        let ranges = [(64usize, 128usize), (0, 64), (128, 150)];
         let mut partials: Vec<PartialPermutationStats> = ranges
             .iter()
             .map(|&(s, e)| c.collect_stats_range(&m, None, &none, s, e).unwrap())
@@ -1425,9 +1460,9 @@ mod tests {
         let (d, _) = SyntheticGenerator::new(params).unwrap().generate(21);
         let m = mine_rules(&d, &RuleMiningConfig::new(121));
         assert!(m.rules().is_empty());
-        let c = perm(16);
+        let c = perm(128);
         let none = CancelToken::none();
-        let partials: Vec<_> = [(0usize, 8usize), (8, 16)]
+        let partials: Vec<_> = [(0usize, 64usize), (64, 128)]
             .iter()
             .map(|&(s, e)| c.collect_stats_range(&m, None, &none, s, e).unwrap())
             .collect();
@@ -1438,21 +1473,21 @@ mod tests {
     #[test]
     fn merge_rejects_gaps_and_inconsistent_shapes() {
         let m = mined_with_rule(0.9, 32);
-        let c = perm(24);
+        let c = perm(192);
         let none = CancelToken::none();
-        let a = c.collect_stats_range(&m, None, &none, 0, 8).unwrap();
-        let b = c.collect_stats_range(&m, None, &none, 16, 24).unwrap();
-        // 8..16 missing: the tiling has a gap.
+        let a = c.collect_stats_range(&m, None, &none, 0, 64).unwrap();
+        let b = c.collect_stats_range(&m, None, &none, 128, 192).unwrap();
+        // 64..128 missing: the tiling has a gap.
         assert!(PermutationStats::merge(&[a.clone(), b]).is_err());
         // Nothing at all.
         assert!(PermutationStats::merge(&[]).is_err());
         // Not starting at zero.
-        let tail = c.collect_stats_range(&m, None, &none, 8, 24).unwrap();
+        let tail = c.collect_stats_range(&m, None, &none, 64, 192).unwrap();
         assert!(PermutationStats::merge(&[tail]).is_err());
         // Inconsistent rule counts across partials.
         let other = mined_with_rule(0.9, 33);
         if other.rules().len() != m.rules().len() {
-            let foreign = c.collect_stats_range(&other, None, &none, 8, 24).unwrap();
+            let foreign = c.collect_stats_range(&other, None, &none, 64, 192).unwrap();
             assert!(PermutationStats::merge(&[a, foreign]).is_err());
         }
     }
@@ -1461,7 +1496,8 @@ mod tests {
     #[should_panic(expected = "chunk-aligned")]
     fn range_rejects_unaligned_start() {
         let m = mined_with_rule(0.9, 34);
-        let _ = perm(24).collect_stats_range(&m, None, &CancelToken::none(), 4, 24);
+        // Aligned to 8 but not to the 64-permutation chunk.
+        let _ = perm(96).collect_stats_range(&m, None, &CancelToken::none(), 8, 96);
     }
 
     #[test]
@@ -1470,9 +1506,9 @@ mod tests {
         // helper, and decode(encode(x)) == x bit for bit — proto drift would
         // break this test before it could corrupt a merged null.
         let m = mined_with_rule(0.9, 35);
-        let c = perm(21);
+        let c = perm(150);
         let none = CancelToken::none();
-        for (s, e) in [(0usize, 8usize), (8, 16), (16, 21)] {
+        for (s, e) in [(0usize, 64usize), (64, 128), (128, 150)] {
             let partial = c.collect_stats_range(&m, None, &none, s, e).unwrap();
             let bytes = partial.to_bytes();
             // Header (4 words) + the same canonical payload the cache
@@ -1491,7 +1527,7 @@ mod tests {
             encoded_stats_bytes(full.minima.len(), full.pool_counts_leq.len())
         );
         // Corruption is rejected, not absorbed.
-        let partial = c.collect_stats_range(&m, None, &none, 0, 8).unwrap();
+        let partial = c.collect_stats_range(&m, None, &none, 0, 64).unwrap();
         let bytes = partial.to_bytes();
         assert!(PartialPermutationStats::from_bytes(&bytes[..bytes.len() - 8]).is_err());
         assert!(PartialPermutationStats::from_bytes(&bytes[..13]).is_err());
@@ -1520,20 +1556,20 @@ mod tests {
     #[test]
     fn local_executor_matches_direct_range_runs() {
         let m = mined_with_rule(0.9, 36);
-        let c = perm(24);
+        let c = perm(192);
         let none = CancelToken::none();
         let tables = c.build_shared_tables(&m);
         let exec = LocalExecutor::new(c.clone(), &m, Some(&tables))
             .with_threads(2)
             .unwrap();
         assert_eq!(exec.label(), "local");
-        let via_exec = exec.run_range(8, 16, &none).unwrap();
-        let direct = c.collect_stats_range(&m, None, &none, 8, 16).unwrap();
+        let via_exec = exec.run_range(64, 128, &none).unwrap();
+        let direct = c.collect_stats_range(&m, None, &none, 64, 128).unwrap();
         assert_eq!(via_exec, direct);
         // Cancellation surfaces as ShardError::Cancelled, not Failed.
         let fired = CancelToken::new();
         fired.cancel();
-        match exec.run_range(0, 8, &fired) {
+        match exec.run_range(0, 64, &fired) {
             Err(ShardError::Cancelled(_)) => {}
             other => panic!("expected cancelled, got {other:?}"),
         }

@@ -1599,13 +1599,13 @@ mod tests {
         let (_stats, cached) = engine
             .fill_null_with(
                 &mining,
-                40,
+                150,
                 11,
                 &CancelToken::none(),
                 |mined, tables, cancel| {
-                    let c = PermutationCorrection::new(40).with_seed(11);
-                    let head = c.collect_stats_range(mined, Some(tables), cancel, 0, 24)?;
-                    let tail = c.collect_stats_range(mined, Some(tables), cancel, 24, 40)?;
+                    let c = PermutationCorrection::new(150).with_seed(11);
+                    let head = c.collect_stats_range(mined, Some(tables), cancel, 0, 128)?;
+                    let tail = c.collect_stats_range(mined, Some(tables), cancel, 128, 150)?;
                     Ok(PermutationStats::merge(&[tail, head]).expect("complete tiling"))
                 },
             )
@@ -1614,14 +1614,15 @@ mod tests {
 
         // The matching query hits the primed null and answers exactly what a
         // purely local engine answers.
-        let warm = engine.query(&perm_query(30)).unwrap();
+        let query = perm_query(30).with_permutations(150);
+        let warm = engine.query(&query).unwrap();
         assert_eq!(warm.null_cached, Some(true));
-        let reference = Engine::new(synth(11)).query(&perm_query(30)).unwrap();
+        let reference = Engine::new(synth(11)).query(&query).unwrap();
         assert_eq!(warm.result, reference.result);
 
         // A second fill is a hit: the collector must not run.
         let (_, cached) = engine
-            .fill_null_with(&mining, 40, 11, &CancelToken::none(), |_, _, _| {
+            .fill_null_with(&mining, 150, 11, &CancelToken::none(), |_, _, _| {
                 panic!("collector must not run on a cache hit")
             })
             .unwrap();

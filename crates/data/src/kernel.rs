@@ -1,20 +1,19 @@
-//! Explicit SIMD bitmap kernels with runtime dispatch.
+//! Explicit SIMD counting kernels with runtime dispatch.
 //!
 //! Every support count the permutation engine performs bottoms out in one of
-//! a handful of word-sweep kernels over packed `u64` bitmap words:
-//! intersect-and-popcount ([`and_count`]), plain popcount ([`count_ones`]),
-//! complement intersect ([`andnot_count`] — the primitive negative-rule
-//! covers need), and the batched variants that sweep one cover against a
-//! whole *lane block* of permuted class bitmaps at once ([`and_count_many`],
-//! [`count_ones_many`], [`gather_count_many`]).
+//! a handful of kernels: the word sweeps over packed `u64` bitmap words —
+//! intersect-and-popcount ([`and_count`]), plain popcount ([`count_ones`])
+//! and complement intersect ([`andnot_count`], the primitive negative-rule
+//! covers need) — and the positional popcount ([`positional_count`]) that
+//! counts one stored id list against [`LANES`] permutations at once.
 //!
-//! Three implementations back each kernel:
+//! Three implementations back the kernels:
 //!
 //! | kind     | selected when                                   | technique |
 //! |----------|--------------------------------------------------|-----------|
-//! | `scalar` | always available                                 | 4×u64-unrolled loops the compiler autovectorises |
-//! | `avx2`   | x86/x86_64 with AVX2 (runtime-detected)          | 256-bit `AND` + Mula nibble-LUT popcount (`pshufb` + `psadbw`) |
-//! | `neon`   | aarch64 (NEON is architecturally guaranteed)     | 128-bit `AND` + `vcnt`/`vaddlv` byte popcount |
+//! | `scalar` | always available                                 | 4×u64-unrolled loops the compiler autovectorises; SWAR byte counters for the positional count |
+//! | `avx2`   | x86/x86_64 with AVX2 (runtime-detected)          | 256-bit `AND` + Mula nibble-LUT popcount (`pshufb` + `psadbw`); `pshufb` byte spread + `cmpeq` for the positional count |
+//! | `neon`   | aarch64 (NEON is architecturally guaranteed)     | 128-bit `AND` + `vcnt`/`vaddlv` byte popcount; the positional count runs scalar |
 //!
 //! The active kind is resolved **once** per process — from the
 //! `SIGRULE_KERNEL` environment variable (`scalar`, `simd`, or `auto`; an
@@ -23,18 +22,19 @@
 //! relaxed load and a predictable branch.  [`force`] overrides the selection
 //! at runtime for A/B tests and benchmarks.
 //!
-//! Every kernel returns exact integer counts, so the three implementations
-//! are interchangeable bit for bit; `tests/kernel_equivalence.rs` proves it
-//! over random word vectors including non-multiple-of-4 tails.
+//! Every kernel returns exact integer counts, so the implementations are
+//! interchangeable bit for bit; `tests/kernel_equivalence.rs` proves it
+//! over random inputs including non-multiple-of-4 tails and id lists around
+//! the positional count's 255-id accumulator blocks.
 //!
-//! # Lane blocks (batched layout)
+//! # Label words (the positional count's layout)
 //!
-//! The batched kernels read a *transposed* block of `lanes` equally sized
-//! bitmaps: word `w` of lane `l` lives at `block[w * lanes + l]`, so all
-//! lanes' copies of one word index are contiguous.  A sweep then loads each
-//! cover word **once** and `AND`s it against `lanes` adjacent permuted label
-//! words — the cache-blocked inner loop of the batched permutation engine
-//! (see [`LaneBlock`](crate::vertical::LaneBlock)).
+//! The permutation engine runs [`LANES`] permutations per chunk, one per bit
+//! of a `u64`: for one class, `words[t]` has bit `j` set when record `t`
+//! carries that class under the chunk's permutation `j`.  A forest node's
+//! class count on every permutation of the chunk is then one walk over its
+//! stored ids that sums the bits of each id's word into 64 per-lane counts
+//! — a tid list and a diffset alike, so one kernel serves every node.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 use std::sync::{Arc, LazyLock};
@@ -78,6 +78,9 @@ impl KernelKind {
         }
     }
 }
+
+/// Permutation lanes per label word: one per bit of a `u64`.
+pub const LANES: usize = 64;
 
 /// The cached dispatch decision: 0 = not yet resolved, otherwise
 /// `KernelKind::code()`.
@@ -150,12 +153,13 @@ pub fn force(kind: Option<KernelKind>) {
 // Sweep counters (process-wide observability, surfaced via registry_stats).
 // ---------------------------------------------------------------------------
 
-/// Batched (lane-block) forest sweeps run in this process: the one store
+/// Batched forest sweeps (one class over one 64-permutation chunk) run in
+/// this process: the one store
 /// of the count.  Shared as an `Arc` so the metrics registry can render
 /// this atomic itself (`sigrule::obs_metrics` exposes it) instead of a copy.
 pub static BATCHED_SWEEPS: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
 
-/// Records `n` batched (lane-block) forest sweeps actually run (a class
+/// Records `n` batched forest sweeps actually run (a class
 /// whose supports are derived rather than swept is not counted).
 pub fn note_batched_sweeps(n: u64) {
     BATCHED_SWEEPS.fetch_add(n, Relaxed);
@@ -169,7 +173,7 @@ pub fn note_batched_sweeps(n: u64) {
 pub struct KernelCounters {
     /// Active kernel kind name (`"scalar"`, `"avx2"`, `"neon"`).
     pub kernel: &'static str,
-    /// Forest sweeps that ran through the batched lane-block path.
+    /// Forest sweeps run, one per swept class per permutation chunk.
     pub batched_sweeps: u64,
     /// Always 0 (every sweep is batched); perfbench's `perm.per_perm_sweeps` reads it.
     pub per_perm_sweeps: u64,
@@ -234,91 +238,30 @@ pub fn count_ones(a: &[u64]) -> usize {
     }
 }
 
-/// Batched `AND` + popcount: writes `acc[l] = |cover ∩ lane l|` for every
-/// lane of a transposed block (`block[w * lanes + l]` = word `w` of lane
-/// `l`).  Each cover word is loaded once and swept against `lanes` adjacent
-/// block words — the cache-blocked batched-permutation kernel.
+/// Positional popcount over a record-indexed array of label words: writes
+/// `acc[j]` = how many of the record ids in `ids` have bit `j` set in
+/// `words[id]`.  With bit `j` of `words[t]` meaning "record `t` carries the
+/// class under permutation `j`", this counts a stored id list's class
+/// members on all [`LANES`] permutations of a chunk in one walk: one word
+/// load per id instead of one per id per permutation.  Lanes whose bit is
+/// clear in every word count 0, so a short chunk reads only its live lanes.
 ///
 /// # Panics
 ///
-/// Panics if `acc.len() < lanes` or the block is not `cover.len() * lanes`
-/// words.
+/// Panics if an id indexes past `words`.
 #[inline]
-pub fn and_count_many(cover: &[u64], block: &[u64], lanes: usize, acc: &mut [u32]) {
-    assert!(acc.len() >= lanes, "need one accumulator per lane");
-    assert_eq!(block.len(), cover.len() * lanes, "block shape mismatch");
+pub fn positional_count(ids: &[u32], words: &[u64], acc: &mut [u32; LANES]) {
     match kind() {
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
         // SAFETY: `kind()` only returns Avx2 after runtime detection.
-        KernelKind::Avx2 => unsafe { avx2::and_count_many(cover, block, lanes, acc) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        KernelKind::Neon => unsafe { neon::and_count_many(cover, block, lanes, acc) },
-        _ => scalar::and_count_many(cover, block, lanes, acc),
+        KernelKind::Avx2 => unsafe { avx2::positional_count(ids, words, acc) },
+        _ => scalar::positional_count(ids, words, acc),
     }
 }
 
-/// Batched popcount: writes `acc[l] = |lane l|` for every lane of a
-/// transposed block of `words_per_lane * lanes` words.
-///
-/// # Panics
-///
-/// Panics if `acc.len() < lanes` or the block length is not a multiple of
-/// `lanes`.
-#[inline]
-pub fn count_ones_many(block: &[u64], lanes: usize, acc: &mut [u32]) {
-    assert!(acc.len() >= lanes, "need one accumulator per lane");
-    assert!(
-        lanes > 0 && block.len().is_multiple_of(lanes),
-        "block shape mismatch"
-    );
-    scalar_count_ones_many_dispatch(block, lanes, acc);
-}
-
-#[inline]
-fn scalar_count_ones_many_dispatch(block: &[u64], lanes: usize, acc: &mut [u32]) {
-    match kind() {
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `kind()` only returns Avx2 after runtime detection.
-        KernelKind::Avx2 => unsafe { avx2::count_ones_many(block, lanes, acc) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        KernelKind::Neon => unsafe { neon::count_ones_many(block, lanes, acc) },
-        _ => scalar::count_ones_many(block, lanes, acc),
-    }
-}
-
-/// Batched sparse membership count: writes `acc[l]` = how many of the sorted
-/// record ids in `tids` have their bit set in lane `l` of the transposed
-/// block.  This is the tid-list counting kernel of the batched permutation
-/// path: one cache line of the block serves all lanes of one id (and, for
-/// clustered ids, up to 64 consecutive ids).
-///
-/// # Panics
-///
-/// Panics if `acc.len() < lanes`, the block length is not a multiple of
-/// `lanes`, or a tid indexes past the block.
-#[inline]
-pub fn gather_count_many(tids: &[u32], block: &[u64], lanes: usize, acc: &mut [u32]) {
-    assert!(acc.len() >= lanes, "need one accumulator per lane");
-    assert!(
-        lanes > 0 && block.len().is_multiple_of(lanes),
-        "block shape mismatch"
-    );
-    if let Some(&max) = tids.last() {
-        assert!(
-            (max as usize / 64 + 1) * lanes <= block.len(),
-            "tid {max} out of range for the block"
-        );
-    }
-    match kind() {
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `kind()` only returns Avx2 after runtime detection; the
-        // bound check above covers every lane-group load.
-        KernelKind::Avx2 => unsafe { avx2::gather_count_many(tids, block, lanes, acc) },
-        _ => scalar::gather_count_many(tids, block, lanes, acc),
-    }
-}
+/// Ids per byte-accumulator block of the positional count: a `u8` counter
+/// takes at most 255 increments before it is widened into the `u32`s.
+const BYTE_BLOCK: usize = 255;
 
 // ---------------------------------------------------------------------------
 // Scalar baseline: 4×u64-unrolled, autovectorisable, explicit tail handling.
@@ -389,38 +332,26 @@ pub mod scalar {
         sums.iter().sum()
     }
 
-    /// Scalar batched `AND` + popcount over a transposed block.
+    /// Scalar positional popcount (SWAR): eight `u64` accumulators hold one
+    /// byte counter per lane — accumulator `k`, byte `b` counts lane
+    /// `8b + k` — so each id costs eight shift-mask-adds instead of 64 bit
+    /// tests.  The bytes are widened into `acc` every 255 ids.
     #[inline]
-    pub fn and_count_many(cover: &[u64], block: &[u64], lanes: usize, acc: &mut [u32]) {
-        acc[..lanes].fill(0);
-        for (w, &c) in cover.iter().enumerate() {
-            let row = &block[w * lanes..(w + 1) * lanes];
-            for (sum, &word) in acc[..lanes].iter_mut().zip(row) {
-                *sum += (c & word).count_ones();
+    pub fn positional_count(ids: &[u32], words: &[u64], acc: &mut [u32; super::LANES]) {
+        const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+        *acc = [0; super::LANES];
+        for block in ids.chunks(super::BYTE_BLOCK) {
+            let mut sums = [0u64; 8];
+            for &t in block {
+                let word = words[t as usize];
+                for (k, sum) in sums.iter_mut().enumerate() {
+                    *sum += (word >> k) & LOW_BITS;
+                }
             }
-        }
-    }
-
-    /// Scalar batched popcount over a transposed block.
-    #[inline]
-    pub fn count_ones_many(block: &[u64], lanes: usize, acc: &mut [u32]) {
-        acc[..lanes].fill(0);
-        for row in block.chunks_exact(lanes) {
-            for (sum, &word) in acc[..lanes].iter_mut().zip(row) {
-                *sum += word.count_ones();
-            }
-        }
-    }
-
-    /// Scalar batched sparse membership count over a transposed block.
-    #[inline]
-    pub fn gather_count_many(tids: &[u32], block: &[u64], lanes: usize, acc: &mut [u32]) {
-        acc[..lanes].fill(0);
-        for &t in tids {
-            let row = &block[(t as usize / 64) * lanes..];
-            let shift = t % 64;
-            for (sum, &word) in acc[..lanes].iter_mut().zip(row) {
-                *sum += ((word >> shift) & 1) as u32;
+            for (k, sum) in sums.iter().enumerate() {
+                for byte in 0..8 {
+                    acc[8 * byte + k] += ((sum >> (8 * byte)) & 0xff) as u32;
+                }
             }
         }
     }
@@ -547,106 +478,44 @@ pub mod avx2 {
         total
     }
 
-    /// AVX2 batched `AND` + popcount over a transposed block: lane groups of
-    /// four ride one 256-bit accumulator each while every cover word is
-    /// broadcast once per group.
+    /// AVX2 positional popcount: each id's word is broadcast, its eight
+    /// bytes are spread over 64 byte lanes by two `pshufb`s (byte `i` of the
+    /// low half takes word byte `i / 8`, of the high half byte `4 + i / 8`),
+    /// and an `and` + `cmpeq` against the per-byte bit mask turns lane `i`'s
+    /// bit into `0xff`, which is subtracted from two `u8` accumulators.
+    /// The accumulators are widened into `acc` every 255 ids.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; block must be `cover.len() * lanes` words.
+    /// Requires AVX2 (runtime-detect before calling).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn and_count_many(cover: &[u64], block: &[u64], lanes: usize, acc: &mut [u32]) {
-        let mut lane = 0;
-        while lane + 4 <= lanes {
-            let mut acc_v = _mm256_setzero_si256();
-            for (w, &c) in cover.iter().enumerate() {
-                let v = _mm256_loadu_si256(block.as_ptr().add(w * lanes + lane) as *const __m256i);
-                let cv = _mm256_set1_epi64x(c as i64);
-                acc_v = _mm256_add_epi64(acc_v, popcount_epi64(_mm256_and_si256(v, cv)));
+    pub unsafe fn positional_count(ids: &[u32], words: &[u64], acc: &mut [u32; super::LANES]) {
+        let spread_lo = _mm256_setr_epi8(
+            0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3,
+            3, 3, 3,
+        );
+        let spread_hi = _mm256_setr_epi8(
+            4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7,
+            7, 7, 7,
+        );
+        let bits = _mm256_set1_epi64x(i64::from_le_bytes([1, 2, 4, 8, 16, 32, 64, 128]));
+        *acc = [0; super::LANES];
+        for block in ids.chunks(super::BYTE_BLOCK) {
+            let mut sum_lo = _mm256_setzero_si256();
+            let mut sum_hi = _mm256_setzero_si256();
+            for &t in block {
+                let word = _mm256_set1_epi64x(words[t as usize] as i64);
+                let lo = _mm256_and_si256(_mm256_shuffle_epi8(word, spread_lo), bits);
+                let hi = _mm256_and_si256(_mm256_shuffle_epi8(word, spread_hi), bits);
+                sum_lo = _mm256_sub_epi8(sum_lo, _mm256_cmpeq_epi8(lo, bits));
+                sum_hi = _mm256_sub_epi8(sum_hi, _mm256_cmpeq_epi8(hi, bits));
             }
-            let mut sums = [0u64; 4];
-            _mm256_storeu_si256(sums.as_mut_ptr() as *mut __m256i, acc_v);
-            for (dst, &s) in acc[lane..lane + 4].iter_mut().zip(sums.iter()) {
-                *dst = s as u32;
+            let mut bytes = [0u8; super::LANES];
+            _mm256_storeu_si256(bytes.as_mut_ptr() as *mut __m256i, sum_lo);
+            _mm256_storeu_si256(bytes.as_mut_ptr().add(32) as *mut __m256i, sum_hi);
+            for (total, &b) in acc.iter_mut().zip(&bytes) {
+                *total += u32::from(b);
             }
-            lane += 4;
-        }
-        // Tail lanes (lanes % 4): scalar per lane.
-        while lane < lanes {
-            let mut sum = 0u32;
-            for (w, &c) in cover.iter().enumerate() {
-                sum += (c & block[w * lanes + lane]).count_ones();
-            }
-            acc[lane] = sum;
-            lane += 1;
-        }
-    }
-
-    /// AVX2 batched popcount over a transposed block.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; block length must be a multiple of `lanes`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_ones_many(block: &[u64], lanes: usize, acc: &mut [u32]) {
-        let words_per_lane = block.len() / lanes;
-        let mut lane = 0;
-        while lane + 4 <= lanes {
-            let mut acc_v = _mm256_setzero_si256();
-            for w in 0..words_per_lane {
-                let v = _mm256_loadu_si256(block.as_ptr().add(w * lanes + lane) as *const __m256i);
-                acc_v = _mm256_add_epi64(acc_v, popcount_epi64(v));
-            }
-            let mut sums = [0u64; 4];
-            _mm256_storeu_si256(sums.as_mut_ptr() as *mut __m256i, acc_v);
-            for (dst, &s) in acc[lane..lane + 4].iter_mut().zip(sums.iter()) {
-                *dst = s as u32;
-            }
-            lane += 4;
-        }
-        while lane < lanes {
-            let mut sum = 0u32;
-            for w in 0..words_per_lane {
-                sum += block[w * lanes + lane].count_ones();
-            }
-            acc[lane] = sum;
-            lane += 1;
-        }
-    }
-
-    /// AVX2 batched sparse membership count: per sorted id, one unaligned
-    /// load covers four lanes' words and a shared shift extracts the bit.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; every tid's lane-group words must be inside `block`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_count_many(tids: &[u32], block: &[u64], lanes: usize, acc: &mut [u32]) {
-        let ones = _mm256_set1_epi64x(1);
-        let mut lane = 0;
-        while lane + 4 <= lanes {
-            let mut acc_v = _mm256_setzero_si256();
-            for &t in tids {
-                let base = (t as usize / 64) * lanes + lane;
-                let v = _mm256_loadu_si256(block.as_ptr().add(base) as *const __m256i);
-                let shift = _mm_cvtsi32_si128((t % 64) as i32);
-                let bits = _mm256_and_si256(_mm256_srl_epi64(v, shift), ones);
-                acc_v = _mm256_add_epi64(acc_v, bits);
-            }
-            let mut sums = [0u64; 4];
-            _mm256_storeu_si256(sums.as_mut_ptr() as *mut __m256i, acc_v);
-            for (dst, &s) in acc[lane..lane + 4].iter_mut().zip(sums.iter()) {
-                *dst = s as u32;
-            }
-            lane += 4;
-        }
-        while lane < lanes {
-            let mut sum = 0u32;
-            for &t in tids {
-                sum += ((block[(t as usize / 64) * lanes + lane] >> (t % 64)) & 1) as u32;
-            }
-            acc[lane] = sum;
-            lane += 1;
         }
     }
 }
@@ -727,66 +596,6 @@ pub mod neon {
             i += 1;
         }
         total
-    }
-
-    /// NEON batched `AND` + popcount over a transposed block (lane pairs).
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON; block must be `cover.len() * lanes` words.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn and_count_many(cover: &[u64], block: &[u64], lanes: usize, acc: &mut [u32]) {
-        let mut lane = 0;
-        while lane + 2 <= lanes {
-            let mut sums = vdupq_n_u64(0);
-            for (w, &c) in cover.iter().enumerate() {
-                let v = vld1q_u64(block.as_ptr().add(w * lanes + lane));
-                let and = vandq_u64(v, vdupq_n_u64(c));
-                let cnt = vcntq_u8(vreinterpretq_u8_u64(and));
-                sums = vaddq_u64(sums, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt))));
-            }
-            acc[lane] = vgetq_lane_u64(sums, 0) as u32;
-            acc[lane + 1] = vgetq_lane_u64(sums, 1) as u32;
-            lane += 2;
-        }
-        while lane < lanes {
-            let mut sum = 0u32;
-            for (w, &c) in cover.iter().enumerate() {
-                sum += (c & block[w * lanes + lane]).count_ones();
-            }
-            acc[lane] = sum;
-            lane += 1;
-        }
-    }
-
-    /// NEON batched popcount over a transposed block.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON; block length must be a multiple of `lanes`.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn count_ones_many(block: &[u64], lanes: usize, acc: &mut [u32]) {
-        let words_per_lane = block.len() / lanes;
-        let mut lane = 0;
-        while lane + 2 <= lanes {
-            let mut sums = vdupq_n_u64(0);
-            for w in 0..words_per_lane {
-                let v = vld1q_u64(block.as_ptr().add(w * lanes + lane));
-                let cnt = vcntq_u8(vreinterpretq_u8_u64(v));
-                sums = vaddq_u64(sums, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt))));
-            }
-            acc[lane] = vgetq_lane_u64(sums, 0) as u32;
-            acc[lane + 1] = vgetq_lane_u64(sums, 1) as u32;
-            lane += 2;
-        }
-        while lane < lanes {
-            let mut sum = 0u32;
-            for w in 0..words_per_lane {
-                sum += block[w * lanes + lane].count_ones();
-            }
-            acc[lane] = sum;
-            lane += 1;
-        }
     }
 }
 
@@ -890,50 +699,65 @@ mod tests {
         }
     }
 
+    /// The naive reference: one bit test per id per lane.
+    fn reference_positional(ids: &[u32], words: &[u64]) -> [u32; LANES] {
+        let mut acc = [0u32; LANES];
+        for &t in ids {
+            for (lane, sum) in acc.iter_mut().enumerate() {
+                *sum += ((words[t as usize] >> lane) & 1) as u32;
+            }
+        }
+        acc
+    }
+
     #[test]
     fn batched_kernels_match_per_lane_counts() {
-        for lanes in [1usize, 2, 3, 4, 5, 7, 8, 11] {
-            for words_per_lane in [1usize, 2, 5, 16, 33] {
-                let cover = words(9, words_per_lane);
-                let block = words(10, words_per_lane * lanes);
-                let mut acc = vec![0u32; lanes];
-                and_count_many(&cover, &block, lanes, &mut acc);
-                for lane in 0..lanes {
-                    let lane_words: Vec<u64> = (0..words_per_lane)
-                        .map(|w| block[w * lanes + lane])
-                        .collect();
-                    assert_eq!(
-                        acc[lane] as usize,
-                        reference_and_count(&cover, &lane_words),
-                        "lanes={lanes} wpl={words_per_lane} lane={lane}"
-                    );
+        // Id counts around the 255-id byte-accumulator blocks, over words
+        // with every lane live and with only the low 5 lanes live.
+        let n = 600;
+        for live in [LANES, 5] {
+            let mask = if live == LANES {
+                u64::MAX
+            } else {
+                (1 << live) - 1
+            };
+            let label_words: Vec<u64> = words(12, n).iter().map(|w| w & mask).collect();
+            for n_ids in [0usize, 1, 254, 255, 256, 511] {
+                let ids: Vec<u32> = (0..n_ids as u32).map(|i| (i * 7) % n as u32).collect();
+                let want = reference_positional(&ids, &label_words);
+                let mut acc = [u32::MAX; LANES];
+                scalar::positional_count(&ids, &label_words, &mut acc);
+                assert_eq!(acc, want, "scalar live={live} ids={n_ids}");
+                positional_count(&ids, &label_words, &mut acc);
+                assert_eq!(acc, want, "dispatched live={live} ids={n_ids}");
+                #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+                if simd_kind() == Some(KernelKind::Avx2) {
+                    // SAFETY: AVX2 support checked above.
+                    unsafe { avx2::positional_count(&ids, &label_words, &mut acc) };
+                    assert_eq!(acc, want, "avx2 live={live} ids={n_ids}");
                 }
-                count_ones_many(&block, lanes, &mut acc);
-                for lane in 0..lanes {
-                    let expect: usize = (0..words_per_lane)
-                        .map(|w| block[w * lanes + lane].count_ones() as usize)
-                        .sum();
-                    assert_eq!(acc[lane] as usize, expect);
-                }
+                assert!(acc[live..].iter().all(|&c| c == 0), "dead lanes count 0");
             }
         }
     }
 
     #[test]
     fn gather_matches_bit_tests() {
-        let lanes = 8;
-        let words_per_lane = 6;
-        let block = words(11, words_per_lane * lanes);
-        let tids: Vec<u32> = vec![0, 1, 5, 63, 64, 100, 200, 383];
-        let mut acc = vec![0u32; lanes];
-        gather_count_many(&tids, &block, lanes, &mut acc);
-        for lane in 0..lanes {
-            let expect = tids
-                .iter()
-                .filter(|&&t| (block[(t as usize / 64) * lanes + lane] >> (t % 64)) & 1 == 1)
-                .count();
-            assert_eq!(acc[lane] as usize, expect, "lane={lane}");
-        }
+        // Every id repeated 300 times: a single lane count crosses the
+        // byte-accumulator limit within one block.
+        let label_words = vec![0x8000_0000_0000_0001u64, u64::MAX, 0];
+        let ids: Vec<u32> = (0..900).map(|i| i % 3).collect();
+        let mut acc = [0u32; LANES];
+        positional_count(&ids, &label_words, &mut acc);
+        assert_eq!(acc, reference_positional(&ids, &label_words));
+        assert_eq!((acc[0], acc[1], acc[63]), (600, 300, 600));
+    }
+
+    #[test]
+    #[should_panic]
+    fn positional_count_rejects_ids_past_the_words() {
+        let mut acc = [0u32; LANES];
+        positional_count(&[0, 3], &[1, 2, 3], &mut acc);
     }
 
     #[test]

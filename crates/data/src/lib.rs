@@ -85,6 +85,4 @@ pub use loader::InputFormat;
 pub use record::Record;
 pub use schema::{Attribute, Schema};
 pub use shared::SharedDataset;
-pub use vertical::{
-    Bitmap, ClassBitmaps, ClassLaneBlocks, Cover, LaneBlock, TidSet, VerticalDataset,
-};
+pub use vertical::{Bitmap, ClassBitmaps, Cover, TidSet, VerticalDataset};

@@ -10,26 +10,20 @@
 //! tid-sets.
 //!
 //! On top of the id-list representations this module provides a packed
-//! [`Bitmap`] (one bit per record, 64 records per machine word): counting how
-//! many records of a cover carry a class label then becomes a word-wise
-//! `AND` + `count_ones` sweep instead of one label-array load per stored id.
-//! For dense covers (more than one stored id per 64 records) the bitmap sweep
-//! touches far less memory and vectorises, which is what the parallel
-//! permutation engine exploits.
+//! [`Bitmap`] (one bit per record, 64 records per machine word), whose
+//! intersection and difference cardinalities are word-wise `AND` +
+//! `count_ones` sweeps.
 //!
 //! * [`TidSet`] — a sorted list of record ids with intersection/difference.
 //! * [`Cover`] — either a full tid-set or a diffset relative to a parent.
 //! * [`Bitmap`] — packed record-id set with popcount counting.
-//! * [`ClassBitmaps`] — one bitmap per class built from a label vector,
-//!   rebuilt cheaply on every permutation.
-//! * [`LaneBlock`] — a *transposed* block of equally sized bitmaps (one per
-//!   permutation lane) the batched permutation engine sweeps in one pass.
-//! * [`ClassLaneBlocks`] — one lane block per class, filled from a whole
-//!   chunk of shuffled label vectors at once.
+//! * [`ClassBitmaps`] — one bitmap per class built from a label vector.
 //! * [`VerticalDataset`] — per-item tid-sets plus the class label vector.
 //!
 //! All popcount sweeps route through [`crate::kernel`], which dispatches to
-//! explicit SIMD implementations at runtime.
+//! explicit SIMD implementations at runtime.  The permutation engine counts
+//! stored id lists against label words instead
+//! ([`kernel::positional_count`]).
 
 use crate::dataset::Dataset;
 use crate::item::{ClassId, ItemId};
@@ -345,22 +339,6 @@ impl Bitmap {
         kernel::andnot_count(&self.words, &other.words)
     }
 
-    /// Intersection cardinality of `self` against *every* bitmap in
-    /// `others` in one cache-blocked pass: the slice of bitmaps is packed
-    /// into a transposed [`LaneBlock`] so each of `self`'s words is loaded
-    /// once and swept against all lanes.  Equivalent to mapping
-    /// [`Bitmap::and_count`] over `others`, bit for bit.
-    pub fn and_count_many(&self, others: &[Bitmap]) -> Vec<usize> {
-        let mut block = LaneBlock::zeros(others.len(), self.n_bits);
-        for (lane, other) in others.iter().enumerate() {
-            debug_assert_eq!(self.n_bits, other.n_bits, "bitmap sizes differ");
-            block.copy_lane_from(lane, other);
-        }
-        let mut acc = vec![0u32; others.len().max(1)];
-        block.and_count_per_lane(self, &mut acc);
-        acc[..others.len()].iter().map(|&c| c as usize).collect()
-    }
-
     /// The packed words, low record ids first.
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -372,10 +350,8 @@ impl Bitmap {
     }
 }
 
-/// One [`Bitmap`] per class, built from a label vector.  The permutation
-/// engine keeps one of these per worker and re-fills it from the shuffled
-/// labels on every permutation (an `O(n)` sweep that is amortised over every
-/// rule-support count of that permutation).
+/// One [`Bitmap`] per class, built from a label vector (the original labels'
+/// class covers, kept by the shared dataset).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassBitmaps {
     bitmaps: Vec<Bitmap>,
@@ -426,188 +402,6 @@ impl ClassBitmaps {
     /// The bitmap of one class.
     pub fn class(&self, class: ClassId) -> &Bitmap {
         &self.bitmaps[class as usize]
-    }
-}
-
-/// A block of `lanes` equally sized bitmaps in *transposed* (lane-blocked)
-/// layout: word `w` of lane `l` lives at `words[w * lanes + l]`, so all
-/// lanes' copies of one word index are contiguous in memory.
-///
-/// This is the batched permutation engine's working set: one lane per
-/// permutation of a chunk, one block per class.  A rule-cover sweep then
-/// loads each cover word **once** and `AND`s it against `lanes` adjacent
-/// permuted label words ([`LaneBlock::and_count_per_lane`]), instead of
-/// re-reading the cover for every permutation — turning B passes over the
-/// cover into one cache-blocked pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneBlock {
-    words: Vec<u64>,
-    lanes: usize,
-    words_per_lane: usize,
-    n_bits: usize,
-}
-
-impl LaneBlock {
-    /// An all-zero block of `lanes` bitmaps over `n_bits` record ids each.
-    pub fn zeros(lanes: usize, n_bits: usize) -> Self {
-        let words_per_lane = n_bits.div_ceil(64);
-        LaneBlock {
-            words: vec![0u64; words_per_lane * lanes],
-            lanes,
-            words_per_lane,
-            n_bits,
-        }
-    }
-
-    /// Number of lanes (bitmaps) in the block.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of record ids each lane covers.
-    pub fn n_bits(&self) -> usize {
-        self.n_bits
-    }
-
-    /// Clears every lane, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Sets bit `t` of lane `lane`.
-    #[inline]
-    pub fn set(&mut self, lane: usize, t: u32) {
-        let t = t as usize;
-        debug_assert!(lane < self.lanes, "lane {lane} out of range");
-        debug_assert!(t < self.n_bits, "tid {t} out of range 0..{}", self.n_bits);
-        self.words[(t / 64) * self.lanes + lane] |= 1u64 << (t % 64);
-    }
-
-    /// Copies a conventionally laid-out bitmap into one lane of the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bitmap's size differs from the block's.
-    pub fn copy_lane_from(&mut self, lane: usize, bitmap: &Bitmap) {
-        assert_eq!(bitmap.n_bits(), self.n_bits, "bitmap sizes differ");
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        for (w, &word) in bitmap.words().iter().enumerate() {
-            self.words[w * self.lanes + lane] = word;
-        }
-    }
-
-    /// The transposed words (`[word][lane]` layout).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Writes `acc[l] = |cover ∩ lane l|` for every lane in one pass over
-    /// the block.  `acc` must hold at least [`LaneBlock::lanes`] counters.
-    #[inline]
-    pub fn and_count_per_lane(&self, cover: &Bitmap, acc: &mut [u32]) {
-        debug_assert_eq!(cover.n_bits(), self.n_bits, "bitmap sizes differ");
-        if self.lanes == 0 {
-            return;
-        }
-        kernel::and_count_many(cover.words(), &self.words, self.lanes, acc);
-    }
-
-    /// Writes `acc[l] = |lane l|` (popcount per lane) in one pass.
-    #[inline]
-    pub fn count_ones_per_lane(&self, acc: &mut [u32]) {
-        if self.lanes == 0 {
-            return;
-        }
-        kernel::count_ones_many(&self.words, self.lanes, acc);
-    }
-
-    /// Writes `acc[l]` = how many of the sorted record ids in `tids` are
-    /// set in lane `l` — the sparse (tid-list) counting kernel of the
-    /// batched path: one lane-group load per id instead of one label-array
-    /// walk per permutation.
-    #[inline]
-    pub fn tid_hits_per_lane(&self, tids: &[u32], acc: &mut [u32]) {
-        if self.lanes == 0 {
-            return;
-        }
-        kernel::gather_count_many(tids, &self.words, self.lanes, acc);
-    }
-
-    /// Memory footprint of the packed words in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
-    }
-}
-
-/// One [`LaneBlock`] per class: the batched counterpart of
-/// [`ClassBitmaps`].  Where the per-permutation engine re-fills one set of
-/// class bitmaps B times per chunk, the batched engine fills these blocks
-/// **once** from all B shuffled label vectors and then sweeps every rule
-/// cover against all permutations of the chunk in lane-blocked passes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassLaneBlocks {
-    blocks: Vec<LaneBlock>,
-    lanes: usize,
-    n_records: usize,
-}
-
-impl ClassLaneBlocks {
-    /// Creates empty per-class lane blocks for `n_classes` classes,
-    /// `lanes` permutations and `n_records` records.
-    pub fn new(n_classes: usize, lanes: usize, n_records: usize) -> Self {
-        ClassLaneBlocks {
-            blocks: (0..n_classes)
-                .map(|_| LaneBlock::zeros(lanes, n_records))
-                .collect(),
-            lanes,
-            n_records,
-        }
-    }
-
-    /// Re-fills the blocks from a lane-major flat slice of label vectors
-    /// (`labels_by_lane[lane * n_records + t]` = label of record `t` under
-    /// permutation `lane`), reusing the allocations.  This is the
-    /// block-transposed counterpart of calling [`ClassBitmaps::fill`] once
-    /// per permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length is not `lanes * n_records`.
-    pub fn fill(&mut self, labels_by_lane: &[ClassId]) {
-        assert_eq!(
-            labels_by_lane.len(),
-            self.lanes * self.n_records,
-            "label block length mismatch"
-        );
-        for block in &mut self.blocks {
-            block.clear();
-        }
-        for (lane, labels) in labels_by_lane.chunks_exact(self.n_records).enumerate() {
-            for (t, &c) in labels.iter().enumerate() {
-                let block = &mut self.blocks[c as usize];
-                block.words[(t / 64) * self.lanes + lane] |= 1u64 << (t % 64);
-            }
-        }
-    }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Number of permutation lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The lane block of one class.
-    pub fn class(&self, class: ClassId) -> &LaneBlock {
-        &self.blocks[class as usize]
-    }
-
-    /// Memory footprint of all blocks in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.blocks.iter().map(LaneBlock::size_bytes).sum()
     }
 }
 
@@ -681,17 +475,10 @@ impl Cover {
         }
     }
 
-    /// Number of ids in the stored list (what a tid-list counting pass has to
-    /// touch per permutation; the density input of the bitmap auto-selection).
+    /// Number of ids in the stored list (what a counting pass has to touch
+    /// per permutation chunk).
     pub fn stored_len(&self) -> usize {
         self.stored_tids().len()
-    }
-
-    /// Packs the stored id list into a [`Bitmap`] over `n_records` record
-    /// ids.  Computed once per mined forest — covers never change across
-    /// permutations.
-    pub fn stored_bitmap(&self, n_records: usize) -> Bitmap {
-        Bitmap::from_tids(self.stored_tids(), n_records)
     }
 
     /// Bytes used by the stored id list.
@@ -907,77 +694,6 @@ mod tests {
         let b = Bitmap::from_tids(&TidSet::from_tids([3, 65, 129]), 130);
         assert_eq!(a.andnot_count(&b), 3); // {0, 64, 100}
         assert_eq!(b.andnot_count(&a), 1); // {129}
-    }
-
-    #[test]
-    fn and_count_many_matches_per_bitmap_counts() {
-        let n = 200;
-        let cover = Bitmap::from_tids(&TidSet::from_tids((0..n as u32).step_by(3)), n);
-        let others: Vec<Bitmap> = (0..5)
-            .map(|k| {
-                Bitmap::from_tids(&TidSet::from_tids((k..n as u32).step_by(2 + k as usize)), n)
-            })
-            .collect();
-        let batched = cover.and_count_many(&others);
-        let singles: Vec<usize> = others.iter().map(|b| cover.and_count(b)).collect();
-        assert_eq!(batched, singles);
-        assert!(cover.and_count_many(&[]).is_empty());
-    }
-
-    #[test]
-    fn lane_block_round_trips_bitmaps() {
-        let n = 150;
-        let bitmaps: Vec<Bitmap> = (0..3)
-            .map(|k| Bitmap::from_tids(&TidSet::from_tids((k..n as u32).step_by(5)), n))
-            .collect();
-        let mut block = LaneBlock::zeros(3, n);
-        for (lane, b) in bitmaps.iter().enumerate() {
-            block.copy_lane_from(lane, b);
-        }
-        let mut ones = vec![0u32; 3];
-        block.count_ones_per_lane(&mut ones);
-        for (lane, b) in bitmaps.iter().enumerate() {
-            assert_eq!(ones[lane] as usize, b.count_ones(), "lane {lane}");
-        }
-        let tids: Vec<u32> = vec![0, 5, 7, 64, 100, 149];
-        let mut hits = vec![0u32; 3];
-        block.tid_hits_per_lane(&tids, &mut hits);
-        for (lane, b) in bitmaps.iter().enumerate() {
-            let expect = tids.iter().filter(|&&t| b.contains(t)).count();
-            assert_eq!(hits[lane] as usize, expect, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn class_lane_blocks_match_per_perm_class_bitmaps() {
-        let n = 100;
-        let n_classes = 3;
-        let lanes = 4;
-        // Four deterministic pseudo-shuffled label vectors, lane-major.
-        let mut flat: Vec<ClassId> = Vec::with_capacity(lanes * n);
-        for lane in 0..lanes {
-            for t in 0..n {
-                flat.push(((t * 7 + lane * 13 + t / 9) % n_classes) as ClassId);
-            }
-        }
-        let mut blocks = ClassLaneBlocks::new(n_classes, lanes, n);
-        blocks.fill(&flat);
-        assert_eq!(blocks.n_classes(), n_classes);
-        assert_eq!(blocks.lanes(), lanes);
-        let cover = Bitmap::from_tids(&TidSet::from_tids((0..n as u32).step_by(2)), n);
-        let mut acc = vec![0u32; lanes];
-        for c in 0..n_classes as ClassId {
-            blocks.class(c).and_count_per_lane(&cover, &mut acc);
-            for lane in 0..lanes {
-                let labels = &flat[lane * n..(lane + 1) * n];
-                let per_perm = ClassBitmaps::from_labels(labels, n_classes);
-                assert_eq!(
-                    acc[lane] as usize,
-                    cover.and_count(per_perm.class(c)),
-                    "class {c} lane {lane}"
-                );
-            }
-        }
     }
 
     #[test]

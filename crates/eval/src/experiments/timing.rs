@@ -9,9 +9,7 @@
 use crate::experiments::ExperimentContext;
 use crate::report::{fmt_float, Table};
 use sigrule::correction::holdout::holdout_from_parts;
-use sigrule::correction::permutation::{
-    rayon_pool, BufferStrategy, PermutationCorrection, SupportBackend,
-};
+use sigrule::correction::permutation::{rayon_pool, BufferStrategy, PermutationCorrection};
 use sigrule::correction::{direct, ErrorMetric};
 use sigrule::{mine_rules, RuleMiningConfig};
 use sigrule_data::uci::UciDataset;
@@ -62,9 +60,9 @@ pub fn optimization_levels() -> Vec<(&'static str, bool, BufferStrategy)> {
 /// optimisation level per minimum support.  The reported time includes
 /// frequent pattern mining, exactly as in the paper.
 ///
-/// The engine runs on one thread (a one-thread [`rayon_pool`]) with tid-list
-/// counting, so the table isolates the §4.2 optimisations; the parallel and
-/// bitmap axes this reproduction adds on top are measured separately
+/// The engine runs on one thread (a one-thread [`rayon_pool`]), so the
+/// table isolates the §4.2 optimisations; the parallel axis this
+/// reproduction adds on top is measured separately
 /// (`examples/permutation_speedup.rs` and the `engine_axes` Criterion
 /// bench).
 pub fn figure4_for_dataset(
@@ -95,8 +93,7 @@ pub fn figure4_for_dataset(
             );
             let correction = PermutationCorrection::new(ctx.n_permutations)
                 .with_seed(ctx.seed)
-                .with_buffer(*buffer)
-                .with_backend(SupportBackend::TidLists);
+                .with_buffer(*buffer);
             let _ = one_thread.install(|| correction.control_fwer(&mined, ctx.alpha));
             row.push(fmt_float(start.elapsed().as_secs_f64()));
         }
@@ -109,8 +106,8 @@ pub fn figure4_for_dataset(
 /// approaches (permutation with all of the paper's optimisations, holdout,
 /// direct adjustment) per minimum support.
 ///
-/// Like [`figure4_for_dataset`], the permutation column runs the tid-list
-/// engine on one thread: holdout and direct adjustment are serial
+/// Like [`figure4_for_dataset`], the permutation column runs the engine on
+/// one thread: holdout and direct adjustment are serial
 /// single-pass methods, so letting the permutation column fan out over the
 /// machine's cores would distort the three-way comparison the figure makes.
 pub fn figure5_for_dataset(
@@ -133,9 +130,7 @@ pub fn figure5_for_dataset(
         // Permutation (with every optimisation of the paper).
         let start = Instant::now();
         let mined = mine_rules(dataset, &RuleMiningConfig::new(min_sup));
-        let correction = PermutationCorrection::new(ctx.n_permutations)
-            .with_seed(ctx.seed)
-            .with_backend(SupportBackend::TidLists);
+        let correction = PermutationCorrection::new(ctx.n_permutations).with_seed(ctx.seed);
         let _ = one_thread.install(|| correction.control_fwer(&mined, ctx.alpha));
         let t_perm = start.elapsed().as_secs_f64();
 

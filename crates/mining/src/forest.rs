@@ -25,18 +25,15 @@
 //!
 //! [`PatternForest::rule_supports`] is the plain single-permutation pass: it
 //! loads one label per stored id.  The permutation engine instead counts a
-//! whole chunk of permutations at once
-//! ([`PatternForest::rule_supports_planned_block`]) against transposed
-//! per-class label lane blocks, with two kernels.  The bitset kernel packs
-//! each cover into a [`Bitmap`] **once** (covers never change across
-//! permutations) and counts `AND` + popcount against every lane; the
-//! tid-list kernel gathers each stored id's bit across the lanes.  A
-//! [`SupportPlan`] decides per node which kernel to use
-//! ([`SupportBackend::Auto`] picks the bitmap whenever the stored list is
-//! denser than one id per 64 records, the point where the word sweep touches
-//! less memory than the id walk) and caches the packed bitmaps.
+//! whole chunk of up to 64 permutations at once
+//! ([`PatternForest::rule_supports_lanes`]) against one class's label words
+//! (bit `j` of `words[t]`: record `t` carries the class under permutation
+//! `j`), with one kernel for every node: a positional popcount over the
+//! node's stored ids, tid list and diffset alike
+//! ([`kernel::positional_count`]).
 
-use sigrule_data::{Bitmap, ClassId, ClassLaneBlocks, Cover, LaneBlock, Pattern, TidSet};
+use sigrule_data::kernel::{self, LANES};
+use sigrule_data::{ClassId, Cover, Pattern, TidSet};
 
 /// One frequent pattern in the forest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,95 +131,64 @@ impl PatternForest {
         out
     }
 
-    /// Computes `supp(X ⇒ c)` for every node and every permutation *lane* of
-    /// a transposed class block in one batched pass: the lane-blocked
-    /// counterpart of calling
+    /// Computes `supp(X ⇒ c)` for every node on every permutation lane of a
+    /// chunk in one pass: the batched counterpart of calling
     /// [`rule_supports`](PatternForest::rule_supports) once per permutation.
     ///
-    /// `class_block` holds one label bitmap per permutation lane for a single
-    /// class (see [`ClassLaneBlocks`]).  Bitmap-kernel nodes sweep their
-    /// packed cover against all lanes at once
-    /// ([`LaneBlock::and_count_per_lane`]); tid-list nodes count membership
-    /// of their stored ids across all lanes
-    /// ([`LaneBlock::tid_hits_per_lane`]) — no per-permutation label-array
-    /// walks at all.  Results land node-major in `out`
-    /// (`out[node * lanes + lane]`), cleared and resized first.
+    /// `words` holds one class's label words (bit `j` of `words[t]` is set
+    /// when record `t` carries the class under lane `j`'s permutation) and
+    /// `class_total` that class's record count, which every permutation
+    /// keeps.  Each node counts its stored ids across all lanes with one
+    /// [`kernel::positional_count`]; a diffset node subtracts the count from
+    /// its parent's row.  Results land node-major in `out`
+    /// (`out[node * LANES + lane]`), resized first; lanes with no bit set in
+    /// any word hold values no caller reads.
     ///
-    /// Every count is an exact integer computed from the same sets as the
-    /// per-permutation pass, so each lane of the output is bit-identical to
-    /// [`rule_supports`](PatternForest::rule_supports) on that permutation's
-    /// labels, whatever kernel the plan selected.
+    /// Every count is an exact integer over the same sets as the
+    /// per-permutation pass, so each live lane of the output is bit-identical
+    /// to [`rule_supports`](PatternForest::rule_supports) on that
+    /// permutation's labels.
     ///
     /// # Panics
     ///
-    /// Panics if the plan or block dimensions do not match the forest.
-    pub fn rule_supports_planned_block(
-        &self,
-        plan: &SupportPlan,
-        class_block: &LaneBlock,
-        out: &mut Vec<u32>,
-    ) {
+    /// Panics if `words` does not hold one word per record.
+    pub fn rule_supports_lanes(&self, words: &[u64], class_total: usize, out: &mut Vec<u32>) {
         assert_eq!(
-            plan.bitmaps.len(),
-            self.nodes.len(),
-            "support plan was built for a different forest"
-        );
-        assert_eq!(
-            class_block.n_bits(),
+            words.len(),
             self.n_records,
-            "class block must cover the mined dataset's records"
+            "label words must cover the mined dataset's records"
         );
-        let lanes = class_block.lanes();
-        out.clear();
-        out.resize(self.nodes.len() * lanes, 0);
-        if lanes == 0 {
-            return;
-        }
-        let mut class_total = vec![0u32; lanes];
-        class_block.count_ones_per_lane(&mut class_total);
-        let mut hits = vec![0u32; lanes];
-        for (i, (node, stored_bits)) in self.nodes.iter().zip(plan.bitmaps.iter()).enumerate() {
-            match stored_bits {
-                Some(bits) => class_block.and_count_per_lane(bits, &mut hits),
-                None => class_block.tid_hits_per_lane(node.cover.stored_tids().tids(), &mut hits),
+        // Every row is overwritten below, so a reused buffer is not cleared.
+        out.resize(self.nodes.len() * LANES, 0);
+        let mut hits = [0u32; LANES];
+        for (i, node) in self.nodes.iter().enumerate() {
+            kernel::positional_count(node.cover.stored_tids().tids(), words, &mut hits);
+            let (done, rest) = out.split_at_mut(i * LANES);
+            let row = &mut rest[..LANES];
+            if !node.cover.is_diffset() {
+                row.copy_from_slice(&hits);
+                continue;
             }
-            let diffset = node.cover.is_diffset();
-            for lane in 0..lanes {
-                let parent_rule_support = match node.parent {
-                    Some(p) => out[p * lanes + lane],
-                    None => class_total[lane],
-                };
-                out[i * lanes + lane] = if diffset {
-                    parent_rule_support - hits[lane]
-                } else {
-                    hits[lane]
-                };
+            match node.parent {
+                Some(p) => {
+                    let parent = &done[p * LANES..(p + 1) * LANES];
+                    for ((s, &above), &h) in row.iter_mut().zip(parent).zip(&hits) {
+                        *s = above - h;
+                    }
+                }
+                None => {
+                    for (s, &h) in row.iter_mut().zip(&hits) {
+                        *s = class_total as u32 - h;
+                    }
+                }
             }
         }
     }
 
-    /// Builds the per-node counting plan for the permutation engine: packs
-    /// the covers selected by `backend` into bitmaps (a one-off cost reused
-    /// by every permutation) and leaves the rest on the tid-list kernel.
-    pub fn support_plan(&self, backend: SupportBackend) -> SupportPlan {
-        let bitmaps = self
-            .nodes
-            .iter()
-            .map(|node| {
-                let use_bitmap = match backend {
-                    SupportBackend::TidLists => false,
-                    SupportBackend::Bitmaps => true,
-                    // Break-even: the bitmap sweep reads n/64 words, the
-                    // tid-list walk reads stored_len labels.
-                    SupportBackend::Auto => node.cover.stored_len() * 64 >= self.n_records,
-                };
-                use_bitmap.then(|| node.cover.stored_bitmap(self.n_records))
-            })
-            .collect();
-        SupportPlan {
-            bitmaps,
-            n_records: self.n_records,
-        }
+    /// Kept for callers that report the retired bitmap kernel's node count:
+    /// no cover is packed into a bitmap any more, so the plan is empty.
+    pub fn support_plan(&self, _backend: SupportBackend) -> SupportPlan {
+        SupportPlan
     }
 
     /// The supports (`supp(X)`) of all nodes, in forest order.
@@ -446,46 +412,24 @@ impl PatternForest {
     }
 }
 
-/// Which counting kernel the permutation engine uses per forest node.
+/// The retired per-node kernel selection, kept as a name only: every node
+/// is counted by the one positional-count kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SupportBackend {
-    /// Pick per node by density: bitmap when the stored id list has more
-    /// than one id per 64 records, tid-list below that.
+    /// The only selection.
     #[default]
     Auto,
-    /// Tid-list walking for every node (the paper's §4.2.2 layout; the
-    /// baseline axis of the engine ablation).
-    TidLists,
-    /// Packed bitmaps for every node.
-    Bitmaps,
 }
 
-/// The per-node kernel selection of [`PatternForest::support_plan`] plus the
-/// packed cover bitmaps it chose to build.  Built once per mined forest;
-/// immutable and shareable across permutation workers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SupportPlan {
-    /// `Some(bitmap of the stored id list)` for bitmap-kernel nodes.
-    bitmaps: Vec<Option<Bitmap>>,
-    n_records: usize,
-}
+/// What [`PatternForest::support_plan`] returns: an empty plan, since no
+/// cover is packed into a bitmap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SupportPlan;
 
 impl SupportPlan {
-    /// Number of nodes counted with the bitmap kernel.
+    /// Number of nodes counted with a bitmap kernel: always 0.
     pub fn n_bitmap_nodes(&self) -> usize {
-        self.bitmaps.iter().filter(|b| b.is_some()).count()
-    }
-
-    /// Bytes held by the packed cover bitmaps.
-    pub fn bitmap_bytes(&self) -> usize {
-        self.bitmaps.iter().flatten().map(Bitmap::size_bytes).sum()
-    }
-
-    /// Allocates the per-class lane blocks the batched counting pass uses
-    /// (one lane per permutation of a chunk); the permutation engine keeps
-    /// one set per worker and re-fills it per chunk.
-    pub fn make_class_lane_blocks(&self, n_classes: usize, lanes: usize) -> ClassLaneBlocks {
-        ClassLaneBlocks::new(n_classes, lanes, self.n_records)
+        0
     }
 }
 
@@ -559,51 +503,47 @@ mod tests {
     #[test]
     fn batched_block_counting_matches_per_perm_for_every_backend() {
         let (forest, labels) = toy_forest();
-        // Three "permutations": the original labels plus two rotations.
+        // Three "permutations" in lanes 0..3: the original labels plus two
+        // rotations.
         let lanes = 3;
         let n = labels.len();
-        let mut flat: Vec<ClassId> = Vec::with_capacity(lanes * n);
-        for lane in 0..lanes {
-            for t in 0..n {
-                flat.push(labels[(t + lane) % n]);
-            }
-        }
-        for backend in [
-            SupportBackend::TidLists,
-            SupportBackend::Bitmaps,
-            SupportBackend::Auto,
-        ] {
-            let plan = forest.support_plan(backend);
-            match backend {
-                SupportBackend::TidLists => {
-                    assert_eq!(plan.n_bitmap_nodes(), 0);
-                    assert_eq!(plan.bitmap_bytes(), 0);
-                }
-                SupportBackend::Bitmaps => {
-                    assert_eq!(plan.n_bitmap_nodes(), forest.len());
-                    assert!(plan.bitmap_bytes() > 0);
-                }
-                SupportBackend::Auto => {}
-            }
-            let mut blocks = plan.make_class_lane_blocks(2, lanes);
-            blocks.fill(&flat);
-            let mut block_out = Vec::new();
+        let lane_labels: Vec<Vec<ClassId>> = (0..lanes)
+            .map(|lane| (0..n).map(|t| labels[(t + lane) % n]).collect())
+            .collect();
+        let mut kinds = vec![kernel::KernelKind::Scalar];
+        kinds.extend(kernel::simd_kind());
+        for kind in kinds {
+            kernel::force(Some(kind));
+            let mut out = Vec::new();
             for class in 0..2u32 {
-                forest.rule_supports_planned_block(&plan, blocks.class(class), &mut block_out);
-                assert_eq!(block_out.len(), forest.len() * lanes);
-                for lane in 0..lanes {
+                let words: Vec<u64> = (0..n)
+                    .map(|t| {
+                        (0..lanes)
+                            .filter(|&lane| lane_labels[lane][t] == class)
+                            .fold(0, |w, lane| w | 1 << lane)
+                    })
+                    .collect();
+                let total = labels.iter().filter(|&&c| c == class).count();
+                forest.rule_supports_lanes(&words, total, &mut out);
+                assert_eq!(out.len(), forest.len() * LANES);
+                for (lane, lane_labels) in lane_labels.iter().enumerate() {
                     // The plain one-permutation pass over this lane's labels.
-                    let expected = forest.rule_supports(&flat[lane * n..(lane + 1) * n], class);
+                    let expected = forest.rule_supports(lane_labels, class);
                     for (node, &want) in expected.iter().enumerate() {
                         assert_eq!(
-                            block_out[node * lanes + lane] as usize,
+                            out[node * LANES + lane] as usize,
                             want,
-                            "backend {backend:?} class {class} lane {lane} node {node}"
+                            "kernel {kind:?} class {class} lane {lane} node {node}"
                         );
                     }
                 }
             }
         }
+        kernel::force(None);
+        assert_eq!(
+            forest.support_plan(SupportBackend::Auto).n_bitmap_nodes(),
+            0
+        );
     }
 
     #[test]

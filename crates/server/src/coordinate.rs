@@ -705,7 +705,15 @@ mod tests {
 
     #[test]
     fn partitions_tile_the_permutations_chunk_aligned() {
-        for (n, executors) in [(1, 1), (8, 1), (21, 2), (1000, 3), (640, 16), (7, 5)] {
+        for (n, executors) in [
+            (1, 1),
+            (64, 1),
+            (150, 2),
+            (1000, 2),
+            (1000, 3),
+            (640, 16),
+            (7, 5),
+        ] {
             let ranges = partition_ranges(n, executors);
             assert!(!ranges.is_empty());
             assert_eq!(ranges[0].0, 0);
@@ -720,6 +728,11 @@ mod tests {
             }
         }
         assert!(partition_ranges(0, 4).is_empty());
+        // 1,000 permutations over two executors: 8 ranges of 128, the last
+        // ragged.
+        let ranges = partition_ranges(1000, 2);
+        assert_eq!(ranges.len(), 8);
+        assert_eq!((ranges[0], ranges[7]), ((0, 128), (896, 1000)));
     }
 
     fn toy_mined() -> sigrule::MinedRuleSet {
@@ -733,7 +746,7 @@ mod tests {
     #[test]
     fn two_local_executors_reproduce_the_serial_null() {
         let mined = toy_mined();
-        let correction = PermutationCorrection::new(60).with_seed(9);
+        let correction = PermutationCorrection::new(300).with_seed(9);
         let tables = correction.build_shared_tables(&mined);
         let serial = correction.collect_stats(&mined);
 
@@ -742,11 +755,11 @@ mod tests {
             .with_threads(2)
             .unwrap();
         let executors: Vec<&dyn NullExecutor> = vec![&a, &b];
-        let (merged, report) = scatter_collect(&executors, 60, &CancelToken::none()).unwrap();
+        let (merged, report) = scatter_collect(&executors, 300, &CancelToken::none()).unwrap();
         assert_eq!(merged, serial);
         assert_eq!(
             report.shards_local,
-            partition_ranges(60, 2).len() as u64 + report.retries
+            partition_ranges(300, 2).len() as u64 + report.retries
         );
         assert_eq!(report.shards_remote, 0);
         assert!(report.lost_workers.is_empty());
@@ -802,7 +815,7 @@ mod tests {
     #[test]
     fn dead_worker_costs_time_never_correctness() {
         let mined = toy_mined();
-        let correction = PermutationCorrection::new(48).with_seed(5);
+        let correction = PermutationCorrection::new(200).with_seed(5);
         let tables = correction.build_shared_tables(&mined);
         let serial = correction.collect_stats(&mined);
 
@@ -813,7 +826,7 @@ mod tests {
         };
         let failer = FailFirst { failed: gate };
         let executors: Vec<&dyn NullExecutor> = vec![&local, &failer];
-        let (merged, report) = scatter_collect(&executors, 48, &CancelToken::none()).unwrap();
+        let (merged, report) = scatter_collect(&executors, 200, &CancelToken::none()).unwrap();
         assert_eq!(merged, serial, "a lost worker must not change the null");
         assert_eq!(report.lost_workers.len(), 1);
         assert!(report.lost_workers[0].contains("tcp:dead:1"));
@@ -846,15 +859,15 @@ mod tests {
         let addr = spawn_worker();
 
         let mined = toy_mined();
-        let spec = ShardSpec::new("toy", &RuleMiningConfig::new(4).with_min_conf(0.5), 40, 13);
+        let spec = ShardSpec::new("toy", &RuleMiningConfig::new(4).with_min_conf(0.5), 150, 13);
         let load_line = format!(r#"{{"cmd":"load","path":"{path}","name":"toy"}}"#);
         let remote =
             RemoteExecutor::connect(&addr, spec, Some(&load_line), mined.rules().len()).unwrap();
 
-        let correction = PermutationCorrection::new(40).with_seed(13);
+        let correction = PermutationCorrection::new(150).with_seed(13);
         let tables = correction.build_shared_tables(&mined);
         let local = LocalExecutor::new(correction.clone(), &mined, Some(&tables));
-        for (start, end) in [(0, 8), (8, 24), (32, 40)] {
+        for (start, end) in [(0, 64), (64, 128), (128, 150)] {
             let ours = local.run_range(start, end, &CancelToken::none()).unwrap();
             let theirs = remote.run_range(start, end, &CancelToken::none()).unwrap();
             assert_eq!(theirs.to_bytes(), ours.to_bytes(), "range {start}..{end}");
@@ -864,11 +877,11 @@ mod tests {
         let narrower = ShardSpec::new(
             "toy",
             &RuleMiningConfig::new(40).with_min_conf(0.99),
-            40,
+            150,
             13,
         );
         let strict = RemoteExecutor::connect(&addr, narrower, None, mined.rules().len()).unwrap();
-        match strict.run_range(0, 8, &CancelToken::none()) {
+        match strict.run_range(0, 64, &CancelToken::none()) {
             Err(ShardError::Failed(detail)) => {
                 assert!(detail.contains("mismatch"), "got {detail}")
             }
@@ -888,7 +901,7 @@ mod tests {
         let plan = DistributedNull {
             workers: vec![addr.clone(), ListenAddr::Tcp("127.0.0.1:1".to_string())],
             load_line: Some(format!(r#"{{"cmd":"load","path":"{path}","name":"dist"}}"#)),
-            spec: ShardSpec::new("dist", &mining, 56, 21),
+            spec: ShardSpec::new("dist", &mining, 448, 21),
         };
         let fill = fill_engine_null(&engine, &plan, &CancelToken::none()).unwrap();
         assert!(!fill.cached);
@@ -899,7 +912,7 @@ mod tests {
         );
         assert_eq!(
             fill.report.shards_local + fill.report.shards_remote,
-            partition_ranges(56, 3).len() as u64 + fill.report.retries
+            partition_ranges(448, 3).len() as u64 + fill.report.retries
         );
         // Port 1 is reserved (nothing listens): skipped with a warning.
         assert!(

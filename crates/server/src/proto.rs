@@ -1217,6 +1217,21 @@ pub(crate) mod tests {
             }
         }
 
+        // A shard range aligned to 8 but not to the 64-permutation chunk is
+        // an invalid request, at either end.
+        for (start, end) in [(8, 64), (0, 8), (64, 72)] {
+            let line =
+                format!(r#"{{"cmd":"perm_shard","permutations":200,"start":{start},"end":{end}}}"#);
+            let (resp, _) = handle_line(&state, &line);
+            assert!(err(&resp).contains("64-permutation chunk"), "{line}");
+            let code = Json::parse(&resp)
+                .unwrap()
+                .get("code")
+                .and_then(Json::as_str)
+                .map(str::to_string);
+            assert_eq!(code.as_deref(), Some("invalid_request"), "{line}");
+        }
+
         // An empty dataset name on load is rejected.
         let (resp, _) = handle_line(
             &state,

@@ -1,14 +1,14 @@
 //! The cost of permutation testing, and what the paper's optimisations —
-//! plus this reproduction's parallel bitset engine — buy.
+//! plus this reproduction's parallel bit-sliced engine — buy.
 //!
 //! Re-scoring every rule on a thousand shuffled copies of the data is the
 //! most statistically powerful of the three approaches but also by far the
 //! most expensive (§4.2, Figures 4 and 5).  This example times the four
 //! optimisation levels of Figure 4 on the paper's `D2kA20R5` synthetic
-//! dataset, then the engine axes added on top of the paper: bitmap
-//! (popcount) support counting, the rayon fan-out across permutations, and
-//! the support-kernel axis (scalar vs. runtime-dispatched SIMD).  Every
-//! level runs the same batched engine; the thread count is set with a
+//! dataset, then the engine axes added on top of the paper: the rayon
+//! fan-out across permutations and the support-kernel axis (scalar vs.
+//! runtime-dispatched SIMD positional counting).  Every level runs the same
+//! 64-permutation batched engine; the thread count is set with a
 //! `rayon_pool`.
 //!
 //! Run with: `cargo run --release --example permutation_speedup`
@@ -35,9 +35,9 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
 
-    // ---- Figure 4: the paper's optimisation levels (1 thread, tid-lists) ----
+    // ---- Figure 4: the paper's optimisation levels (1 thread) ----
     let one_thread = rayon_pool(1).expect("a one-thread pool builds");
-    println!("Figure 4 ablation (one thread, tid-list counting):");
+    println!("Figure 4 ablation (one thread):");
     let levels: [(&str, bool, BufferStrategy); 4] = [
         (
             "mine-once only (no further optimisation)",
@@ -63,9 +63,7 @@ fn main() {
             &dataset,
             &RuleMiningConfig::new(min_sup).with_diffsets(use_diffsets),
         );
-        let correction = PermutationCorrection::new(n_permutations)
-            .with_buffer(buffer)
-            .with_backend(SupportBackend::TidLists);
+        let correction = PermutationCorrection::new(n_permutations).with_buffer(buffer);
         let result = one_thread.install(|| correction.control_fwer(&mined, 0.05));
         let elapsed = start.elapsed().as_secs_f64();
         let baseline_time = *baseline.get_or_insert(elapsed);
@@ -76,28 +74,15 @@ fn main() {
         );
     }
 
-    // ---- Engine axes: bitmap counting and the rayon fan-out ----
-    println!("\nEngine axes (Diffsets + 16 MB static buffer throughout):");
+    // ---- Engine axis: the rayon fan-out ----
+    println!("\nEngine axis (Diffsets + 16 MB static buffer throughout):");
     let mined = mine_rules(&dataset, &RuleMiningConfig::new(min_sup));
     // Thread count 0 keeps the default: every available core.
-    let axes: [(&str, usize, SupportBackend); 4] = [
-        (
-            "1 thread, tid-list counting (paper's layout)",
-            1,
-            SupportBackend::TidLists,
-        ),
-        ("1 thread, bitmap counting", 1, SupportBackend::Bitmaps),
-        ("1 thread, density auto-selection", 1, SupportBackend::Auto),
-        (
-            "all cores, density auto-selection (default)",
-            0,
-            SupportBackend::Auto,
-        ),
-    ];
+    let axes: [(&str, usize); 2] = [("1 thread", 1), ("all cores (default)", 0)];
     let mut reference = None;
-    for (label, threads, backend) in axes {
+    for (label, threads) in axes {
         let pool = rayon_pool(threads).expect("the pool builds");
-        let correction = PermutationCorrection::new(n_permutations).with_backend(backend);
+        let correction = PermutationCorrection::new(n_permutations);
         let start = Instant::now();
         let stats = pool.install(|| correction.collect_stats(&mined));
         let elapsed = start.elapsed().as_secs_f64();
@@ -110,7 +95,7 @@ fn main() {
     }
 
     // ---- Kernel axis: scalar vs SIMD ----
-    println!("\nKernel axis (all cores, density auto-selection throughout):");
+    println!("\nKernel axis (all cores throughout):");
     let mut kernel_kinds: Vec<(&str, Option<KernelKind>)> =
         vec![("scalar kernels", Some(KernelKind::Scalar))];
     if let Some(simd) = kernel::simd_kind() {
@@ -134,9 +119,9 @@ fn main() {
 
     println!(
         "\nThe exact factors depend on the machine, but the ordering matches Figure 4:\n\
-         p-value buffering is worth an order of magnitude, Diffsets add more, bitmap\n\
-         counting accelerates dense covers, the rayon fan-out scales the whole pass\n\
-         with the core count, and SIMD kernels squeeze the remaining popcount loop\n\
+         p-value buffering is worth an order of magnitude, Diffsets add more, the\n\
+         rayon fan-out scales the whole pass with the core count, and SIMD kernels\n\
+         squeeze the remaining positional-count loop\n\
          (statistics stay bit-identical throughout)."
     );
 }

@@ -34,7 +34,7 @@ pub use sigrule_synth as synth;
 pub mod prelude {
     pub use sigrule::correction::holdout::{holdout_from_parts, random_holdout};
     pub use sigrule::correction::permutation::{
-        rayon_pool, BufferStrategy, PermutationCorrection, PermutationStats, SupportBackend,
+        rayon_pool, BufferStrategy, PermutationCorrection, PermutationStats,
     };
     pub use sigrule::correction::{
         direct, no_correction, Correction, CorrectionApproach, CorrectionContext, CorrectionResult,

@@ -5,10 +5,10 @@
 //! by the exact set of records containing them, and calls a pattern closed
 //! when it is the unique longest of its group — with no length cap, exactly
 //! the patterns equal to the intersection of the records containing them.
-//! It uses no tid-set hash, forest, diffset or support plan.  The mined rule
+//! It uses no tid-set hash, forest, diffset or label word.  The mined rule
 //! set must reproduce it, and every node of the compacted forest must count
-//! the same rule supports as a record scan under any labelling, with every
-//! counting backend.
+//! the same rule supports as a record scan under any labelling, in the
+//! one-permutation pass and in the 64-lane batched pass.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -213,8 +213,8 @@ proptest! {
     }
 
     /// (b) Under any labelling, every compacted node's rule support — from
-    /// the one-permutation pass and from the lane-blocked pass with each
-    /// backend — is the record-scan count.
+    /// the one-permutation pass and from the 64-lane batched pass — is the
+    /// record-scan count.
     #[test]
     fn compacted_supports_equal_record_scans(
         (dataset, min_sup, max_length) in mining_case(),
@@ -245,24 +245,27 @@ proptest! {
             scans.push(per_class);
         }
 
-        let lanes = labellings.len();
-        let flat: Vec<u32> = labellings.concat();
-        for backend in [SupportBackend::TidLists, SupportBackend::Bitmaps, SupportBackend::Auto] {
-            let plan = forest.support_plan(backend);
-            let mut blocks = plan.make_class_lane_blocks(n_classes, lanes);
-            blocks.fill(&flat);
-            let mut out = Vec::new();
-            for c in 0..n_classes {
-                forest.rule_supports_planned_block(&plan, blocks.class(c as u32), &mut out);
-                prop_assert_eq!(out.len(), forest.len() * lanes);
-                for (lane, scan) in scans.iter().enumerate() {
-                    for (node, &want) in scan[c].iter().enumerate() {
-                        prop_assert_eq!(
-                            out[node * lanes + lane] as usize,
-                            want,
-                            "backend {:?} class {} lane {} node {}", backend, c, lane, node
-                        );
-                    }
+        let mut out = Vec::new();
+        for c in 0..n_classes {
+            let words: Vec<u64> = (0..dataset.n_records())
+                .map(|t| {
+                    labellings
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, labels)| labels[t] == c as u32)
+                        .fold(0, |w, (lane, _)| w | 1 << lane)
+                })
+                .collect();
+            let total = labellings[0].iter().filter(|&&l| l == c as u32).count();
+            forest.rule_supports_lanes(&words, total, &mut out);
+            prop_assert_eq!(out.len(), forest.len() * 64);
+            for (lane, scan) in scans.iter().enumerate() {
+                for (node, &want) in scan[c].iter().enumerate() {
+                    prop_assert_eq!(
+                        out[node * 64 + lane] as usize,
+                        want,
+                        "class {} lane {} node {}", c, lane, node
+                    );
                 }
             }
         }

@@ -1,13 +1,14 @@
 //! Property tests for the SIMD support kernels: the scalar baseline, the
-//! runtime-dispatched SIMD path and the batched lane-blocked kernels must
-//! produce **identical** counts for any word vector — including lengths that
-//! are not a multiple of the 4-word unroll, where the explicit tail handling
-//! does the work.  This is the contract that lets `SIGRULE_KERNEL` change
-//! only the speed of a run, never a statistic.
+//! runtime-dispatched SIMD path and a naive reference must produce
+//! **identical** counts for any input — word vectors whose lengths are not a
+//! multiple of the 4-word unroll, where the explicit tail handling does the
+//! work, and id lists around the positional count's 255-id accumulator
+//! blocks with any number of live lanes.  This is the contract that lets
+//! `SIGRULE_KERNEL` change only the speed of a run, never a statistic.
 
 use proptest::prelude::*;
-use sigrule_repro::data::kernel::{self, KernelKind};
-use sigrule_repro::data::{Bitmap, ClassLaneBlocks, LaneBlock, TidSet};
+use sigrule_repro::data::kernel::{self, KernelKind, LANES};
+use sigrule_repro::data::{Bitmap, ClassBitmaps, ClassId, TidSet};
 use sigrule_repro::prelude::*;
 
 /// Runs `f` once per kernel kind this machine supports (always scalar;
@@ -25,6 +26,28 @@ fn per_kernel<T>(mut f: impl FnMut() -> T) -> Vec<(KernelKind, T)> {
         .collect();
     kernel::force(None);
     out
+}
+
+/// Deterministic word stream (splitmix64) from a proptest-supplied seed.
+fn splitmix(mut x: u64) -> impl FnMut() -> u64 {
+    move || {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// The naive positional count: one bit test per id per lane.
+fn naive_positional(ids: &[u32], words: &[u64]) -> [u32; LANES] {
+    let mut acc = [0u32; LANES];
+    for &t in ids {
+        for (lane, sum) in acc.iter_mut().enumerate() {
+            *sum += ((words[t as usize] >> lane) & 1) as u32;
+        }
+    }
+    acc
 }
 
 /// Strategy: two word vectors of the same random length (0..=67 covers the
@@ -56,117 +79,95 @@ proptest! {
         }
     }
 
-    /// The batched lane-block kernels equal one flat kernel call per lane,
-    /// for lane counts around and off the 4-lane SIMD groups.
+    /// The positional count equals the naive bit loop under every kernel
+    /// kind: 0, 1, 254, 255, 256 and 511 ids (around the 255-id byte
+    /// blocks), with every lane live or only the low `live` lanes.
     #[test]
     fn batched_kernels_match_per_lane(
-        (cover, _) in word_pair(),
-        lanes in 1usize..=9,
-        lane_seed in 0u64..u64::MAX,
+        live in 1usize..=LANES,
+        word_seed in 0u64..u64::MAX,
     ) {
-        let words_per_lane = cover.len();
-        // Deterministic per-lane words derived from the seed (splitmix64).
-        let mut x = lane_seed;
-        let mut next = || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let mut block = vec![0u64; words_per_lane * lanes];
-        for word in block.iter_mut() {
-            *word = next();
-        }
-        for (kind, (and_many, ones_many)) in per_kernel(|| {
-            let mut and_acc = vec![0u32; lanes];
-            kernel::and_count_many(&cover, &block, lanes, &mut and_acc);
-            let mut ones_acc = vec![0u32; lanes];
-            kernel::count_ones_many(&block, lanes, &mut ones_acc);
-            (and_acc, ones_acc)
-        }) {
-            for lane in 0..lanes {
-                let lane_words: Vec<u64> =
-                    (0..words_per_lane).map(|w| block[w * lanes + lane]).collect();
-                let and_ref: usize = cover
-                    .iter()
-                    .zip(&lane_words)
-                    .map(|(&c, &w)| (c & w).count_ones() as usize)
-                    .sum();
-                let ones_ref: usize =
-                    lane_words.iter().map(|&w| w.count_ones() as usize).sum();
-                prop_assert_eq!(and_many[lane] as usize, and_ref, "kernel {:?} lane {}", kind, lane);
-                prop_assert_eq!(ones_many[lane] as usize, ones_ref, "kernel {:?} lane {}", kind, lane);
+        let n = 700;
+        let mask = if live == LANES { u64::MAX } else { (1u64 << live) - 1 };
+        let mut next = splitmix(word_seed);
+        let words: Vec<u64> = (0..n).map(|_| next() & mask).collect();
+        for n_ids in [0usize, 1, 254, 255, 256, 511] {
+            let ids: Vec<u32> = (0..n_ids).map(|_| (next() % n as u64) as u32).collect();
+            let want = naive_positional(&ids, &words);
+            for (kind, got) in per_kernel(|| {
+                let mut acc = [0u32; LANES];
+                kernel::positional_count(&ids, &words, &mut acc);
+                acc
+            }) {
+                prop_assert_eq!(got, want, "kernel {:?} ids {} live {}", kind, n_ids, live);
+                prop_assert!(got[live..].iter().all(|&c| c == 0), "dead lanes count 0");
             }
         }
     }
 
-    /// The sparse gather kernel equals per-lane bit tests under every kind.
+    /// Over sorted id lists of any length and density (what a forest node
+    /// stores), the positional count equals per-lane bit tests under every
+    /// kind.
     #[test]
     fn gather_kernel_matches_bit_tests(
-        n_bits in 1usize..=300,
-        lanes in 1usize..=9,
+        n_bits in 1usize..=1200,
+        keep_one_in in 1u64..=4,
         tid_seed in 0u64..u64::MAX,
     ) {
-        let mut x = tid_seed;
-        let mut next = || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let tids: Vec<u32> = {
-            let mut t: Vec<u32> = (0..n_bits as u32).filter(|_| next() % 3 == 0).collect();
-            t.dedup();
-            t
-        };
-        let words_per_lane = n_bits.div_ceil(64);
-        let mut block = vec![0u64; words_per_lane * lanes];
-        for word in block.iter_mut() {
-            *word = next();
-        }
+        let mut next = splitmix(tid_seed);
+        let tids: Vec<u32> = (0..n_bits as u32).filter(|_| next().is_multiple_of(keep_one_in)).collect();
+        let words: Vec<u64> = (0..n_bits).map(|_| next()).collect();
         for (kind, acc) in per_kernel(|| {
-            let mut acc = vec![0u32; lanes];
-            kernel::gather_count_many(&tids, &block, lanes, &mut acc);
+            let mut acc = [0u32; LANES];
+            kernel::positional_count(&tids, &words, &mut acc);
             acc
         }) {
-            for lane in 0..lanes {
+            for (lane, &count) in acc.iter().enumerate() {
                 let expect = tids
                     .iter()
-                    .filter(|&&t| (block[(t as usize / 64) * lanes + lane] >> (t % 64)) & 1 == 1)
+                    .filter(|&&t| (words[t as usize] >> lane) & 1 == 1)
                     .count();
-                prop_assert_eq!(acc[lane] as usize, expect, "kernel {:?} lane {}", kind, lane);
+                prop_assert_eq!(count as usize, expect, "kernel {:?} lane {}", kind, lane);
             }
         }
     }
 
-    /// Bitmap::and_count_many ≡ mapping Bitmap::and_count, under every
-    /// kernel kind, for random bitmap widths (incl. partial last words).
+    /// One positional count over a cover's ids against a chunk's label
+    /// words equals, lane by lane, the single `Bitmap::and_count` of the
+    /// cover against that permutation's class bitmap, under every kind.
     #[test]
     fn bitmap_batched_matches_singles(
         n_bits in 1usize..=400,
-        n_others in 0usize..=6,
+        lanes in 1usize..=LANES,
         seed in 0u64..u64::MAX,
     ) {
-        let mut x = seed;
-        let mut next = || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z ^ (z >> 31)
-        };
-        let random_bitmap = |next: &mut dyn FnMut() -> u64| {
-            let tids: Vec<u32> = (0..n_bits as u32)
-                .filter(|_| next().is_multiple_of(2))
+        let n_classes = 3;
+        let mut next = splitmix(seed);
+        let cover_ids = TidSet::from_tids((0..n_bits as u32).filter(|_| next().is_multiple_of(2)));
+        let cover = Bitmap::from_tids(&cover_ids, n_bits);
+        let lane_labels: Vec<Vec<ClassId>> = (0..lanes)
+            .map(|_| (0..n_bits).map(|_| (next() % n_classes) as ClassId).collect())
+            .collect();
+        for class in 0..n_classes as ClassId {
+            let words: Vec<u64> = (0..n_bits)
+                .map(|t| {
+                    (0..lanes)
+                        .filter(|&lane| lane_labels[lane][t] == class)
+                        .fold(0, |w, lane| w | 1 << lane)
+                })
                 .collect();
-            Bitmap::from_tids(&TidSet::from_tids(tids), n_bits)
-        };
-        let cover = random_bitmap(&mut next);
-        let others: Vec<Bitmap> = (0..n_others).map(|_| random_bitmap(&mut next)).collect();
-        for (kind, batched) in per_kernel(|| cover.and_count_many(&others)) {
-            let singles: Vec<usize> = others.iter().map(|o| cover.and_count(o)).collect();
-            prop_assert_eq!(&batched, &singles, "kernel {:?}", kind);
+            for (kind, batched) in per_kernel(|| {
+                let mut acc = [0u32; LANES];
+                kernel::positional_count(cover_ids.tids(), &words, &mut acc);
+                acc
+            }) {
+                for (lane, labels) in lane_labels.iter().enumerate() {
+                    let single = cover.and_count(
+                        ClassBitmaps::from_labels(labels, n_classes as usize).class(class),
+                    );
+                    prop_assert_eq!(batched[lane] as usize, single, "kernel {:?} lane {}", kind, lane);
+                }
+            }
         }
     }
 }
@@ -186,67 +187,56 @@ fn engine_stats_are_kernel_invariant() {
         .expect("valid parameters")
         .generate(7);
     let mined = mine_rules(&dataset, &RuleMiningConfig::new(40));
-    let correction = PermutationCorrection::new(24).with_seed(123);
-    // Every backend, so both the lane-block popcount and the tid-list gather
-    // kernels run under each forced kind.
-    let runs = per_kernel(|| {
-        [
-            SupportBackend::TidLists,
-            SupportBackend::Bitmaps,
-            SupportBackend::Auto,
-        ]
-        .map(|backend| {
-            correction
-                .clone()
-                .with_backend(backend)
-                .collect_stats(&mined)
-        })
-    });
+    // 200 permutations: three full 64-lane chunks and a ragged chunk of 8.
+    let correction = PermutationCorrection::new(200).with_seed(123);
+    let runs = per_kernel(|| correction.collect_stats(&mined));
     let (_, reference) = &runs[0];
     for (kind, stats) in &runs {
         assert_eq!(stats, reference, "kernel {kind:?} diverged");
     }
 }
 
-/// `LaneBlock` / `ClassLaneBlocks` fills agree with per-permutation
-/// `ClassBitmaps` under forced kernels (guards the transposed fill itself).
+/// A forest's lane counts under each forced kernel kind equal the plain
+/// one-permutation pass on every live lane of a ragged chunk.
 #[test]
-fn lane_block_fill_is_kernel_invariant() {
-    let n = 130;
-    let n_classes = 3;
-    let lanes = 5;
-    let mut flat = Vec::with_capacity(lanes * n);
-    for lane in 0..lanes {
-        for t in 0..n {
-            flat.push(((t * 11 + lane * 7) % n_classes) as u32);
-        }
-    }
-    let cover = Bitmap::from_tids(&TidSet::from_tids((0..n as u32).step_by(3)), n);
-    let runs = per_kernel(|| {
-        let mut blocks = ClassLaneBlocks::new(n_classes, lanes, n);
-        blocks.fill(&flat);
-        let mut acc = vec![0u32; lanes];
-        let mut out = Vec::new();
-        for c in 0..n_classes as u32 {
-            blocks.class(c).and_count_per_lane(&cover, &mut acc);
-            out.extend_from_slice(&acc);
-        }
-        out
-    });
-    let (_, reference) = &runs[0];
-    for (kind, counts) in &runs {
-        assert_eq!(counts, reference, "kernel {kind:?} diverged");
-    }
-    // Also pin the block against a directly packed LaneBlock.
-    let mut manual = LaneBlock::zeros(lanes, n);
-    for lane in 0..lanes {
-        for t in 0..n as u32 {
-            if flat[lane * n + t as usize] == 0 {
-                manual.set(lane, t);
+fn lane_counts_are_kernel_invariant() {
+    let params = SyntheticParams::default()
+        .with_records(300)
+        .with_attributes(8);
+    let (dataset, _) = SyntheticGenerator::new(params)
+        .expect("valid parameters")
+        .generate(5);
+    let mined = mine_rules(&dataset, &RuleMiningConfig::new(30));
+    let forest = mined.forest();
+    let n = dataset.n_records();
+    let lanes = 37;
+    let lane_labels: Vec<Vec<ClassId>> = (0..lanes)
+        .map(|lane| (0..n).map(|t| mined.labels()[(t * 7 + lane) % n]).collect())
+        .collect();
+    for class in 0..mined.n_classes() as ClassId {
+        let words: Vec<u64> = (0..n)
+            .map(|t| {
+                (0..lanes)
+                    .filter(|&lane| lane_labels[lane][t] == class)
+                    .fold(0, |w, lane| w | 1 << lane)
+            })
+            .collect();
+        let total = mined.class_counts()[class as usize];
+        for (kind, out) in per_kernel(|| {
+            let mut out = Vec::new();
+            forest.rule_supports_lanes(&words, total, &mut out);
+            out
+        }) {
+            for (lane, labels) in lane_labels.iter().enumerate() {
+                let want = forest.rule_supports(labels, class);
+                for (node, &w) in want.iter().enumerate() {
+                    assert_eq!(
+                        out[node * LANES + lane] as usize,
+                        w,
+                        "kernel {kind:?} class {class} lane {lane} node {node}"
+                    );
+                }
             }
         }
     }
-    let mut acc = vec![0u32; lanes];
-    manual.and_count_per_lane(&cover, &mut acc);
-    assert_eq!(&reference[..lanes], &acc[..]);
 }

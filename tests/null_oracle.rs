@@ -3,7 +3,7 @@
 //! For each permutation the oracle shuffles a fresh copy of the labels under
 //! the public `(seed, i)` derivation, recounts every rule's support by
 //! scanning the raw records, and scores the rule with the two-tailed Fisher
-//! exact test.  It uses no forest, support plan, diffset, class index,
+//! exact test.  It uses no forest, label word, diffset, class index,
 //! p-value buffer or chunking, so it shares none of the engine's machinery
 //! beyond the shuffle and the Fisher test it restates.  The engine must
 //! reproduce it: bit for bit with unbuffered p-values, and with the p-value
@@ -64,6 +64,13 @@ fn oracle(dataset: &Dataset, mined: &MinedRuleSet, n_perms: usize, seed: u64) ->
     }
 }
 
+/// Permutation counts around the 64-permutation chunk: one short chunk, one
+/// full chunk, a full chunk plus one, a two-chunk run ending ragged, and
+/// three full chunks plus a ragged 8.
+fn n_perms() -> impl Strategy<Value = usize> {
+    (0usize..5).prop_map(|i| [7, 64, 65, 130, 200][i])
+}
+
 /// Strategy: a small synthetic dataset with one embedded rule, its mined
 /// rule set, a permutation count (short tail chunks included) and a shuffle
 /// seed.
@@ -73,7 +80,7 @@ fn oracle_case() -> impl Strategy<Value = (Dataset, MinedRuleSet, usize, u64)> {
         5usize..=8,
         0u64..500,
         70u64..95,
-        1usize..=20,
+        n_perms(),
         0u64..10_000,
     )
         .prop_map(
@@ -97,7 +104,7 @@ fn oracle_case() -> impl Strategy<Value = (Dataset, MinedRuleSet, usize, u64)> {
 /// so every pattern yields a rule for every class and the engine derives the
 /// last class's supports from the coverages instead of sweeping it.
 fn three_class_case() -> impl Strategy<Value = (Dataset, MinedRuleSet, usize, u64)> {
-    (150usize..=240, 0u64..500, 1usize..=20, 0u64..10_000).prop_map(
+    (150usize..=240, 0u64..500, n_perms(), 0u64..10_000).prop_map(
         |(records, data_seed, n_perms, shuffle_seed)| {
             let dataset = three_class_baskets(records, data_seed);
             let mined = mine_rules(&dataset, &RuleMiningConfig::new(records / 10));
@@ -127,7 +134,7 @@ fn three_class_baskets(records: usize, seed: u64) -> Dataset {
 /// rule covers at least `min_sup ≥ 15` records, so no class-2 rule reaches
 /// that confidence: class 2 has no rules and nothing is derived.
 fn rule_less_class_case() -> impl Strategy<Value = (Dataset, MinedRuleSet, usize, u64)> {
-    (150usize..=240, 0u64..500, 1usize..=20, 0u64..10_000).prop_map(
+    (150usize..=240, 0u64..500, n_perms(), 0u64..10_000).prop_map(
         |(records, data_seed, n_perms, shuffle_seed)| {
             let base = three_class_baskets(records, data_seed);
             let labels: Vec<ClassId> = base
@@ -160,18 +167,15 @@ fn classes_with_rules(mined: &MinedRuleSet) -> Vec<ClassId> {
 
 /// Checks the engine against the oracle for one correction: exactly when
 /// unbuffered, and with the buffers to within the float tolerance they are
-/// allowed (pool counts exact, minima within 1e-9), on one thread and two.
+/// allowed (pool counts exact, minima within 1e-9), on one to three threads.
 fn check_against_oracle(
     expected: &PermutationStats,
     correction: &PermutationCorrection,
     mined: &MinedRuleSet,
 ) -> Result<(), String> {
-    for threads in [1usize, 2] {
+    for threads in [1usize, 2, 3] {
         let stats = run(correction, mined, threads);
-        let case = format!(
-            "buffer={:?} backend={:?} threads={threads}",
-            correction.buffer, correction.backend
-        );
+        let case = format!("buffer={:?} threads={threads}", correction.buffer);
         if correction.buffer == BufferStrategy::None {
             prop_assert_eq!(expected, &stats, "{}", case);
             continue;
@@ -206,18 +210,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Unbuffered p-values are the oracle's Fisher test exactly, so the
-    /// whole null matches bit for bit — for the tid-list and density-auto
-    /// backends, on one thread and on two.
+    /// whole null matches bit for bit, on one to three threads.
     #[test]
     fn unbuffered_engine_equals_the_oracle((dataset, mined, n_perms, seed) in oracle_case()) {
         let expected = oracle(&dataset, &mined, n_perms, seed);
-        for backend in [SupportBackend::TidLists, SupportBackend::Auto] {
-            let correction = PermutationCorrection::new(n_perms)
-                .with_seed(seed)
-                .with_buffer(BufferStrategy::None)
-                .with_backend(backend);
-            check_against_oracle(&expected, &correction, &mined)?;
-        }
+        let correction = PermutationCorrection::new(n_perms)
+            .with_seed(seed)
+            .with_buffer(BufferStrategy::None);
+        check_against_oracle(&expected, &correction, &mined)?;
     }
 
     /// The p-value buffers may move a p-value by float rounding only: pool

@@ -1,12 +1,14 @@
-//! Property tests for the parallel bitset permutation engine: whatever the
-//! worker count (a one-thread pool is the serial engine), support-counting
-//! backend (tid-lists vs. bitmaps vs. density auto-selection), range
-//! partition or buffer strategy, `collect_stats` must produce **identical**
+//! Property tests for the parallel bit-sliced permutation engine: whatever
+//! the worker count (a one-thread pool is the serial engine), counting
+//! kernel (scalar vs. SIMD positional count), range partition or buffer
+//! strategy, `collect_stats` must produce **identical**
 //! `PermutationStats` for the same seed.  This is the contract that makes
 //! the engine's parallelism and vectorisation invisible to the statistics of
 //! the paper; `tests/null_oracle.rs` checks the statistics themselves.
 
 use proptest::prelude::*;
+use sigrule_repro::core::correction::permutation::PERMS_PER_CHUNK;
+use sigrule_repro::data::kernel::{self, KernelKind};
 use sigrule_repro::prelude::*;
 use std::sync::Arc;
 
@@ -14,12 +16,24 @@ use std::sync::Arc;
 /// rule confidence, generator seed) plus a permutation count and shuffle
 /// seed — small enough that every case runs the engine a dozen ways.
 fn engine_case() -> impl Strategy<Value = (MinedRuleSet, usize, u64)> {
+    engine_case_with(4usize..=20)
+}
+
+/// [`engine_case`] over runs of at least three chunks, most ending ragged:
+/// range partitions split mid-run.
+fn multi_chunk_case() -> impl Strategy<Value = (MinedRuleSet, usize, u64)> {
+    engine_case_with(2 * PERMS_PER_CHUNK + 1..=4 * PERMS_PER_CHUNK + 7)
+}
+
+fn engine_case_with(
+    n_perms: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = (MinedRuleSet, usize, u64)> {
     (
         150usize..=350,
         6usize..=10,
         0u64..500,
         70u64..95,
-        4usize..=20,
+        n_perms,
         0u64..10_000,
     )
         .prop_map(
@@ -54,7 +68,6 @@ fn serial(correction: &PermutationCorrection, mined: &MinedRuleSet) -> Permutati
 /// merge order.  Driven by a tiny xorshift so the partition is a pure
 /// function of the proptest-supplied seed (which must be nonzero).
 fn random_partition(n_perms: usize, mut state: u64) -> Vec<(usize, usize)> {
-    use sigrule_repro::core::correction::permutation::PERMS_PER_CHUNK;
     let mut next = move || {
         state ^= state << 13;
         state ^= state >> 7;
@@ -91,19 +104,22 @@ proptest! {
         }
     }
 
-    /// The three support-counting backends count identical sets, so the
-    /// statistics match exactly — on one thread and on the default pool.
+    /// The scalar and SIMD positional-count kernels count identical sets,
+    /// so the statistics match exactly — on one thread and on the default
+    /// pool.
     #[test]
     fn backends_agree_bitwise((mined, n_perms, seed) in engine_case()) {
-        let reference = serial(
-            &engine(n_perms, seed).with_backend(SupportBackend::TidLists),
-            &mined,
-        );
-        for backend in [SupportBackend::Bitmaps, SupportBackend::Auto] {
-            let correction = engine(n_perms, seed).with_backend(backend);
-            prop_assert_eq!(&reference, &serial(&correction, &mined), "backend={:?}", backend);
-            prop_assert_eq!(&reference, &correction.collect_stats(&mined), "backend={:?}", backend);
+        let correction = engine(n_perms, seed);
+        kernel::force(Some(KernelKind::Scalar));
+        let reference = serial(&correction, &mined);
+        let mut kinds = vec![KernelKind::Scalar];
+        kinds.extend(kernel::simd_kind());
+        for kind in kinds {
+            kernel::force(Some(kind));
+            prop_assert_eq!(&reference, &serial(&correction, &mined), "kernel={:?}", kind);
+            prop_assert_eq!(&reference, &correction.collect_stats(&mined), "kernel={:?}", kind);
         }
+        kernel::force(None);
     }
 
     /// Buffer strategies change only *how* p-values are obtained, never their
@@ -132,7 +148,7 @@ proptest! {
     /// processes can never change a statistic.
     #[test]
     fn chunk_aligned_partitions_merge_bit_identically(
-        ((mined, n_perms, seed), part_seed) in (engine_case(), 1u64..u64::MAX)
+        ((mined, n_perms, seed), part_seed) in (multi_chunk_case(), 1u64..u64::MAX)
     ) {
         use sigrule_repro::core::correction::permutation::PartialPermutationStats;
 
