@@ -250,7 +250,7 @@ fn distribute_null(
 ) -> Result<Vec<String>, CliError> {
     let workers = coordinate::parse_worker_list(workers_spec)
         .map_err(|e| CliError::Usage(UsageError(format!("--workers: {e}"))))?;
-    if workers.is_empty() || opts.permutations == 0 {
+    if workers.is_empty() {
         return Ok(Vec::new());
     }
     let n_records = engine.dataset().n_records();
@@ -287,6 +287,14 @@ pub fn correct(args: &ArgMap) -> Result<Report, CliError> {
 
     let (dataset, mut warnings, format, load_ms) = load_input(&opts)?;
     let n_records = dataset.n_records();
+    let roster = method_roster()
+        .into_iter()
+        .map(|(approach, metric)| query_for(&opts, n_records, approach, metric))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Before mining or any scatter: an invalid row fails the command first.
+    for query in &roster {
+        query.validate()?;
+    }
     // One resident engine for the whole roster: the rule set is mined once
     // and the permutation null is collected once, shared by the FWER and FDR
     // permutation rows (the engine's null cache keys on (mining, N, seed),
@@ -310,8 +318,8 @@ pub fn correct(args: &ArgMap) -> Result<Report, CliError> {
             "time_ms",
         ],
     );
-    for (approach, metric) in method_roster() {
-        let outcome = engine.query(&query_for(&opts, n_records, approach, metric)?)?;
+    for query in &roster {
+        let outcome = engine.query(query)?;
         table.push_row(method_summary_row(
             &outcome.result,
             millis(outcome.timings.null + outcome.timings.correct),

@@ -11,13 +11,9 @@
 //! decisions plus the effective cut-off, so the evaluation crate can score
 //! power, FWER and FDR uniformly.
 //!
-//! The approaches are additionally unified behind the [`Correction`] trait:
-//! each implementation consumes a [`CorrectionContext`] (dataset, mined rule
-//! set, metric, α, plus any engine-cached artifacts) and produces a
-//! [`CorrectionResult`].  The free functions remain the reference entry
-//! points; the trait is what the session-oriented
-//! [`Engine`](crate::engine::Engine) dispatches, picking the implementation
-//! a query's [`CorrectionApproach`] names.
+//! The free functions are the one implementation of each decision; the
+//! session-oriented [`Engine`](crate::engine::Engine) matches on a query's
+//! [`CorrectionApproach`] and calls them over the artifacts it has cached.
 
 pub mod direct;
 pub mod holdout;
@@ -28,10 +24,8 @@ use crate::config::RuleMiningConfig;
 use crate::miner::MinedRuleSet;
 use crate::rule::ClassRule;
 use holdout::HoldoutEvaluation;
-use permutation::{PermutationCorrection, PermutationStats};
 use serde::{Deserialize, Serialize};
 use sigrule_data::Dataset;
-use sigrule_stats::SharedTableSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -220,164 +214,8 @@ impl CorrectionResult {
     }
 }
 
-/// Everything a [`Correction`] needs to decide significance: the dataset and
-/// mined rule set being queried, the metric and level to control at, and any
-/// expensive artifacts a resident engine has already cached.
-///
-/// The cached fields are strictly optional accelerations: an implementation
-/// must produce **bit-identical** results whether they are present or not
-/// (the permutation null, the static p-value tables and the holdout
-/// evaluation are deterministic functions of the other fields, so this holds
-/// by construction).
-#[derive(Debug, Clone, Copy)]
-pub struct CorrectionContext<'a> {
-    /// The dataset the rules were mined from (needed by data-splitting
-    /// approaches such as the holdout).
-    pub dataset: &'a Dataset,
-    /// The mined rule set to correct.
-    pub mined: &'a MinedRuleSet,
-    /// The error metric to control.
-    pub metric: ErrorMetric,
-    /// The significance level α.
-    pub alpha: f64,
-    /// An already-collected permutation null for this (mined rule set,
-    /// permutation count, seed), when the caller cached one; `None` makes
-    /// the permutation approach collect it on the fly.
-    pub null: Option<&'a PermutationStats>,
-    /// Prebuilt static p-value tables for this mined rule set, when the
-    /// caller cached them; only consulted when the null must be collected.
-    pub tables: Option<&'a SharedTableSet>,
-    /// An already-evaluated random holdout split for this (mining
-    /// configuration, seed), when the caller cached one; `None` makes the
-    /// holdout approach split, mine and re-score on the fly.
-    pub holdout: Option<&'a HoldoutEvaluation>,
-}
-
-impl<'a> CorrectionContext<'a> {
-    /// A context with no cached artifacts: the correction collects whatever
-    /// it needs itself.
-    pub fn fresh(
-        dataset: &'a Dataset,
-        mined: &'a MinedRuleSet,
-        metric: ErrorMetric,
-        alpha: f64,
-    ) -> Self {
-        CorrectionContext {
-            dataset,
-            mined,
-            metric,
-            alpha,
-            null: None,
-            tables: None,
-            holdout: None,
-        }
-    }
-}
-
-/// A false-positive-control approach, abstracted over its parameters: given a
-/// mined rule set (plus optional cached artifacts) it decides which rules are
-/// significant.  Implementations are plain data (`Send + Sync`), so a boxed
-/// correction can be dispatched from any engine worker thread.
-pub trait Correction: Send + Sync {
-    /// The correction-specific expensive artifact that depends only on the
-    /// mined rule set — never on α or the metric — and is therefore cacheable
-    /// across queries.  Returns `Ok(None)` for approaches with no such
-    /// precomputation (everything except the permutation approach today).
-    ///
-    /// The collection is cancellable: `cancel` is checked between permutation
-    /// chunks, and a fired token aborts with [`Cancelled`] at the next chunk
-    /// boundary.  Pass [`CancelToken::none`] for the infallible one-shot
-    /// path.
-    fn collect_null(
-        &self,
-        _ctx: &CorrectionContext<'_>,
-        _cancel: &CancelToken,
-    ) -> Result<Option<PermutationStats>, Cancelled> {
-        Ok(None)
-    }
-
-    /// Decides significance.  Must be deterministic given the context.
-    fn apply(&self, ctx: &CorrectionContext<'_>) -> CorrectionResult;
-}
-
-/// [`Correction`] implementation of the uncorrected baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Uncorrected;
-
-impl Correction for Uncorrected {
-    fn apply(&self, ctx: &CorrectionContext<'_>) -> CorrectionResult {
-        no_correction(ctx.mined, ctx.alpha)
-    }
-}
-
-/// [`Correction`] implementation of the direct adjustment (§4.1): Bonferroni
-/// under FWER, Benjamini–Hochberg under FDR.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DirectAdjustment;
-
-impl Correction for DirectAdjustment {
-    fn apply(&self, ctx: &CorrectionContext<'_>) -> CorrectionResult {
-        match ctx.metric {
-            ErrorMetric::Fwer => direct::bonferroni(ctx.mined, ctx.alpha),
-            ErrorMetric::Fdr => direct::benjamini_hochberg(ctx.mined, ctx.alpha),
-        }
-    }
-}
-
-/// [`Correction`] implementation of the permutation approach (§4.2).  When
-/// the context carries a cached null it is used as-is; otherwise the null is
-/// collected (reusing cached static tables when present).
-#[derive(Debug, Clone, Copy)]
-pub struct PermutationApproach {
-    /// Number of permutations `N`.
-    pub n_permutations: usize,
-    /// Seed of the label shuffler.
-    pub seed: u64,
-}
-
-impl PermutationApproach {
-    /// The configured engine this approach runs.
-    pub fn correction(&self) -> PermutationCorrection {
-        PermutationCorrection::new(self.n_permutations).with_seed(self.seed)
-    }
-}
-
-impl Correction for PermutationApproach {
-    fn collect_null(
-        &self,
-        ctx: &CorrectionContext<'_>,
-        cancel: &CancelToken,
-    ) -> Result<Option<PermutationStats>, Cancelled> {
-        self.correction()
-            .collect_stats_range(ctx.mined, ctx.tables, cancel, 0, self.n_permutations)
-            .map(|partial| Some(partial.into()))
-    }
-
-    fn apply(&self, ctx: &CorrectionContext<'_>) -> CorrectionResult {
-        let correction = self.correction();
-        let decide = |stats: &PermutationStats| match ctx.metric {
-            ErrorMetric::Fwer => correction.fwer_from_stats(ctx.mined, stats, ctx.alpha),
-            ErrorMetric::Fdr => correction.fdr_from_stats(ctx.mined, stats, ctx.alpha),
-        };
-        match ctx.null {
-            Some(stats) => decide(stats),
-            None => decide(
-                &correction
-                    .collect_stats_range(
-                        ctx.mined,
-                        ctx.tables,
-                        &CancelToken::none(),
-                        0,
-                        self.n_permutations,
-                    )
-                    .expect("the never-firing token cannot cancel")
-                    .into(),
-            ),
-        }
-    }
-}
-
-/// [`Correction`] implementation of the random holdout (§4.3).
+/// The random holdout (§4.3): the split seed and the exploratory half's
+/// mining configuration.
 #[derive(Debug, Clone)]
 pub struct RandomHoldout {
     /// Seed of the random split.
@@ -409,21 +247,6 @@ impl RandomHoldout {
     ) -> Result<HoldoutEvaluation, Cancelled> {
         let (exploratory, evaluation) = holdout::random_split(dataset, self.seed);
         HoldoutEvaluation::evaluate(&exploratory, &evaluation, &self.exploratory, cancel)
-    }
-}
-
-impl Correction for RandomHoldout {
-    fn apply(&self, ctx: &CorrectionContext<'_>) -> CorrectionResult {
-        match ctx.holdout {
-            Some(evaluation) => evaluation.decide(ctx.metric, ctx.alpha, "RH"),
-            None => holdout::random_holdout(
-                ctx.dataset,
-                self.seed,
-                &self.exploratory,
-                ctx.metric,
-                ctx.alpha,
-            ),
-        }
     }
 }
 
@@ -480,74 +303,18 @@ mod tests {
     }
 
     #[test]
-    fn trait_dispatch_matches_the_free_functions() {
-        let params = SyntheticParams::default()
-            .with_records(400)
-            .with_attributes(10)
-            .with_rules(1)
-            .with_coverage(80, 80)
-            .with_confidence(0.9, 0.9);
-        let (d, _) = SyntheticGenerator::new(params).unwrap().generate(5);
-        let m = mine_rules(&d, &RuleMiningConfig::new(40));
-
-        let ctx = CorrectionContext::fresh(&d, &m, ErrorMetric::Fwer, 0.05);
-        assert_eq!(Uncorrected.apply(&ctx), no_correction(&m, 0.05));
-        assert_eq!(DirectAdjustment.apply(&ctx), direct::bonferroni(&m, 0.05));
-        let fdr_ctx = CorrectionContext {
-            metric: ErrorMetric::Fdr,
-            ..ctx
-        };
-        assert_eq!(
-            DirectAdjustment.apply(&fdr_ctx),
-            direct::benjamini_hochberg(&m, 0.05)
-        );
-
-        let perm = PermutationApproach {
-            n_permutations: 30,
-            seed: 9,
-        };
-        let reference = perm.correction().control_fwer(&m, 0.05);
-        // Fresh context: the null is collected inside apply.
-        assert_eq!(perm.apply(&ctx), reference);
-        // Cached context: the engine collected the null once, any α reuses it.
-        let none = CancelToken::none();
-        let null = perm
-            .collect_null(&ctx, &none)
-            .expect("the never-firing token cannot cancel")
-            .expect("permutation has a null");
-        let cached_ctx = CorrectionContext {
-            null: Some(&null),
-            ..ctx
-        };
-        assert_eq!(perm.apply(&cached_ctx), reference);
-        // A pre-cancelled token aborts the collection instead.
-        let fired = CancelToken::new();
-        fired.cancel();
-        assert!(perm.collect_null(&ctx, &fired).is_err());
-
+    fn random_holdout_mines_the_exploratory_half_at_half_min_sup() {
+        let m = mined();
         let hd = RandomHoldout::from_mining(11, m.config());
+        assert_eq!(hd.seed, 11);
+        assert_eq!(m.config().min_sup, 40);
         assert_eq!(hd.exploratory.min_sup, 20);
         assert_eq!(
-            hd.apply(&ctx),
-            holdout::random_holdout(&d, 11, &hd.exploratory, ErrorMetric::Fwer, 0.05)
+            RandomHoldout::from_mining(11, &RuleMiningConfig::new(1))
+                .exploratory
+                .min_sup,
+            1
         );
-        // Approaches with no cacheable artifact report so.
-        assert!(Uncorrected.collect_null(&ctx, &none).unwrap().is_none());
-        assert!(DirectAdjustment
-            .collect_null(&ctx, &none)
-            .unwrap()
-            .is_none());
-        assert!(hd.collect_null(&ctx, &none).unwrap().is_none());
-        // A cached holdout evaluation decides exactly what a fresh split does.
-        let evaluation = hd.evaluate(&d, &none).unwrap();
-        for metric in [ErrorMetric::Fwer, ErrorMetric::Fdr] {
-            let fresh = CorrectionContext { metric, ..ctx };
-            let cached = CorrectionContext {
-                holdout: Some(&evaluation),
-                ..fresh
-            };
-            assert_eq!(hd.apply(&cached), hd.apply(&fresh));
-        }
     }
 
     #[test]

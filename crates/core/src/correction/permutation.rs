@@ -441,6 +441,12 @@ pub fn rayon_pool(threads: usize) -> Result<rayon::ThreadPool, rayon::ThreadPool
 /// [`PermutationCorrection::collect_stats_range`]).
 pub const PERMS_PER_CHUNK: usize = LANES;
 
+/// The largest permutation count a query or shard may ask for: 2^20, so the
+/// per-permutation minima a null keeps come to at most 8 MiB.  The paper and
+/// every default use 1,000.  A null is allocated before its first chunk
+/// runs, so an unbounded count from outside could abort the process.
+pub const MAX_PERMUTATIONS: usize = 1 << 20;
+
 /// What one chunk of permutations reduces to.
 struct ChunkStats {
     /// Minimum p-value per permutation of the chunk, in permutation order.

@@ -8,7 +8,10 @@
 //! `Loader` → `Engine` → `Query`; a resident `sigrule serve` process keeps
 //! the engine and answers many queries, so both paths run the same code and
 //! warm answers are bit-identical to cold ones — the engine is a caching
-//! layer, never a semantics change.
+//! layer, never a semantics change.  A query decides with one `match` on its
+//! [`CorrectionApproach`], calling the function in
+//! [`correction`](crate::correction) that implements that approach over the
+//! artifacts the engine has cached.
 //!
 //! Most of what a query builds is reusable across queries that only vary the
 //! significance level, error metric, or correction approach:
@@ -57,10 +60,11 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::RuleMiningConfig;
 use crate::correction::holdout::HoldoutEvaluation;
-use crate::correction::permutation::{rayon_pool, PermutationCorrection, PermutationStats};
+use crate::correction::permutation::{
+    rayon_pool, PermutationCorrection, PermutationStats, MAX_PERMUTATIONS,
+};
 use crate::correction::{
-    Correction, CorrectionApproach, CorrectionContext, CorrectionResult, DirectAdjustment,
-    ErrorMetric, PermutationApproach, RandomHoldout, Uncorrected,
+    direct, no_correction, CorrectionApproach, CorrectionResult, ErrorMetric, RandomHoldout,
 };
 use crate::miner::{mine_rules_cancellable, MinedRuleSet};
 use sigrule_data::loader::{
@@ -330,6 +334,17 @@ struct NullLookup {
     elapsed: Duration,
 }
 
+/// Runs one decision after a last cancellation check, and times it.
+fn timed(
+    cancel: &CancelToken,
+    decide: impl FnOnce() -> Result<CorrectionResult, Cancelled>,
+) -> Result<(CorrectionResult, Duration), Cancelled> {
+    cancel.check()?;
+    let start = Instant::now();
+    let result = decide()?;
+    Ok((result, start.elapsed()))
+}
+
 /// The state of a [`FillCell`]: never filled, being filled by one thread, or
 /// filled for good.
 #[derive(Debug)]
@@ -519,10 +534,13 @@ impl Query {
             )));
         }
         self.mining.validate().map_err(PipelineError::Config)?;
-        if self.approach == CorrectionApproach::Permutation && self.n_permutations == 0 {
-            return Err(PipelineError::Config(
-                "the permutation approach needs at least 1 permutation".into(),
-            ));
+        if self.approach == CorrectionApproach::Permutation
+            && !(1..=MAX_PERMUTATIONS).contains(&self.n_permutations)
+        {
+            return Err(PipelineError::Config(format!(
+                "the permutation approach needs 1 to {MAX_PERMUTATIONS} permutations, got {}",
+                self.n_permutations
+            )));
         }
         if self.threads == Some(0) {
             return Err(PipelineError::Config(
@@ -530,33 +548,6 @@ impl Query {
             ));
         }
         Ok(())
-    }
-
-    /// The [`Correction`] this query dispatches.
-    pub fn correction(&self) -> Box<dyn Correction> {
-        match self.approach {
-            CorrectionApproach::None => Box::new(Uncorrected),
-            CorrectionApproach::Direct => Box::new(DirectAdjustment),
-            CorrectionApproach::Permutation => Box::new(PermutationApproach {
-                n_permutations: self.n_permutations,
-                seed: self.seed,
-            }),
-            CorrectionApproach::Holdout => {
-                Box::new(RandomHoldout::from_mining(self.seed, &self.mining))
-            }
-        }
-    }
-
-    /// The null-distribution cache key, when this query's correction has a
-    /// cacheable null (the permutation approach).
-    fn null_key(&self) -> Option<NullKey> {
-        (self.approach == CorrectionApproach::Permutation).then(|| {
-            (
-                MiningKey::from(&self.mining),
-                self.n_permutations,
-                self.seed,
-            )
-        })
     }
 }
 
@@ -1057,40 +1048,45 @@ impl Engine {
         let cancel = &query.cancel;
         cancel.check()?;
         let (entry, mine_time, mined_cached) = self.mine_entry(&query.mining, cancel)?;
-        let correction = query.correction();
-        let dataset = self.shared.dataset();
-        let ctx = CorrectionContext::fresh(dataset, &entry.mined, query.metric, query.alpha);
+        let mined = &entry.mined;
+        let (metric, alpha) = (query.metric, query.alpha);
 
-        // Null stage: look the cacheable null up, collecting it on a miss.
-        let null = match query.null_key() {
-            None => None,
-            Some(key) => Some(self.null_stats(&entry, key, cancel, |tables| {
-                let ctx = CorrectionContext {
-                    tables: Some(tables),
-                    ..ctx
-                };
-                correction
-                    .collect_null(&ctx, cancel)
-                    .map(|stats| stats.expect("a correction with a null key collects a null"))
-            })?),
+        // One decision per approach.  The permutation null is looked up (and
+        // collected on a miss) first; every decision is cheap and never
+        // cached, since it depends on α and the metric.  A holdout query
+        // looks its evaluated split up inside the decision, so the fill
+        // counts towards the decision time.
+        let mut null = None;
+        let (result, correct_time) = match query.approach {
+            CorrectionApproach::None => timed(cancel, || Ok(no_correction(mined, alpha)))?,
+            CorrectionApproach::Direct => timed(cancel, || {
+                Ok(match metric {
+                    ErrorMetric::Fwer => direct::bonferroni(mined, alpha),
+                    ErrorMetric::Fdr => direct::benjamini_hochberg(mined, alpha),
+                })
+            })?,
+            CorrectionApproach::Permutation => {
+                let n = query.n_permutations;
+                let correction = PermutationCorrection::new(n).with_seed(query.seed);
+                let key = (MiningKey::from(&query.mining), n, query.seed);
+                let lookup = self.null_stats(&entry, key, cancel, |tables| {
+                    correction
+                        .collect_stats_range(mined, Some(tables), cancel, 0, n)
+                        .map(PermutationStats::from)
+                })?;
+                let stats = &null.insert(lookup).stats;
+                timed(cancel, || {
+                    Ok(match metric {
+                        ErrorMetric::Fwer => correction.fwer_from_stats(mined, stats, alpha),
+                        ErrorMetric::Fdr => correction.fdr_from_stats(mined, stats, alpha),
+                    })
+                })?
+            }
+            CorrectionApproach::Holdout => timed(cancel, || {
+                let holdout = self.holdout_entry(&entry, query)?;
+                Ok(holdout.evaluation.decide(metric, alpha, "RH"))
+            })?,
         };
-
-        // Decision stage: cheap, never cached (it depends on α and metric).
-        // A holdout query first looks its evaluated split up, filling it on
-        // a miss; the fill counts towards the decision time.
-        cancel.check()?;
-        let start = Instant::now();
-        let holdout = match query.approach {
-            CorrectionApproach::Holdout => Some(self.holdout_entry(&entry, query)?),
-            _ => None,
-        };
-        let ctx = CorrectionContext {
-            null: null.as_ref().map(|n| &*n.stats),
-            holdout: holdout.as_ref().map(|h| &h.evaluation),
-            ..ctx
-        };
-        let result = correction.apply(&ctx);
-        let correct_time = start.elapsed();
 
         Ok(QueryOutcome {
             mined: entry.mined.clone(),
@@ -1400,6 +1396,8 @@ mod tests {
             Query::new(RuleMiningConfig::new(10)).with_alpha(0.0),
             Query::new(RuleMiningConfig::new(10)).with_alpha(1.5),
             perm_query(10).with_permutations(0),
+            perm_query(10).with_permutations(MAX_PERMUTATIONS + 1),
+            perm_query(10).with_permutations(usize::MAX),
             threadless,
         ] {
             assert!(matches!(invalid.validate(), Err(PipelineError::Config(_))));
@@ -1409,6 +1407,16 @@ mod tests {
             ));
         }
         assert_eq!(engine.stats().queries, 0, "rejected before counting");
+        // The bound itself is a valid count (validated only, never run).
+        assert!(perm_query(10)
+            .with_permutations(MAX_PERMUTATIONS)
+            .validate()
+            .is_ok());
+        // A count is only bounded where a null is collected.
+        assert!(Query::new(RuleMiningConfig::new(10))
+            .with_permutations(usize::MAX)
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -58,9 +58,7 @@ pub mod rule;
 
 pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use config::RuleMiningConfig;
-pub use correction::{
-    Correction, CorrectionApproach, CorrectionContext, CorrectionResult, ErrorMetric,
-};
+pub use correction::{CorrectionApproach, CorrectionResult, ErrorMetric};
 pub use engine::{
     CacheEntry, CacheEntryKind, Engine, EngineStats, Loader, PipelineError, Query, QueryOutcome,
 };

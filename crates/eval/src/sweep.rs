@@ -22,6 +22,7 @@ use crate::ground_truth::{resolve_truth, score_result};
 use crate::metrics::{AggregateMetrics, DatasetMetrics};
 use crate::report::{fmt_float, Table};
 use rayon::prelude::*;
+use sigrule::correction::permutation::MAX_PERMUTATIONS;
 use sigrule::engine::{Engine, Query};
 use sigrule::{CorrectionApproach, ErrorMetric, PipelineError, RuleMiningConfig};
 use sigrule_synth::{
@@ -246,8 +247,10 @@ impl SweepGrid {
             .corrections
             .iter()
             .any(|c| c.approach == CorrectionApproach::Permutation);
-        if needs_null && self.permutations == 0 {
-            return Err("the permutation approach needs at least 1 permutation".into());
+        if needs_null && !(1..=MAX_PERMUTATIONS).contains(&self.permutations) {
+            return Err(format!(
+                "the permutation approach needs 1 to {MAX_PERMUTATIONS} permutations"
+            ));
         }
         Ok(())
     }

@@ -928,6 +928,40 @@ mod tests {
         shutdown_worker(&addr);
     }
 
+    /// A `"workers"` request that fails validation is answered before any
+    /// null is scattered or collected, locally or remotely.
+    #[test]
+    fn serve_side_workers_request_is_validated_before_scattering() {
+        let path = fixture_path();
+        let nowhere = std::env::temp_dir().join("sigrule-no-such-worker.sock");
+        let state = ServerState::new();
+        let (resp, _) = handle_line(&state, &format!(r#"{{"cmd":"load","path":"{path}"}}"#));
+        assert!(resp.contains(r#""ok":true"#), "{resp}");
+        let too_many = sigrule::correction::permutation::MAX_PERMUTATIONS + 1;
+        for invalid in [
+            r#""alpha":2"#.to_string(),
+            format!(r#""permutations":{too_many}"#),
+        ] {
+            let (resp, _) = handle_line(
+                &state,
+                &format!(
+                    r#"{{"cmd":"correct","min_sup":4,"correction":"permutation",{invalid},"workers":"unix:{}"}}"#,
+                    nowhere.display()
+                ),
+            );
+            assert!(resp.contains(r#""code":"invalid_request""#), "{resp}");
+        }
+        let (resp, _) = handle_line(&state, r#"{"cmd":"stats"}"#);
+        let stats = Json::parse(&resp).unwrap();
+        for counter in ["mine_misses", "null_misses"] {
+            assert_eq!(
+                stats.get(counter).and_then(Json::as_u64),
+                Some(0),
+                "{counter}"
+            );
+        }
+    }
+
     #[test]
     fn serve_side_workers_field_round_trips() {
         let path = fixture_path();

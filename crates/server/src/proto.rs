@@ -15,9 +15,9 @@
 //!   one correction.  The mine fields above, plus `"correction"`
 //!   (`none`/`bonferroni`/`bh`/`permutation`/`holdout`, default
 //!   `bonferroni`), `"metric"` (`fwer`/`fdr`), `"alpha"` (default 0.05),
-//!   `"permutations"` (default 1000), `"seed"` (default 17), `"threads"`,
-//!   `"top"` (significant rules listed in the response; default 20, 0 =
-//!   all).
+//!   `"permutations"` (default 1000, at most 2^20), `"seed"` (default 17),
+//!   `"threads"`, `"top"` (significant rules listed in the response;
+//!   default 20, 0 = all).
 //! * `{"cmd":"stats","dataset":"..."}` — engine/cache statistics of the
 //!   named dataset, entry counts and approximate resident bytes included.
 //! * `{"cmd":"registry_stats"}` — every registered dataset's cache/size
@@ -47,7 +47,7 @@ use crate::error::{ErrorCode, ServerError};
 use crate::json::{Json, JsonError, ObjectBuilder};
 use crate::registry::EngineRegistry;
 use sigrule::cancel::CancelToken;
-use sigrule::correction::permutation::{PermutationCorrection, PERMS_PER_CHUNK};
+use sigrule::correction::permutation::{PermutationCorrection, MAX_PERMUTATIONS, PERMS_PER_CHUNK};
 use sigrule::engine::{Engine, Loader, Query, QueryOutcome};
 use sigrule::rule::sort_by_significance;
 use sigrule::{ClassRule, CorrectionApproach, RuleMiningConfig};
@@ -512,6 +512,8 @@ fn handle_correct(
     if let Some(threads) = get_threads(req)? {
         query = query.with_threads(threads);
     }
+    // Before any scatter: an invalid query must not collect a null first.
+    query.validate()?;
     let top = get_usize(req, "top")?.unwrap_or(20);
     let workers = match get_str(req, "workers")? {
         Some(spec) => crate::coordinate::parse_worker_list(&spec)
@@ -526,10 +528,7 @@ fn handle_correct(
     // bit-identical to a local run by the merge contract, so the only
     // response-visible difference is `null_cached` (and the `stats` shard
     // counters).
-    if !workers.is_empty()
-        && approach == CorrectionApproach::Permutation
-        && query.n_permutations > 0
-    {
+    if !workers.is_empty() && approach == CorrectionApproach::Permutation {
         let spec = crate::coordinate::ShardSpec {
             dataset: name.clone(),
             mining: query.mining.clone(),
@@ -617,6 +616,12 @@ fn handle_perm_shard(
     let (name, engine) = state.engine_for(req)?;
     let mining = mining_config(req, engine.dataset().n_records())?;
     let n_permutations = get_usize(req, "permutations")?.unwrap_or(1000);
+    if n_permutations > MAX_PERMUTATIONS {
+        return Err(format!(
+            "a null has at most {MAX_PERMUTATIONS} permutations, got {n_permutations}"
+        )
+        .into());
+    }
     let seed = get_u64(req, "seed")?.unwrap_or(17);
     let Some(start) = get_usize(req, "start")? else {
         return Err("\"start\" is required".to_string().into());
@@ -1238,6 +1243,52 @@ pub(crate) mod tests {
             &format!(r#"{{"cmd":"load","path":"{path}","name":""}}"#),
         );
         assert!(err(&resp).contains("name"));
+    }
+
+    /// A permutation count past [`MAX_PERMUTATIONS`] is a permanent
+    /// invalid request on `correct` and `perm_shard` alike, answered before
+    /// any null is allocated, and the session keeps answering.
+    #[test]
+    fn oversized_permutation_counts_are_invalid_requests() {
+        let state = ServerState::new();
+        let path = fixture_path();
+        ok(&handle_line(&state, &format!(r#"{{"cmd":"load","path":"{path}"}}"#)).0);
+        for n in [u64::MAX, 1 << 40, MAX_PERMUTATIONS as u64 + 1] {
+            for line in [
+                format!(
+                    r#"{{"cmd":"correct","min_sup":8,"correction":"permutation","permutations":{n}}}"#
+                ),
+                format!(
+                    r#"{{"cmd":"perm_shard","min_sup":8,"permutations":{n},"start":0,"end":64}}"#
+                ),
+                format!(
+                    r#"{{"cmd":"perm_shard","min_sup":8,"permutations":{n},"start":0,"end":{n}}}"#
+                ),
+            ] {
+                let (resp, _) = handle_line(&state, &line);
+                assert!(err(&resp).contains("permutations"), "{line}: {resp}");
+                let parsed = Json::parse(&resp).unwrap();
+                assert_eq!(
+                    parsed.get("code").and_then(Json::as_str),
+                    Some("invalid_request"),
+                    "{line}"
+                );
+                assert_eq!(
+                    parsed.get("error_kind").and_then(Json::as_str),
+                    Some("permanent"),
+                    "{line}"
+                );
+                ok(&handle_line(&state, r#"{"cmd":"stats"}"#).0);
+            }
+        }
+        let stats = ok(&handle_line(&state, r#"{"cmd":"stats"}"#).0);
+        assert_eq!(stats.get("null_misses").and_then(Json::as_u64), Some(0));
+        // A bounded count is still answered.
+        ok(&handle_line(
+            &state,
+            r#"{"cmd":"correct","min_sup":8,"correction":"permutation","permutations":64}"#,
+        )
+        .0);
     }
 
     /// Golden check on the `metrics` exposition: well-formed Prometheus

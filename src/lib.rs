@@ -37,8 +37,7 @@ pub mod prelude {
         rayon_pool, BufferStrategy, PermutationCorrection, PermutationStats,
     };
     pub use sigrule::correction::{
-        direct, no_correction, Correction, CorrectionApproach, CorrectionContext, CorrectionResult,
-        DirectAdjustment, ErrorMetric, PermutationApproach, RandomHoldout, Uncorrected,
+        direct, no_correction, CorrectionApproach, CorrectionResult, ErrorMetric, RandomHoldout,
     };
     pub use sigrule::engine::{
         CacheEntry, CacheEntryKind, Engine, EngineStats, LoadedSource, Loader, PipelineError,

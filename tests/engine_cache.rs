@@ -2,7 +2,9 @@
 //! queries — a second request against the same engine at a different α,
 //! error metric, or correction approach — must be **bit-identical** to a
 //! fresh one-shot run (a new [`Engine`] answering one [`Query`]) with the
-//! same parameters, at any thread count.  The engine is a caching layer, never a semantics change.
+//! same parameters, at any thread count, and to the free function that
+//! implements the query's approach.  The engine is a caching layer, never a
+//! semantics change.
 
 use proptest::prelude::*;
 use sigrule_repro::prelude::*;
@@ -29,12 +31,51 @@ fn one_shot(dataset: &Dataset, query: &Query) -> CorrectionResult {
     Engine::new(dataset.clone()).query(query).unwrap().result
 }
 
+/// Every (approach, metric) pair a query can name.
+const PAIRS: [(CorrectionApproach, ErrorMetric); 8] = [
+    (CorrectionApproach::None, ErrorMetric::Fwer),
+    (CorrectionApproach::None, ErrorMetric::Fdr),
+    (CorrectionApproach::Direct, ErrorMetric::Fwer),
+    (CorrectionApproach::Direct, ErrorMetric::Fdr),
+    (CorrectionApproach::Permutation, ErrorMetric::Fwer),
+    (CorrectionApproach::Permutation, ErrorMetric::Fdr),
+    (CorrectionApproach::Holdout, ErrorMetric::Fwer),
+    (CorrectionApproach::Holdout, ErrorMetric::Fdr),
+];
+
+/// The query decided by the free function that implements its approach,
+/// on a rule set mined here: no engine, no cache.
+fn free_function(dataset: &Dataset, mined: &MinedRuleSet, query: &Query) -> CorrectionResult {
+    let (metric, alpha) = (query.metric, query.alpha);
+    match query.approach {
+        CorrectionApproach::None => no_correction(mined, alpha),
+        CorrectionApproach::Direct => match metric {
+            ErrorMetric::Fwer => direct::bonferroni(mined, alpha),
+            ErrorMetric::Fdr => direct::benjamini_hochberg(mined, alpha),
+        },
+        CorrectionApproach::Permutation => {
+            let correction = PermutationCorrection::new(query.n_permutations).with_seed(query.seed);
+            match metric {
+                ErrorMetric::Fwer => correction.control_fwer(mined, alpha),
+                ErrorMetric::Fdr => correction.control_fdr(mined, alpha),
+            }
+        }
+        CorrectionApproach::Holdout => random_holdout(
+            dataset,
+            query.seed,
+            &RandomHoldout::from_mining(query.seed, &query.mining).exploratory,
+            metric,
+            alpha,
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A cold query populates the caches; every follow-up variation (new α,
-    /// new metric, new approach) must answer warm and still match a fresh
-    /// one-shot run bit for bit.
+    /// A cold query populates the caches; every (approach, metric) pair at
+    /// two α must then answer warm, and match both a fresh one-shot engine
+    /// run and the free function of its approach bit for bit.
     #[test]
     fn warm_queries_match_fresh_pipeline_runs(
         seed in 0u64..200,
@@ -46,6 +87,7 @@ proptest! {
         let engine = Engine::new(data.clone());
         let min_sup = records / 6;
         let alpha = alpha_millis as f64 / 1000.0;
+        let mined = mine_rules(&data, &RuleMiningConfig::new(min_sup));
 
         // Cold: permutation FWER at the default α.
         let cold = engine
@@ -55,33 +97,33 @@ proptest! {
         prop_assert_eq!(cold.null_cached, Some(false));
 
         // Warm variations: α, metric, and approach all change; the mined
-        // rule set (and, for permutation, the null) must come from the cache
-        // and the results must equal a fresh one-shot run's exactly.
-        let variations = [
-            base_query(min_sup, CorrectionApproach::Permutation, ErrorMetric::Fwer)
-                .with_alpha(alpha),
-            base_query(min_sup, CorrectionApproach::Permutation, ErrorMetric::Fdr)
-                .with_alpha(alpha),
-            base_query(min_sup, CorrectionApproach::None, ErrorMetric::Fwer).with_alpha(alpha),
-            base_query(min_sup, CorrectionApproach::Direct, ErrorMetric::Fwer).with_alpha(alpha),
-            base_query(min_sup, CorrectionApproach::Direct, ErrorMetric::Fdr).with_alpha(alpha),
-            base_query(min_sup, CorrectionApproach::Holdout, ErrorMetric::Fwer).with_alpha(alpha),
-        ];
-        for query in &variations {
-            let warm = engine.query(query).unwrap();
-            prop_assert!(warm.mined_cached, "{:?} should hit the mine cache", query.approach);
-            if query.approach == CorrectionApproach::Permutation {
-                prop_assert_eq!(warm.null_cached, Some(true));
+        // rule set (and, for permutation, the null) must come from the cache.
+        for alpha in [0.05, alpha] {
+            for (approach, metric) in PAIRS {
+                let query = base_query(min_sup, approach, metric).with_alpha(alpha);
+                let warm = engine.query(&query).unwrap();
+                prop_assert!(warm.mined_cached, "{:?} should hit the mine cache", approach);
+                if approach == CorrectionApproach::Permutation {
+                    prop_assert_eq!(warm.null_cached, Some(true));
+                }
+                let fresh = one_shot(&data, &query);
+                prop_assert_eq!(
+                    &warm.result,
+                    &fresh,
+                    "warm and one-shot answers disagree for {:?}/{:?} at alpha {}",
+                    approach,
+                    metric,
+                    alpha
+                );
+                prop_assert_eq!(
+                    &fresh,
+                    &free_function(&data, &mined, &query),
+                    "the engine and the free function disagree for {:?}/{:?} at alpha {}",
+                    approach,
+                    metric,
+                    alpha
+                );
             }
-            let fresh = one_shot(&data, query);
-            prop_assert_eq!(
-                &warm.result,
-                &fresh,
-                "warm and one-shot answers disagree for {:?}/{:?} at alpha {}",
-                query.approach,
-                query.metric,
-                query.alpha
-            );
         }
     }
 
