@@ -237,10 +237,10 @@ fn worker_load_line(opts: &CommonOpts, name: &str) -> Option<String> {
 }
 
 /// Scatters the cold permutation null across the `--workers` fleet (plus
-/// the local executor) before the method roster runs, so the permutation
-/// rows hit a warm cache whose statistics are bit-identical to a local
-/// collection.  Unreachable or dying workers degrade to warnings — the
-/// local executor covers for them — and the returned warnings go to
+/// this process, on `--threads`) before the method roster runs, so the
+/// permutation rows hit a warm cache whose statistics are bit-identical to
+/// a local collection.  Unreachable or dying workers degrade to warnings —
+/// this process runs their ranges — and the returned warnings go to
 /// stderr, never into the report body, so machine output stays identical
 /// to an undistributed run.
 fn distribute_null(

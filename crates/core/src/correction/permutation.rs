@@ -1005,133 +1005,6 @@ impl PermutationCorrection {
     }
 }
 
-/// Why a shard dispatch failed.
-///
-/// The distinction matters to a coordinator: a [`Cancelled`](ShardError::Cancelled)
-/// shard means the whole run's token fired (deadline or explicit cancel) and
-/// nothing should be re-dispatched, while a [`Failed`](ShardError::Failed)
-/// shard is an executor-local casualty — a dead worker, a protocol error —
-/// whose range can be handed to any surviving executor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardError {
-    /// The run's cancellation token fired; the run is over.
-    Cancelled(Cancelled),
-    /// The executor failed; the range is intact and re-dispatchable.
-    Failed(String),
-}
-
-impl std::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardError::Cancelled(c) => write!(f, "shard cancelled: {c}"),
-            ShardError::Failed(msg) => write!(f, "shard failed: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
-
-impl From<Cancelled> for ShardError {
-    fn from(c: Cancelled) -> Self {
-        ShardError::Cancelled(c)
-    }
-}
-
-/// One executor a null-collection coordinator can scatter permutation ranges
-/// to.  The contract is narrow on purpose: given a chunk-aligned range and a
-/// token, either produce that range's *exact* partial null or fail with a
-/// [`ShardError`] that tells the coordinator whether to re-dispatch.  The
-/// in-process implementation is [`LocalExecutor`]; the remote one (a
-/// `sigrule serve` worker driven over the line protocol) lives in the server
-/// crate.
-pub trait NullExecutor: Send + Sync {
-    /// A short human-readable label for logs, warnings, and counters
-    /// (`"local"`, `"tcp:host:port"`, …).
-    fn label(&self) -> String;
-
-    /// True for executors that cross a process boundary — drives the
-    /// remote-vs-local split of the shard counters.  Defaults to local.
-    fn is_remote(&self) -> bool {
-        false
-    }
-
-    /// Collects the partial null for permutations `start..end`.
-    fn run_range(
-        &self,
-        start: usize,
-        end: usize,
-        cancel: &CancelToken,
-    ) -> Result<PartialPermutationStats, ShardError>;
-}
-
-/// The in-process [`NullExecutor`]: runs ranges through
-/// [`PermutationCorrection::collect_stats_range`] on this process's CPU.  A
-/// coordinator always holds one — it is the transparent fallback that makes
-/// remote workers an optimisation, never a dependency (a dead fleet costs
-/// time, not answers).
-///
-/// A `LocalExecutor` optionally owns its own rayon pool: coordinators drive
-/// executors from plain `std::thread` workers, where the ambient
-/// [`rayon::ThreadPool::install`] pinning of the *caller* does not reach, so
-/// the pool must travel with the executor to keep its parallelism bounded.
-pub struct LocalExecutor<'a> {
-    correction: PermutationCorrection,
-    mined: &'a MinedRuleSet,
-    tables: Option<&'a SharedTableSet>,
-    pool: Option<rayon::ThreadPool>,
-}
-
-impl<'a> LocalExecutor<'a> {
-    /// Creates a local executor over an already-mined rule set, reusing
-    /// prebuilt static p-value tables when the caller holds them.
-    pub fn new(
-        correction: PermutationCorrection,
-        mined: &'a MinedRuleSet,
-        tables: Option<&'a SharedTableSet>,
-    ) -> Self {
-        LocalExecutor {
-            correction,
-            mined,
-            tables,
-            pool: None,
-        }
-    }
-
-    /// Pins this executor's rayon parallelism to `threads` workers (`0`
-    /// keeps the ambient default).
-    pub fn with_threads(mut self, threads: usize) -> Result<Self, rayon::ThreadPoolBuildError> {
-        self.pool = if threads == 0 {
-            None
-        } else {
-            Some(rayon_pool(threads)?)
-        };
-        Ok(self)
-    }
-}
-
-impl NullExecutor for LocalExecutor<'_> {
-    fn label(&self) -> String {
-        "local".to_string()
-    }
-
-    fn run_range(
-        &self,
-        start: usize,
-        end: usize,
-        cancel: &CancelToken,
-    ) -> Result<PartialPermutationStats, ShardError> {
-        let collect = || {
-            self.correction
-                .collect_stats_range(self.mined, self.tables, cancel, start, end)
-        };
-        let out = match &self.pool {
-            Some(pool) => pool.install(collect),
-            None => collect(),
-        };
-        out.map_err(ShardError::from)
-    }
-}
-
 /// Process-wide distributed-shard counters, the companions of the
 /// support-kernel counters in `sigrule_data::kernel`: relaxed atomics bumped
 /// by coordinators as shards complete, read by `registry_stats` and the eval
@@ -1142,16 +1015,17 @@ pub mod shard_counters {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::sync::{Arc, LazyLock};
 
-    /// Ranges completed by the in-process executor.
+    /// Ranges completed by the coordinator's own thread.
     pub static SHARDS_LOCAL: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
     /// Ranges completed by remote `sigrule serve` workers.
     pub static SHARDS_REMOTE: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
-    /// Ranges dispatched more than once (stragglers + failures).
+    /// Ranges re-dispatched after the worker holding them failed.
     pub static SHARD_RETRIES: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
     /// Milliseconds spent waiting on remote shard responses.
     pub static REMOTE_MS: LazyLock<Arc<AtomicU64>> = LazyLock::new(Arc::default);
 
-    /// Records `n` permutation ranges completed by the in-process executor.
+    /// Records `n` permutation ranges completed by the coordinator's own
+    /// thread.
     pub fn note_local_shards(n: u64) {
         SHARDS_LOCAL.fetch_add(n, Relaxed);
     }
@@ -1163,8 +1037,7 @@ pub mod shard_counters {
         REMOTE_MS.fetch_add(ms, Relaxed);
     }
 
-    /// Records `n` range re-dispatches (straggler steals and dead-worker
-    /// recoveries alike).
+    /// Records `n` ranges re-dispatched after a worker failed.
     pub fn note_retries(n: u64) {
         SHARD_RETRIES.fetch_add(n, Relaxed);
     }
@@ -1172,11 +1045,11 @@ pub mod shard_counters {
     /// A point-in-time snapshot of the shard counters.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct ShardCounters {
-        /// Ranges completed by the in-process executor.
+        /// Ranges completed by the coordinator's own thread.
         pub shards_local: u64,
         /// Ranges completed by remote `sigrule serve` workers.
         pub shards_remote: u64,
-        /// Ranges dispatched more than once (stragglers + failures).
+        /// Ranges re-dispatched after the worker holding them failed.
         pub shard_retries: u64,
         /// Total milliseconds spent waiting on remote shard responses.
         pub remote_ms: u64,
@@ -1557,27 +1430,5 @@ mod tests {
             header.extend_from_slice(&word.to_le_bytes());
         }
         assert!(PartialPermutationStats::from_bytes(&header).is_err());
-    }
-
-    #[test]
-    fn local_executor_matches_direct_range_runs() {
-        let m = mined_with_rule(0.9, 36);
-        let c = perm(192);
-        let none = CancelToken::none();
-        let tables = c.build_shared_tables(&m);
-        let exec = LocalExecutor::new(c.clone(), &m, Some(&tables))
-            .with_threads(2)
-            .unwrap();
-        assert_eq!(exec.label(), "local");
-        let via_exec = exec.run_range(64, 128, &none).unwrap();
-        let direct = c.collect_stats_range(&m, None, &none, 64, 128).unwrap();
-        assert_eq!(via_exec, direct);
-        // Cancellation surfaces as ShardError::Cancelled, not Failed.
-        let fired = CancelToken::new();
-        fired.cancel();
-        match exec.run_range(0, 64, &fired) {
-            Err(ShardError::Cancelled(_)) => {}
-            other => panic!("expected cancelled, got {other:?}"),
-        }
     }
 }

@@ -113,7 +113,7 @@ pub fn expose_process_counters() {
     }
     metrics::expose_counter(
         "sigrule_shard_retries_total",
-        "Permutation ranges dispatched more than once (straggler steals and dead-worker re-dispatches).",
+        "Permutation ranges re-dispatched after the worker holding them failed.",
         &[],
         &shard::SHARD_RETRIES,
     );

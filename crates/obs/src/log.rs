@@ -39,7 +39,7 @@ pub enum Level {
     Warn,
     /// Request-level milestones.
     Info,
-    /// Phase spans, scatter/steal events, cache traffic.
+    /// Phase spans, scatter events, cache traffic.
     Debug,
 }
 

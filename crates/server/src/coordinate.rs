@@ -1,58 +1,53 @@
 //! The null-collection coordinator: scatter permutation ranges across
-//! executors, merge the partial statistics bit-identically.
+//! remote workers, merge the partial statistics bit-identically.
 //!
-//! PR 1 fixed the permutation engine's chunking and derived every
-//! permutation's RNG from `(seed, absolute index)`, which makes any
-//! chunk-aligned range run a *subsequence* of the full run by construction.
-//! This module cashes that in: [`partition_ranges`] splits the `N`
-//! permutations of a cold null into contiguous chunk-aligned ranges,
-//! [`scatter_collect`] hands them to a pool of
-//! [`NullExecutor`]s — the in-process
-//! [`LocalExecutor`] plus any number of [`RemoteExecutor`]s driving
-//! `sigrule serve` workers over the line protocol — and
-//! [`PermutationStats::merge`] reassembles the partials into *exactly* the
-//! statistics one `collect_stats` pass would have produced, at any worker
-//! count, partition, or failure schedule.
+//! The permutation engine derives every permutation's RNG from
+//! `(seed, absolute index)`, so any chunk-aligned range runs a
+//! *subsequence* of the full run by construction.  This module cashes that
+//! in: [`partition_ranges`] splits the `N` permutations of a cold null into
+//! contiguous chunk-aligned ranges, [`scatter_collect`] runs them on the
+//! calling thread (the local share) and on any number of
+//! [`RemoteExecutor`]s driving `sigrule serve` workers over the line
+//! protocol, and [`PermutationStats::merge`] reassembles the partials into
+//! *exactly* the statistics one `collect_stats` pass would have produced, at
+//! any worker count, partition, or failure schedule.
 //!
-//! Scheduling is a pull queue, not a static assignment: each executor runs
-//! on its own coordinator thread and takes the next pending range when it
-//! finishes one, so a fast worker naturally takes more ranges than a slow
-//! one (this *is* the worker sizing — no weights to tune).  When the queue
-//! drains, idle executors **steal** ranges that are still in flight
-//! elsewhere (straggler re-dispatch; the first completion wins and the
-//! per-range merge is idempotent), and a worker that dies mid-range has its
-//! range returned to the queue.  Because the coordinator always holds a
-//! local executor and [`LocalExecutor`] cannot fail (it only cancels), a
-//! lost worker costs time, never correctness or a partial cache fill.
+//! Scheduling is one pull queue, not a static assignment: each remote gets
+//! its first range before its coordinator thread starts, and every party
+//! takes the next range when it finishes one, so a fast worker naturally
+//! takes more ranges than a slow one (this *is* the worker sizing — no
+//! weights to tune).  A remote that fails puts its range back and retires;
+//! once the remote threads have joined, the calling thread runs whatever is
+//! still queued.  The local share cannot fail (it only cancels), so a lost
+//! worker costs time, never correctness or a partial cache fill.  The answer
+//! waits for the last range a remote holds; the connection's read timeout
+//! bounds how long a hung worker can hold one.
 
 use crate::client::ClientStream;
 use crate::json::{Json, ObjectBuilder};
 use crate::transport::ListenAddr;
 use sigrule::cancel::{CancelToken, Cancelled};
 use sigrule::correction::permutation::{
-    shard_counters, LocalExecutor, NullExecutor, PartialPermutationStats, PermutationCorrection,
-    PermutationStats, ShardError, PERMS_PER_CHUNK,
+    rayon_pool, shard_counters, PartialPermutationStats, PermutationCorrection, PermutationStats,
+    PERMS_PER_CHUNK,
 };
 use sigrule::engine::Engine;
 use sigrule::RuleMiningConfig;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Read timeout on worker connections when the shard spec carries no
 /// `timeout_ms` of its own: generous, because a cold shard of a large null
-/// is legitimately slow — the straggler steal already bounds how long the
-/// *answer* waits on any one worker.
+/// is legitimately slow.  It is what bounds how long the answer waits on a
+/// hung worker: the read fails, the range goes back to the queue and the
+/// calling thread runs it.
 const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// Extra read-timeout slack over an explicit per-shard `timeout_ms`, so the
 /// worker's own deadline error (which rides the request token) arrives
 /// before the client-side read gives up.
 const READ_TIMEOUT_GRACE: Duration = Duration::from_secs(10);
-
-/// How often a parked coordinator thread re-checks the cancel token while
-/// waiting for work to steal.
-const STEAL_POLL: Duration = Duration::from_millis(25);
 
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -174,6 +169,38 @@ impl ShardSpec {
     }
 }
 
+/// Why a remote range failed.
+///
+/// A [`Cancelled`](ShardError::Cancelled) range means the whole run's token
+/// fired (deadline or explicit cancel) and the scatter is over, while a
+/// [`Failed`](ShardError::Failed) range is a worker-local casualty — a dead
+/// worker, a protocol error — whose range goes back to the queue.
+#[derive(Debug)]
+pub enum ShardError {
+    /// The run's cancellation token fired; the run is over.
+    Cancelled(Cancelled),
+    /// The worker failed; the range is intact and re-dispatchable.
+    Failed(String),
+}
+
+/// A worker the coordinator scatters permutation ranges to.  Given a
+/// chunk-aligned range and a token, it either produces that range's *exact*
+/// partial null or fails with a [`ShardError`] that tells the coordinator
+/// whether to re-dispatch.  [`RemoteExecutor`] is the implementation; the
+/// trait is the seam the scatter's failure tests use.
+pub trait NullExecutor: Send + Sync {
+    /// A short human-readable label for logs and warnings (`"tcp:host:port"`).
+    fn label(&self) -> String;
+
+    /// Collects the partial null for permutations `start..end`.
+    fn run_range(
+        &self,
+        start: usize,
+        end: usize,
+        cancel: &CancelToken,
+    ) -> Result<PartialPermutationStats, ShardError>;
+}
+
 /// A [`NullExecutor`] that runs ranges on a remote `sigrule serve` worker
 /// via `perm_shard` requests over one [`ClientStream`].
 ///
@@ -181,28 +208,26 @@ impl ShardSpec {
 /// mismatched payload — surfaces as [`ShardError::Failed`], which the
 /// scatter loop treats as "this worker is dead": the range goes back to the
 /// queue and the executor is retired.  Cheap and safe, because the local
-/// executor guarantees completion regardless.
+/// share runs whatever the workers leave.
 pub struct RemoteExecutor {
     label: String,
     spec: ShardSpec,
     expected_rules: usize,
     stream: Mutex<ClientStream>,
-    probe_ms: u64,
 }
 
 impl RemoteExecutor {
     /// Connects to a worker and primes it: replays `load_line` when given
     /// (the worker must see the same file path — shared filesystem or
     /// identical layout).  The connect + load round-trip doubles as a
-    /// latency/health probe; unreachable or failing workers are reported
-    /// here, *before* any range is entrusted to them.
+    /// health probe; unreachable or failing workers are reported here,
+    /// *before* any range is entrusted to them.
     pub fn connect(
         addr: &ListenAddr,
         spec: ShardSpec,
         load_line: Option<&str>,
         expected_rules: usize,
     ) -> Result<RemoteExecutor, String> {
-        let began = Instant::now();
         let mut stream = ClientStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
         let read_timeout = match spec.timeout_ms {
             Some(ms) => Duration::from_millis(ms).saturating_add(READ_TIMEOUT_GRACE),
@@ -227,25 +252,13 @@ impl RemoteExecutor {
             spec,
             expected_rules,
             stream: Mutex::new(stream),
-            probe_ms: began.elapsed().as_millis() as u64,
         })
-    }
-
-    /// Milliseconds the connect (+ load replay) round-trip took — a crude
-    /// worker-latency probe, recorded for observability.  The pull queue
-    /// already sizes work dynamically, so this number steers nothing.
-    pub fn probe_ms(&self) -> u64 {
-        self.probe_ms
     }
 }
 
 impl NullExecutor for RemoteExecutor {
     fn label(&self) -> String {
         self.label.clone()
-    }
-
-    fn is_remote(&self) -> bool {
-        true
     }
 
     fn run_range(
@@ -319,227 +332,172 @@ pub fn partition_ranges(n_permutations: usize, n_executors: usize) -> Vec<(usize
 /// Feeds the process-wide [`shard_counters`] and user-facing warnings.
 #[derive(Debug, Clone, Default)]
 pub struct ShardReport {
-    /// Ranges completed by the in-process executor.
+    /// Ranges completed by the local share on the calling thread.
     pub shards_local: u64,
     /// Ranges completed by remote workers.
     pub shards_remote: u64,
-    /// Ranges dispatched more than once (straggler steals + dead-worker
-    /// re-queues).  First completion wins; duplicates merge idempotently.
+    /// Ranges re-dispatched because the worker holding them failed.
     pub retries: u64,
     /// Milliseconds spent waiting on remote shard responses (summed across
     /// workers, so it can exceed wall clock).
     pub remote_ms: u64,
-    /// Labels (and failure detail) of executors that died mid-scatter.
+    /// Labels (and failure detail) of workers that died mid-scatter.
     pub lost_workers: Vec<String>,
 }
 
-struct SchedState {
-    pending: VecDeque<(usize, usize)>,
-    /// `(start, end, executor index)` of every claimed, unfinished range.
-    /// One range may appear under several executors after a steal.
-    inflight: Vec<(usize, usize, usize)>,
-    done: BTreeMap<usize, PartialPermutationStats>,
-    total: usize,
+/// The state the calling thread and the remote threads share.
+struct Scatter {
+    queue: VecDeque<(usize, usize)>,
+    done: Vec<PartialPermutationStats>,
     report: ShardReport,
-    fatal: Option<Cancelled>,
 }
 
-/// Scatters `0..n_permutations` over `executors` and merges the partials
-/// into the same [`PermutationStats`] a single
+/// Takes the next queued range, releasing the lock before it is run.
+fn pop(state: &Mutex<Scatter>) -> Option<(usize, usize)> {
+    lock(state).queue.pop_front()
+}
+
+/// Runs queued ranges through the local share until the queue is empty.
+fn run_local(
+    state: &Mutex<Scatter>,
+    local: &impl Fn(usize, usize) -> Result<PartialPermutationStats, Cancelled>,
+) -> Result<(), Cancelled> {
+    while let Some((start, end)) = pop(state) {
+        let partial = local(start, end)?;
+        let mut scatter = lock(state);
+        scatter.report.shards_local += 1;
+        scatter.done.push(partial);
+    }
+    Ok(())
+}
+
+/// Runs `first`, then queued ranges, on one remote until the queue is empty
+/// or the remote fails (its range goes back to the queue).
+fn run_remote(
+    state: &Mutex<Scatter>,
+    remote: &dyn NullExecutor,
+    first: (usize, usize),
+    cancel: &CancelToken,
+) -> Result<(), Cancelled> {
+    let mut next = Some(first);
+    while let Some((start, end)) = next {
+        sigrule_obs::log::debug(
+            "sigrule::coordinate",
+            "range dispatched",
+            &[
+                ("executor", remote.label().into()),
+                ("start", (start as u64).into()),
+                ("end", (end as u64).into()),
+            ],
+        );
+        let began = Instant::now();
+        let outcome = remote.run_range(start, end, cancel);
+        let elapsed_ms = began.elapsed().as_millis() as u64;
+        let mut scatter = lock(state);
+        match outcome {
+            Ok(partial) => {
+                scatter.report.shards_remote += 1;
+                scatter.report.remote_ms += elapsed_ms;
+                scatter.done.push(partial);
+            }
+            Err(ShardError::Cancelled(cause)) => return Err(cause),
+            Err(ShardError::Failed(detail)) => {
+                scatter.queue.push_back((start, end));
+                scatter.report.retries += 1;
+                sigrule_obs::log::warn(
+                    "sigrule::coordinate",
+                    "worker lost mid-shard",
+                    &[
+                        ("worker", remote.label().into()),
+                        ("detail", detail.clone().into()),
+                        ("start", (start as u64).into()),
+                        ("end", (end as u64).into()),
+                    ],
+                );
+                let lost = format!("{}: {detail}", remote.label());
+                scatter.report.lost_workers.push(lost);
+                return Ok(());
+            }
+        }
+        next = scatter.queue.pop_front();
+    }
+    Ok(())
+}
+
+/// Scatters `0..n_permutations` over the local share and `remotes`, and
+/// merges the partials into the same [`PermutationStats`] a single
 /// [`collect_stats`](PermutationCorrection::collect_stats) pass produces —
-/// bit-identical at any executor count, partition, or failure schedule.
+/// bit-identical at any remote count, partition, or failure schedule.
 ///
-/// Executors that return [`ShardError::Failed`] are retired and their
-/// ranges re-queued; [`ShardError::Cancelled`] aborts the whole scatter
-/// with the underlying [`Cancelled`], leaving no partial result behind.
+/// `local(start, end)` runs one range on the calling thread.  A remote that
+/// returns [`ShardError::Failed`] is retired and its range re-queued; once
+/// the remote threads have joined, the calling thread runs any range still
+/// queued.  A [`Cancelled`] from the local share or from a remote aborts the
+/// whole scatter, leaving no partial result behind.
 ///
 /// # Panics
 ///
-/// Panics when `executors` is empty, `n_permutations` is zero, or *every*
-/// executor dies before the ranges are covered.  Callers must include an
-/// infallible executor — in practice a [`LocalExecutor`], which only ever
-/// cancels — so completion is guaranteed; [`fill_engine_null`] does.
+/// Panics when `n_permutations` is zero.
 pub fn scatter_collect(
-    executors: &[&dyn NullExecutor],
+    remotes: &[&dyn NullExecutor],
     n_permutations: usize,
     cancel: &CancelToken,
+    local: impl Fn(usize, usize) -> Result<PartialPermutationStats, Cancelled>,
 ) -> Result<(PermutationStats, ShardReport), Cancelled> {
-    assert!(!executors.is_empty(), "scatter_collect needs an executor");
-    let ranges = partition_ranges(n_permutations, executors.len());
+    let ranges = partition_ranges(n_permutations, remotes.len() + 1);
     assert!(!ranges.is_empty(), "scatter_collect needs permutations");
-    let total = ranges.len();
-    let mut pending: VecDeque<(usize, usize)> = ranges.into_iter().collect();
-    // Every executor gets its first range before any thread starts, so a
-    // fast executor cannot drain `pending` before a slow one claims at all.
-    let first: Vec<Option<(usize, usize)>> =
-        executors.iter().map(|_| pending.pop_front()).collect();
-    let inflight = first
+    let mut queue: VecDeque<(usize, usize)> = ranges.into_iter().collect();
+    // Every remote gets its first range before any thread starts, so the
+    // local share cannot drain the queue before a remote claims at all.
+    let firsts: Vec<((usize, usize), &dyn NullExecutor)> = remotes
         .iter()
-        .enumerate()
-        .filter_map(|(index, range)| range.map(|(start, end)| (start, end, index)))
+        .map_while(|&remote| Some((queue.pop_front()?, remote)))
         .collect();
-    let state = Mutex::new(SchedState {
-        pending,
-        inflight,
-        done: BTreeMap::new(),
-        total,
+    let state = Mutex::new(Scatter {
+        queue,
+        done: Vec::new(),
         report: ShardReport::default(),
-        fatal: None,
     });
-    let wake = Condvar::new();
     // Thread-local trace context does not cross thread boundaries on its
-    // own; capture the caller's span and re-enter it on every coordinator
-    // thread so shard requests and log events stay on one trace.
+    // own; capture the caller's span and re-enter it on every remote thread
+    // so shard requests and log events stay on one trace.
     let trace = sigrule_obs::trace::current();
 
     std::thread::scope(|scope| {
-        for (index, executor) in executors.iter().enumerate() {
-            let state = &state;
-            let wake = &wake;
-            let mut first = first[index];
-            scope.spawn(move || {
-                let _trace = trace.map(sigrule_obs::trace::enter);
-                loop {
-                    // Claim a range: the seeded one, then pending, then
-                    // steal a straggler.
-                    let claimed = if let Some((start, end)) = first.take() {
-                        Some((start, end, false))
-                    } else {
-                        let mut sched = lock(state);
-                        loop {
-                            if sched.fatal.is_some() || sched.done.len() == sched.total {
-                                break None;
-                            }
-                            if let Err(cause) = cancel.check() {
-                                sched.fatal = Some(cause);
-                                wake.notify_all();
-                                break None;
-                            }
-                            if let Some(range) = sched.pending.pop_front() {
-                                sched.inflight.push((range.0, range.1, index));
-                                break Some((range.0, range.1, false));
-                            }
-                            let steal = sched
-                                .inflight
-                                .iter()
-                                .find(|&&(start, _, owner)| {
-                                    owner != index && !sched.done.contains_key(&start)
-                                })
-                                .map(|&(start, end, _)| (start, end));
-                            if let Some((start, end)) = steal {
-                                sched.report.retries += 1;
-                                sched.inflight.push((start, end, index));
-                                break Some((start, end, true));
-                            }
-                            // Nothing to do yet: park until a completion (or
-                            // the poll interval, to notice cancellation).
-                            sched = wake
-                                .wait_timeout(sched, STEAL_POLL)
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .0;
-                        }
-                    };
-                    let Some((start, end, stolen)) = claimed else {
-                        return;
-                    };
-                    sigrule_obs::log::debug(
-                        "sigrule::coordinate",
-                        if stolen {
-                            "range stolen"
-                        } else {
-                            "range dispatched"
-                        },
-                        &[
-                            ("executor", executor.label().into()),
-                            ("start", (start as u64).into()),
-                            ("end", (end as u64).into()),
-                        ],
-                    );
+        let threads: Vec<_> = firsts
+            .into_iter()
+            .map(|(first, remote)| {
+                let state = &state;
+                scope.spawn(move || {
+                    let _trace = trace.map(sigrule_obs::trace::enter);
+                    run_remote(state, remote, first, cancel)
+                })
+            })
+            .collect();
+        let local_outcome = run_local(&state, &local);
+        threads
+            .into_iter()
+            .map(|thread| {
+                thread
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+            })
+            .fold(local_outcome, Result::and)
+    })?;
+    // Ranges a remote gave back after the local share had emptied the queue.
+    run_local(&state, &local)?;
 
-                    let began = Instant::now();
-                    let outcome = executor.run_range(start, end, cancel);
-                    let elapsed_ms = began.elapsed().as_millis() as u64;
-
-                    let mut sched = lock(state);
-                    if let Some(position) = sched
-                        .inflight
-                        .iter()
-                        .position(|&(s, _, owner)| s == start && owner == index)
-                    {
-                        sched.inflight.remove(position);
-                    }
-                    match outcome {
-                        Ok(partial) => {
-                            if executor.is_remote() {
-                                sched.report.shards_remote += 1;
-                                sched.report.remote_ms += elapsed_ms;
-                            } else {
-                                sched.report.shards_local += 1;
-                            }
-                            // First completion of a range wins; a stolen
-                            // duplicate arriving later merges into nothing.
-                            sched.done.entry(start).or_insert(partial);
-                            wake.notify_all();
-                        }
-                        Err(ShardError::Cancelled(cause)) => {
-                            if sched.fatal.is_none() {
-                                sched.fatal = Some(cause);
-                            }
-                            wake.notify_all();
-                            return;
-                        }
-                        Err(ShardError::Failed(detail)) => {
-                            // The executor is dead.  Put its range back unless
-                            // someone else already has (or had) it covered.
-                            let covered = sched.done.contains_key(&start)
-                                || sched.pending.iter().any(|&(s, _)| s == start)
-                                || sched.inflight.iter().any(|&(s, _, _)| s == start);
-                            if !covered {
-                                sched.pending.push_back((start, end));
-                                sched.report.retries += 1;
-                            }
-                            let label = executor.label();
-                            sigrule_obs::log::warn(
-                                "sigrule::coordinate",
-                                "worker lost mid-shard",
-                                &[
-                                    ("worker", label.clone().into()),
-                                    ("detail", detail.clone().into()),
-                                    ("start", (start as u64).into()),
-                                    ("end", (end as u64).into()),
-                                    ("redispatched", (!covered).into()),
-                                ],
-                            );
-                            sched.report.lost_workers.push(format!("{label}: {detail}"));
-                            wake.notify_all();
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let sched = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(cause) = sched.fatal {
-        return Err(cause);
-    }
-    assert!(
-        sched.done.len() == sched.total,
-        "every executor died before the scatter completed \
-         (callers must include an infallible local executor)"
-    );
-    let partials: Vec<PartialPermutationStats> = sched.done.into_values().collect();
-    let stats = PermutationStats::merge(&partials)
+    let scatter = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let stats = PermutationStats::merge(&scatter.done)
         .expect("scattered ranges tile 0..N and share one rule set; merge cannot fail");
-    Ok((stats, sched.report))
+    Ok((stats, scatter.report))
 }
 
 /// A distributed null-fill plan: which workers to use and what to run.
 #[derive(Debug, Clone)]
 pub struct DistributedNull {
     /// Remote `sigrule serve` workers; may be empty (the fill then runs on
-    /// the local executor alone, still through the scatter path).
+    /// the calling thread alone, still through the scatter path).
     pub workers: Vec<ListenAddr>,
     /// A `load` request line replayed on each worker before sharding, so
     /// the dataset name resolves there too.  `None` assumes the workers
@@ -558,13 +516,13 @@ pub struct DistributedFill {
     /// The scatter outcome (zeroed when `cached`).
     pub report: ShardReport,
     /// Human-readable notes: unreachable workers, workers lost mid-shard.
-    /// Never fatal — the local executor covered for them.
+    /// Never fatal — the local share covered for them.
     pub warnings: Vec<String>,
 }
 
 /// Fills `engine`'s permutation-null cache for the plan's mining key by
-/// scattering the permutations across the plan's workers plus the local
-/// executor, exactly as
+/// scattering the permutations across the plan's workers plus the calling
+/// thread (pinned to `spec.threads` when given), exactly as
 /// [`Engine::fill_null_with`] demands: the merged statistics are
 /// bit-identical to the engine's own `collect_stats`, so every later query
 /// against the cache entry answers as if the null had been computed
@@ -585,12 +543,13 @@ pub fn fill_engine_null(
         cancel,
         |mined, tables, cancel| {
             let correction = PermutationCorrection::new(spec.n_permutations).with_seed(spec.seed);
+            let local = |start, end| {
+                correction.collect_stats_range(mined, Some(tables), cancel, start, end)
+            };
             // Nothing to scatter: an empty null or an empty rule set is
             // cheaper to compute than to ship.
             if spec.n_permutations == 0 || mined.rules().is_empty() {
-                return correction
-                    .collect_stats_range(mined, Some(tables), cancel, 0, spec.n_permutations)
-                    .map(PermutationStats::from);
+                return local(0, spec.n_permutations).map(PermutationStats::from);
             }
             let mut remotes: Vec<RemoteExecutor> = Vec::new();
             for addr in &plan.workers {
@@ -616,24 +575,15 @@ pub fn fill_engine_null(
                     }
                 }
             }
-            let local = LocalExecutor::new(correction.clone(), mined, Some(tables));
-            let local = match spec.threads {
-                Some(threads) if threads > 0 => match local.with_threads(threads) {
-                    Ok(pinned) => pinned,
-                    Err(e) => {
-                        warnings.push(format!(
-                            "could not pin the local executor to {threads} threads ({e}); \
-                             using the ambient pool"
-                        ));
-                        LocalExecutor::new(correction.clone(), mined, Some(tables))
-                    }
-                },
-                _ => local,
-            };
-            let executors: Vec<&dyn NullExecutor> = std::iter::once(&local as &dyn NullExecutor)
-                .chain(remotes.iter().map(|r| r as &dyn NullExecutor))
-                .collect();
-            let (stats, scatter_report) = scatter_collect(&executors, spec.n_permutations, cancel)?;
+            let remotes: Vec<&dyn NullExecutor> =
+                remotes.iter().map(|r| r as &dyn NullExecutor).collect();
+            let scatter = || scatter_collect(&remotes, spec.n_permutations, cancel, local);
+            let (stats, scatter_report) = match spec.threads {
+                Some(threads) => rayon_pool(threads)
+                    .expect("building a rayon pool cannot fail")
+                    .install(scatter),
+                None => scatter(),
+            }?;
             report = scatter_report;
             Ok(stats)
         },
@@ -675,9 +625,12 @@ mod tests {
     use super::*;
     use crate::proto::{handle_line, tests::fixture_path, ServerState};
     use crate::transport::{serve_listener, ServerConfig};
-    use sigrule::engine::Loader;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{mpsc, Arc};
+    use sigrule::engine::{Loader, Query};
+    use sigrule::{CancelReason, CorrectionApproach, ErrorMetric};
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     #[test]
     fn hex_round_trips_and_rejects_garbage() {
@@ -744,40 +697,36 @@ mod tests {
     }
 
     #[test]
-    fn two_local_executors_reproduce_the_serial_null() {
+    fn local_share_alone_reproduces_the_serial_null() {
         let mined = toy_mined();
         let correction = PermutationCorrection::new(300).with_seed(9);
         let tables = correction.build_shared_tables(&mined);
         let serial = correction.collect_stats(&mined);
-
-        let a = LocalExecutor::new(correction.clone(), &mined, Some(&tables));
-        let b = LocalExecutor::new(correction.clone(), &mined, Some(&tables))
-            .with_threads(2)
-            .unwrap();
-        let executors: Vec<&dyn NullExecutor> = vec![&a, &b];
-        let (merged, report) = scatter_collect(&executors, 300, &CancelToken::none()).unwrap();
-        assert_eq!(merged, serial);
-        assert_eq!(
-            report.shards_local,
-            partition_ranges(300, 2).len() as u64 + report.retries
-        );
-        assert_eq!(report.shards_remote, 0);
-        assert!(report.lost_workers.is_empty());
+        let none = CancelToken::none();
+        let local =
+            |start, end| correction.collect_stats_range(&mined, Some(&tables), &none, start, end);
+        for threads in [1, 2] {
+            let (merged, report) = rayon_pool(threads)
+                .unwrap()
+                .install(|| scatter_collect(&[], 300, &none, local))
+                .unwrap();
+            assert_eq!(merged, serial, "{threads} threads");
+            assert_eq!(report.shards_local, partition_ranges(300, 1).len() as u64);
+            assert_eq!((report.shards_remote, report.retries), (0, 0));
+            assert!(report.lost_workers.is_empty());
+        }
     }
 
-    /// Fails its first (and only) range after raising a flag the gated
-    /// local executor waits on — so the dead-worker path runs
-    /// deterministically: the failer always claims and loses a range.
-    struct FailFirst {
-        failed: Arc<AtomicBool>,
+    /// Holds its first range until the local share has run every other
+    /// range (so the queue is empty), then a moment later fails it.
+    struct LateFail<'a> {
+        local_runs: &'a AtomicUsize,
+        wait_for: usize,
     }
 
-    impl NullExecutor for FailFirst {
+    impl NullExecutor for LateFail<'_> {
         fn label(&self) -> String {
             "tcp:dead:1".to_string()
-        }
-        fn is_remote(&self) -> bool {
-            true
         }
         fn run_range(
             &self,
@@ -785,30 +734,14 @@ mod tests {
             _end: usize,
             _cancel: &CancelToken,
         ) -> Result<PartialPermutationStats, ShardError> {
-            self.failed.store(true, Ordering::SeqCst);
-            Err(ShardError::Failed("connection reset".to_string()))
-        }
-    }
-
-    struct GatedLocal<'a> {
-        inner: LocalExecutor<'a>,
-        gate: Arc<AtomicBool>,
-    }
-
-    impl NullExecutor for GatedLocal<'_> {
-        fn label(&self) -> String {
-            self.inner.label()
-        }
-        fn run_range(
-            &self,
-            start: usize,
-            end: usize,
-            cancel: &CancelToken,
-        ) -> Result<PartialPermutationStats, ShardError> {
-            while !self.gate.load(Ordering::SeqCst) {
+            while self.local_runs.load(Ordering::SeqCst) < self.wait_for {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            self.inner.run_range(start, end, cancel)
+            // The queue is already empty.  The pause lets the local share
+            // see that and wait at the join, so the range is normally
+            // re-run after the join; the assertions hold in either order.
+            std::thread::sleep(Duration::from_millis(20));
+            Err(ShardError::Failed("connection reset".to_string()))
         }
     }
 
@@ -818,20 +751,35 @@ mod tests {
         let correction = PermutationCorrection::new(200).with_seed(5);
         let tables = correction.build_shared_tables(&mined);
         let serial = correction.collect_stats(&mined);
+        let ranges = partition_ranges(200, 2);
+        let none = CancelToken::none();
 
-        let gate = Arc::new(AtomicBool::new(false));
-        let local = GatedLocal {
-            inner: LocalExecutor::new(correction.clone(), &mined, Some(&tables)),
-            gate: gate.clone(),
+        let local_runs = AtomicUsize::new(0);
+        let local_starts = Mutex::new(Vec::new());
+        let local = |start, end| {
+            let partial = correction.collect_stats_range(&mined, Some(&tables), &none, start, end);
+            lock(&local_starts).push(start);
+            local_runs.fetch_add(1, Ordering::SeqCst);
+            partial
         };
-        let failer = FailFirst { failed: gate };
-        let executors: Vec<&dyn NullExecutor> = vec![&local, &failer];
-        let (merged, report) = scatter_collect(&executors, 200, &CancelToken::none()).unwrap();
+        let failer = LateFail {
+            local_runs: &local_runs,
+            wait_for: ranges.len() - 1,
+        };
+        let (merged, report) = scatter_collect(&[&failer], 200, &none, local).unwrap();
         assert_eq!(merged, serial, "a lost worker must not change the null");
+        assert_eq!(
+            report.shards_local + report.shards_remote,
+            ranges.len() as u64
+        );
+        assert_eq!((report.shards_remote, report.retries), (0, 1));
         assert_eq!(report.lost_workers.len(), 1);
         assert!(report.lost_workers[0].contains("tcp:dead:1"));
-        assert!(report.retries >= 1, "the failed range was re-dispatched");
-        assert_eq!(report.shards_remote, 0);
+        // The remote's range came back after every other range had run, and
+        // the calling thread ran it last.
+        let starts = local_starts.into_inner().unwrap();
+        assert_eq!(starts.len(), ranges.len());
+        assert_eq!(starts.last(), Some(&ranges[0].0));
     }
 
     /// Boots a real `serve_listener` worker on an ephemeral port and
@@ -866,9 +814,10 @@ mod tests {
 
         let correction = PermutationCorrection::new(150).with_seed(13);
         let tables = correction.build_shared_tables(&mined);
-        let local = LocalExecutor::new(correction.clone(), &mined, Some(&tables));
         for (start, end) in [(0, 64), (64, 128), (128, 150)] {
-            let ours = local.run_range(start, end, &CancelToken::none()).unwrap();
+            let ours = correction
+                .collect_stats_range(&mined, Some(&tables), &CancelToken::none(), start, end)
+                .unwrap();
             let theirs = remote.run_range(start, end, &CancelToken::none()).unwrap();
             assert_eq!(theirs.to_bytes(), ours.to_bytes(), "range {start}..{end}");
         }
@@ -910,10 +859,14 @@ mod tests {
             "the live worker should have taken at least one range: {:?}",
             fill.report
         );
+        // One local share plus the one reachable worker; every range ran
+        // exactly once.
         assert_eq!(
             fill.report.shards_local + fill.report.shards_remote,
-            partition_ranges(448, 3).len() as u64 + fill.report.retries
+            partition_ranges(448, 2).len() as u64
         );
+        assert_eq!(fill.report.retries, 0);
+        assert!(fill.report.lost_workers.is_empty());
         // Port 1 is reserved (nothing listens): skipped with a warning.
         assert!(
             fill.warnings.iter().any(|w| w.contains("skipped")),
@@ -925,7 +878,60 @@ mod tests {
         // engine does.
         let again = fill_engine_null(&engine, &plan, &CancelToken::none()).unwrap();
         assert!(again.cached, "second fill must hit the cache");
+        let query = permutation_query(&mining, 448, 21);
+        let warm = engine.query(&query).unwrap();
+        assert_eq!(warm.null_cached, Some(true));
+        let fresh = Loader::default().load_file(&path).unwrap().into_engine();
+        assert_eq!(warm.result, fresh.query(&query).unwrap().result);
         shutdown_worker(&addr);
+    }
+
+    fn permutation_query(mining: &RuleMiningConfig, n: usize, seed: u64) -> Query {
+        Query::new(mining.clone())
+            .with_correction(CorrectionApproach::Permutation, ErrorMetric::Fwer)
+            .with_permutations(n)
+            .with_seed(seed)
+    }
+
+    #[test]
+    fn cancelled_scatter_leaves_the_null_cold_and_the_retry_bit_identical() {
+        let path = fixture_path();
+        let token = CancelToken::new();
+        // A worker that fires the run's token as soon as a range reaches it,
+        // then hangs up: the scatter cannot finish without that range.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = ListenAddr::Tcp(listener.local_addr().unwrap().to_string());
+        let canceller = token.clone();
+        let worker = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            BufReader::new(&conn).read_line(&mut line).unwrap();
+            canceller.cancel();
+            line
+        });
+
+        let engine = Loader::default().load_file(&path).unwrap().into_engine();
+        let mining = RuleMiningConfig::new(4).with_min_conf(0.5);
+        let plan = DistributedNull {
+            workers: vec![addr],
+            load_line: None,
+            spec: ShardSpec::new("toy", &mining, 448, 21),
+        };
+        match fill_engine_null(&engine, &plan, &token) {
+            Err(cause) => assert_eq!(cause.reason, CancelReason::Cancelled),
+            Ok(fill) => panic!("expected cancellation, got {fill:?}"),
+        }
+        assert!(worker.join().unwrap().contains("perm_shard"));
+
+        let query = permutation_query(&mining, 448, 21);
+        let retry = engine.query(&query).unwrap();
+        assert_eq!(
+            retry.null_cached,
+            Some(false),
+            "the aborted fill left a null"
+        );
+        let fresh = Loader::default().load_file(&path).unwrap().into_engine();
+        assert_eq!(retry.result, fresh.query(&query).unwrap().result);
     }
 
     /// A `"workers"` request that fails validation is answered before any

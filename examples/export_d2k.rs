@@ -1,7 +1,7 @@
 //! Export the paper's D2kA20R5 synthetic dataset (Table 1: 2000 records ×
 //! 20 attributes, 5 embedded rules) as CSV on stdout — the workload the
-//! `BENCH_*.json` benchmarks run on, materialised as a file so CLI-level
-//! scripts (`scripts/bench_shard.sh`) can feed it to `sigrule correct`.
+//! `BENCH_*.json` benchmarks run on, materialised as a file so CLI runs
+//! (`sigrule correct --input`, `--workers` included) can read it.
 //!
 //! Run with: `cargo run --release --example export_d2k > d2k_a20_r5.csv`
 //!

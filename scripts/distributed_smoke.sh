@@ -7,12 +7,14 @@
 #   scripts/distributed_smoke.sh [binary]   # default: target/release/sigrule
 #
 # Exercised end to end: ephemeral-port workers (ready-line parsing), the
-# coordinator's dataset-load replay, the perm_shard scatter and merge, the
+# coordinator's dataset-load replay, the perm_shard scatter and merge (at
+# the default thread count and pinned to one local thread), the
 # worker-side registry_stats counters proving remote shards actually ran,
 # and a clean shutdown drain on both workers.  The JSON reports are
 # compared byte for byte after normalising the wall-clock fields (summary
 # load_ms/mine_ms and the table's trailing time_ms cells) — every
-# statistic, count and p-value must match exactly.
+# statistic, count and p-value must match exactly.  Healthy workers must
+# never be reported lost.
 
 set -euo pipefail
 
@@ -47,7 +49,18 @@ echo "workers: $W1_ADDR $W2_ADDR"
 ARGS=(correct --input "$FIXTURE" --min-sup 8 --permutations 400 --seed 17 --format json)
 "$BIN" "${ARGS[@]}" --workers "$W1_ADDR,$W2_ADDR" \
   >"$WORKDIR/dist.json" 2>"$WORKDIR/dist.err"
+# The one-local-thread shape: the local share runs on the calling thread.
+"$BIN" "${ARGS[@]}" --threads 1 --workers "$W1_ADDR,$W2_ADDR" \
+  >"$WORKDIR/dist1.json" 2>"$WORKDIR/dist1.err"
 "$BIN" "${ARGS[@]}" >"$WORKDIR/plain.json"
+
+# Both workers are healthy: no range may have been lost or re-dispatched.
+for ERR in "$WORKDIR/dist.err" "$WORKDIR/dist1.err"; do
+  if grep -E 'lost|re-dispatched' "$ERR"; then
+    echo "error: a healthy worker was reported lost ($ERR)"
+    exit 1
+  fi
+done
 
 # Timings are the only permitted difference: summary load_ms/mine_ms and
 # the comparison table's trailing per-method time_ms cell (always the last
@@ -56,12 +69,14 @@ ARGS=(correct --input "$FIXTURE" --min-sup 8 --permutations 400 --seed 17 --form
 normalize() {
   sed -E 's/"(load|mine)_ms":"[0-9.]+"/"\1_ms":"-"/g; s/,"[0-9]+\.[0-9]+"\]/,"-"]/g' "$1"
 }
-normalize "$WORKDIR/dist.json" >"$WORKDIR/dist.norm"
 normalize "$WORKDIR/plain.json" >"$WORKDIR/plain.norm"
-if ! diff -u "$WORKDIR/plain.norm" "$WORKDIR/dist.norm"; then
-  echo "error: distributed answer diverged from the single-process run"
-  exit 1
-fi
+for RUN in dist dist1; do
+  normalize "$WORKDIR/$RUN.json" >"$WORKDIR/$RUN.norm"
+  if ! diff -u "$WORKDIR/plain.norm" "$WORKDIR/$RUN.norm"; then
+    echo "error: distributed answer ($RUN) diverged from the single-process run"
+    exit 1
+  fi
+done
 
 # At least one shard must have actually run remotely: perm_shard mines the
 # replayed dataset on the worker, ticking its mine_misses counter.
@@ -87,4 +102,4 @@ wait "$W2_PID"
 W1_PID=""
 W2_PID=""
 
-echo "distributed smoke OK: byte-identical answer, $MISSES remote mine(s), clean drain"
+echo "distributed smoke OK: byte-identical answers, $MISSES remote mine(s), clean drain"
